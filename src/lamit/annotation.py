@@ -8,16 +8,6 @@ from .features import FeatureInventory, LookupError_, MajorClass
 from .lexicon import Lexicon
 from .textgrid import Interval, IntervalTier, Point, PointTier, TextGridError
 
-# fixed tier names of the annotation scheme
-TIER_NAMES = ('Word', 'LEXI', 'LEXI-mod', 'Landmark', 'Landmark-mod',
-              'Glottal', 'Nasal', 'Cplace', 'Vplace')
-
-# label vocabularies for the articulator-bound tiers
-NASAL_LABELS = ('nas',)
-GLOTTAL_LABELS = ('glot',)
-CPLACE_LABELS = ('closure-transition', 'release-burst', 'release-transition')
-VPLACE_LABELS = ('high', 'low', 'round', 'front', 'back')
-
 
 class AnnotationError(ValueError):
     pass

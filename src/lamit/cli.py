@@ -8,10 +8,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from . import access, annotation, corpus, dsp, features, landmarks, lexicon
+# the audio modules (access, dsp, landmarks) need numpy; they are imported
+# inside the commands that use them, so text commands start without it
+from . import annotation, corpus, features, lexicon
 from .config import AnalysisConfig, ConfigError, parse_config_file, \
     render_config
-from .textgrid import TextGridError, parse_textgrid, serialize_textgrid
+from .textgrid import AnnotationDocument, TextGridError, parse_textgrid, \
+    serialize_textgrid
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -152,16 +155,23 @@ def cmd_lexi(args) -> int:
 
 # ------------------------------------------------------------ landmarks
 
+def _wav_landmarks(path, cfg):
+    """Read a wav and detect its landmarks; bad audio becomes a CliError."""
+    from . import dsp, landmarks
+    try:
+        audio = dsp.read_wav(path)
+        return audio, landmarks.detect_all(audio, cfg)
+    except (dsp.DspError, landmarks.LandmarkError) as e:
+        raise CliError(f'{path}: {e}') from None
+
+
 def cmd_landmarks(args) -> int:
+    from . import landmarks
     cfg = _load_config(args)
     path = Path(args.wav)
     if not path.exists():
         raise CliError(f'missing wav: {path}')
-    try:
-        audio = dsp.read_wav(path)
-    except dsp.DspError as e:
-        raise CliError(f'wav: {e}') from None
-    seq = landmarks.detect_all(audio, cfg)
+    audio, seq = _wav_landmarks(path, cfg)
     csv = landmarks.landmarks_csv(seq)
     out = Path(args.out) if args.out else path.with_suffix('')
     csv_path = out.with_suffix('.csv')
@@ -169,7 +179,6 @@ def cmd_landmarks(args) -> int:
     csv_path.write_text(csv, encoding='utf-8')
     tier = annotation.landmark_tier_from(seq.items)
     doc_dur = max(audio.duration, tier.t_end)
-    from .textgrid import AnnotationDocument
     tg_path.write_text(
         serialize_textgrid(AnnotationDocument(doc_dur, [tier])),
         encoding='utf-8')
@@ -180,27 +189,23 @@ def cmd_landmarks(args) -> int:
 # ---------------------------------------------------------------- match
 
 def _segments_from_args(args, cfg):
+    from . import access, dsp, landmarks
     source = Path(args.wav or args.landmarks)
     if not source.exists():
         raise CliError(f'missing input: {source}')
     if args.wav:
-        audio = dsp.read_wav(source)
-        seq = landmarks.detect_all(audio, cfg)
+        audio, seq = _wav_landmarks(source, cfg)
         params = dsp.parameter_frames(audio, cfg)
         return access.cues_to_bundles(seq, params, cfg)
     # landmark CSV: broad-class evidence only
     from .features import FeatureBundle, PLUS
-    from .landmarks import Landmark, LandmarkKind, LandmarkSequence, Manner
-    items = []
-    for lineno, ln in enumerate(source.read_text('utf-8').splitlines()):
-        if lineno == 0 or not ln.strip():
-            continue
-        t, kind, manner, strength = ln.split(',')
-        items.append(Landmark(float(t), LandmarkKind(kind),
-                              Manner(manner) if manner else None,
-                              float(strength)))
+    from .landmarks import LandmarkKind
+    try:
+        items = landmarks.parse_landmarks_csv(
+            source.read_text('utf-8')).items
+    except (landmarks.LandmarkError, UnicodeDecodeError) as e:
+        raise CliError(f'{source}: {e}') from None
     segments = []
-    seq = LandmarkSequence(items)
     i = 0
     while i < len(items):
         lm = items[i]
@@ -232,6 +237,7 @@ def _segments_from_args(args, cfg):
 
 
 def cmd_match(args) -> int:
+    from . import access
     if bool(args.wav) == bool(args.landmarks):
         raise CliError('need exactly one of --wav or --landmarks')
     if args.topk < 1:
@@ -246,9 +252,12 @@ def cmd_match(args) -> int:
     if not doc.has_tier('Word'):
         raise CliError('input has no Word tier', EXIT_RESOLUTION)
     segments = _segments_from_args(args, cfg)
-    weights = access.DistanceWeights.from_config(cfg)
-    matches, orphans = access.match_in_word_intervals(
-        doc, segments, lex, weights, args.topk)
+    try:
+        weights = access.DistanceWeights.from_config(cfg)
+        matches, orphans = access.match_in_word_intervals(
+            doc, segments, lex, weights, args.topk)
+    except access.MatchError as e:
+        raise CliError(str(e)) from None
     csv = access.matches_csv(matches)
     _write_output(args, csv)
     if orphans:
@@ -460,9 +469,6 @@ def main(argv=None) -> int:
             corpus.TranscriptionError, TextGridError) as e:
         print(f'error: {e}', file=sys.stderr)
         return EXIT_VALIDATION
-    except access.MatchError as e:
-        print(f'error: {e}', file=sys.stderr)
-        return EXIT_USAGE
     except OSError as e:
         print(f'error: {e}', file=sys.stderr)
         return EXIT_USAGE

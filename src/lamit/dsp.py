@@ -1,10 +1,11 @@
 """Signal-analysis substrate: spectrograms, band energies, rate of rise, F0."""
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-import scipy.io.wavfile
 
 from .config import AnalysisConfig
 
@@ -35,24 +36,80 @@ class AudioBuffer:
         return len(self.samples) / self.sample_rate
 
 
+# WAVE format tags, the extensible subformat GUID tail shared by all of
+# them, and the (tag, bits) pairs that map to a sample dtype
+_WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 1, 3, 0xFFFE
+_GUID_TAIL = b'\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71'
+_WAV_DTYPES = {(_WAVE_PCM, 16): '<i2', (_WAVE_FLOAT, 32): '<f4',
+               (_WAVE_FLOAT, 64): '<f8'}
+
+
+def _wav_format(body: bytes) -> tuple[int, str]:
+    """(sample rate, sample dtype) from the body of a 'fmt ' chunk."""
+    if len(body) < 16:
+        raise DspError('fmt chunk shorter than 16 bytes')
+    tag, channels, rate, _, block_align, bits = struct.unpack_from(
+        '<HHIIHH', body)
+    if tag == _WAVE_EXTENSIBLE:
+        guid = body[24:40]
+        if len(body) < 40 or not guid.endswith(_GUID_TAIL):
+            raise DspError('unsupported extensible WAVE subformat')
+        tag = struct.unpack_from('<I', guid)[0]
+    if channels != 1:
+        raise DspError(f'expected mono audio, got {channels} channels')
+    dtype = _WAV_DTYPES.get((tag, bits))
+    if dtype is None:
+        raise DspError(f'unsupported sample format: format tag {tag}, '
+                       f'{bits} bits')
+    if block_align != bits // 8:
+        raise DspError(f'block align {block_align} does not match '
+                       f'{bits}-bit mono samples')
+    return rate, dtype
+
+
 def read_wav(path) -> AudioBuffer:
-    """RIFF PCM 16-bit or IEEE float-32, mono, >= 16 kHz."""
-    rate, data = scipy.io.wavfile.read(path)
-    if data.ndim != 1:
-        raise DspError(f'{path}: expected mono audio, got {data.shape[1]} '
-                       'channels')
-    if data.dtype == np.int16:
+    """RIFF/WAVE, mono, >= 16 kHz: PCM 16-bit or IEEE float 32/64 bit,
+    plain or in an extensible header.  Unknown chunks are skipped."""
+    raw = Path(path).read_bytes()
+    if len(raw) < 12 or raw[:4] != b'RIFF' or raw[8:12] != b'WAVE':
+        raise DspError('not a RIFF/WAVE file')
+    fmt = None
+    pos = 12
+    while True:
+        if pos + 8 > len(raw):
+            raise DspError('no data chunk')
+        chunk = raw[pos:pos + 4]
+        size = struct.unpack_from('<I', raw, pos + 4)[0]
+        pos += 8
+        if pos + size > len(raw):
+            raise DspError(f'truncated {chunk.decode("latin-1")!r} chunk')
+        if chunk == b'data':
+            break
+        if chunk == b'fmt ':
+            fmt = _wav_format(raw[pos:pos + size])
+        pos += size + size % 2             # chunks are padded to even size
+    if fmt is None:
+        raise DspError('data chunk before fmt chunk')
+    rate, dtype = fmt
+    data = np.frombuffer(raw, dtype=dtype, offset=pos,
+                         count=size // np.dtype(dtype).itemsize)
+    if dtype == '<i2':
         samples = data / 32768.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
     else:
-        raise DspError(f'{path}: unsupported sample format {data.dtype}')
-    return AudioBuffer(samples, int(rate))
+        samples = data.astype(np.float64)
+    return AudioBuffer(samples, rate)
 
 
 def write_wav(path, audio: AudioBuffer):
-    scipy.io.wavfile.write(path, audio.sample_rate,
-                           audio.samples.astype(np.float32))
+    """IEEE float-32 mono, laid out as scipy.io.wavfile writes it."""
+    data = audio.samples.astype('<f4')
+    sr = audio.sample_rate
+    fmt = struct.pack('<HHIIHHH', _WAVE_FLOAT, 1, sr, 4 * sr, 4, 32, 0)
+    header = (b'RIFF' + struct.pack('<I', 50 + data.nbytes) + b'WAVE'
+              + b'fmt ' + struct.pack('<I', len(fmt)) + fmt
+              + b'fact' + struct.pack('<II', 4, len(data))
+              + b'data' + struct.pack('<I', data.nbytes))
+    Path(path).write_bytes(header + data.tobytes())
 
 
 @dataclass

@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from .config import AnalysisConfig
 from .dsp import AudioBuffer, BandEnergyTracks, rate_of_rise, standard_tracks
@@ -106,6 +106,83 @@ def _gate(tracks: BandEnergyTracks, cfg: AnalysisConfig, rel=None):
             tracks.times[best[1]] + cfg.ror_window)
 
 
+def _sparse_table(x: np.ndarray, pick) -> list[np.ndarray]:
+    """table[j][i] = pick over x[i:i + 2**j], from two halves per level."""
+    table = [x]
+    w = 1
+    while 2 * w <= len(x):
+        prev = table[-1]
+        table.append(pick(prev[:-w], prev[w:]))
+        w *= 2
+    return table
+
+
+def _right_bases(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Per peak p, the first minimum of x[p:r], where r is the first
+    sample after p strictly higher than x[p] (or the end of x)."""
+    n = len(x)
+    top = _sparse_table(x, np.maximum)
+    first_min = _sparse_table(np.arange(n),
+                              lambda a, b: np.where(x[b] < x[a], b, a))
+    # binary lifting: grow [p, end) by halving steps while it stays <= x[p]
+    vals = x[peaks]
+    end = peaks + 1
+    for j in range(len(top) - 1, -1, -1):
+        w = 1 << j
+        ok = (end + w <= n) & (top[j][np.minimum(end, n - w)] <= vals)
+        end[ok] += w
+    # the range minimum from two overlapping power-of-two windows; on a
+    # tie the left window's index is the smaller one
+    level = np.frexp(end - peaks)[1] - 1
+    base = np.empty_like(peaks)
+    for j in np.unique(level).tolist():
+        sel = level == j
+        a = first_min[j][peaks[sel]]
+        b = first_min[j][end[sel] - (1 << j)]
+        base[sel] = np.where(x[b] < x[a], b, a)
+    return base
+
+
+def _find_peaks(x, prominence: float, distance: int = 1):
+    """Peaks of x as `scipy.signal.find_peaks(x, prominence=prominence,
+    distance=distance)` finds them, with the same `prominences`,
+    `left_bases` and `right_bases`.
+
+    A plateau's peak is its midpoint and edge samples are never peaks.
+    The distance filter runs first, keeping peaks in descending
+    `np.argsort` order of height.  A base search stops at the first
+    sample strictly higher than the peak; the left base is the minimum
+    nearest the peak, the right base the first minimum.  The bases cost
+    O(n log n) array work per call, with no per-peak Python loop.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    peaks = np.zeros(0, dtype=np.intp)
+    if n >= 3:
+        # runs of equal samples; a run above both neighbouring runs peaks
+        starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+        ends = np.r_[starts[1:], n] - 1
+        v = x[starts]
+        runs = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+        peaks = (starts[runs] + ends[runs]) // 2
+    if distance > 1 and len(peaks) > 1:
+        lo = np.searchsorted(peaks, peaks - distance, 'right')
+        hi = np.searchsorted(peaks, peaks + distance, 'left')
+        keep = np.ones(len(peaks), dtype=bool)
+        for j in np.argsort(x[peaks])[::-1].tolist():
+            if keep[j]:
+                keep[lo[j]:j] = False
+                keep[j + 1:hi[j]] = False
+        peaks = peaks[keep]
+    right = _right_bases(x, peaks)
+    left = n - 1 - _right_bases(x[::-1], n - 1 - peaks)
+    prom = x[peaks] - np.maximum(x[left], x[right])
+    keep = prom >= prominence
+    return peaks[keep], {'prominences': prom[keep],
+                         'left_bases': left[keep],
+                         'right_bases': right[keep]}
+
+
 def detect_vowel_landmarks(tracks: BandEnergyTracks,
                            cfg: AnalysisConfig | None = None) -> list[Landmark]:
     """Local maxima of the low-band energy with sufficient prominence."""
@@ -116,8 +193,7 @@ def detect_vowel_landmarks(tracks: BandEnergyTracks,
     if span is None:
         return []
     dist = max(1, int(round(cfg.vowel_min_separation / tracks.frame_step)))
-    peaks, props = scipy.signal.find_peaks(
-        rel[LOW], prominence=cfg.vowel_prominence_db, distance=dist)
+    peaks, props = _find_peaks(rel[LOW], cfg.vowel_prominence_db, dist)
     out = []
     for p, prom in zip(peaks, props['prominences']):
         t = float(tracks.times[p])
@@ -138,7 +214,7 @@ def detect_glide_landmarks(tracks: BandEnergyTracks,
     rel = _relative(tracks, cfg)
     low = rel[LOW]
     ror = rate_of_rise(low, cfg.ror_window, tracks.frame_step)
-    dips, props = scipy.signal.find_peaks(-low, prominence=cfg.glide_dip_db)
+    dips, props = _find_peaks(-low, cfg.glide_dip_db)
     vtimes = np.array([v.time for v in vowels])
     out = []
     for d, prom, lo, hi in zip(dips, props['prominences'],
@@ -281,3 +357,29 @@ def landmarks_csv(seq: LandmarkSequence) -> str:
         lines.append(f'{lm.time:.6f},{lm.kind.value},{manner},'
                      f'{lm.strength:.2f}')
     return '\n'.join(lines) + '\n'
+
+
+def parse_landmarks_csv(text: str) -> LandmarkSequence:
+    """Inverse of `landmarks_csv`; errors name the offending line."""
+    items = []
+    for lineno, ln in enumerate(text.splitlines(), 1):
+        if lineno == 1 or not ln.strip():
+            continue
+        fields = ln.split(',')
+        if len(fields) != 4:
+            raise LandmarkError(f'line {lineno}: expected 4 fields '
+                                f'(time_s,kind,manner,strength_dB), '
+                                f'got {len(fields)}')
+        t, kind, manner, strength = fields
+        try:
+            t, strength = float(t), float(strength)
+            if not (math.isfinite(t) and math.isfinite(strength)):
+                raise ValueError('time and strength must be finite')
+            if items and t <= items[-1].time:
+                raise ValueError('landmark times must strictly increase')
+            items.append(Landmark(t, LandmarkKind(kind),
+                                  Manner(manner) if manner else None,
+                                  strength))
+        except ValueError as e:
+            raise LandmarkError(f'line {lineno}: {e}') from None
+    return LandmarkSequence(items)

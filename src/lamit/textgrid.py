@@ -122,10 +122,6 @@ def decode_textgrid_bytes(data: bytes) -> str:
     return data.decode('utf-8-sig')
 
 
-_NUM = re.compile(r'^\s*(?:\w+\s*=\s*|number\s*=\s*)?(-?\d+(?:\.\d+)?(?:e-?\d+)?)\s*$',
-                  re.IGNORECASE)
-
-
 class _Scanner:
     """Token scanner over the numbers and quoted strings of a TextGrid.
 

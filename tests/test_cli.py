@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.io.wavfile
 
 from lamit.cli import main
 from lamit.dsp import write_wav
@@ -122,11 +128,43 @@ def test_landmarks_silence(tmp_path):
 
 
 def test_landmarks_stereo_exits_2(tmp_path):
-    import scipy.io.wavfile
     wav = tmp_path / 'st.wav'
     scipy.io.wavfile.write(wav, 44100, np.zeros((2000, 2), dtype=np.int16))
     assert run('landmarks', '--wav', str(wav),
                '--out', str(tmp_path / 'o')) == 2
+
+
+def bad_wavs(tmp_path):
+    """Inputs the audio commands must refuse with exit 2."""
+    not_wav = tmp_path / 'notes.wav'
+    not_wav.write_text('this is not audio\n', encoding='utf-8')
+    low_rate = tmp_path / 'low.wav'
+    scipy.io.wavfile.write(low_rate, 8000, np.zeros(4000, dtype=np.int16))
+    too_short = tmp_path / 'short.wav'
+    write_wav(too_short, synth.buf(synth.harmonic_source(0.01)))
+    return [not_wav, low_rate, too_short]
+
+
+def assert_one_line_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith('error: ') and err.count('\n') == 1, err
+    for needle in needles:
+        assert needle in err
+
+
+def test_landmarks_bad_audio_exits_2(tmp_path, capsys):
+    for wav in bad_wavs(tmp_path):
+        assert run('landmarks', '--wav', str(wav),
+                   '--out', str(tmp_path / 'o')) == 2
+        assert_one_line_error(capsys, str(wav))
+
+
+def test_match_bad_audio_exits_2(tmp_path, capsys):
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    for wav in bad_wavs(tmp_path):
+        assert run('match', '--wav', str(wav), '--textgrid', str(tg),
+                   '--out', str(tmp_path / 'm.csv')) == 2
+        assert_one_line_error(capsys, str(wav))
 
 
 def test_landmarks_deterministic(tmp_path):
@@ -170,6 +208,18 @@ def test_match_empty_landmarks_all_no_evidence(tmp_path):
     lines = mout.read_text('utf-8').strip().split('\n')[1:]
     assert all('<no evidence>' in ln for ln in lines)
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize('row', ['0.1,Bogus,,1.0', '0.1,Vowel,1.0',
+                                 'later,Vowel,,1.0'])
+def test_match_malformed_landmark_csv_exits_2(tmp_path, capsys, row):
+    csv = tmp_path / 'bad.csv'
+    csv.write_text(f'time_s,kind,manner,strength_dB\n{row}\n',
+                   encoding='utf-8')
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    assert run('match', '--landmarks', str(csv), '--textgrid', str(tg),
+               '--out', str(tmp_path / 'm.csv')) == 2
+    assert_one_line_error(capsys, str(csv), 'line 2')
 
 
 def test_match_k_zero_exits_2(tmp_path):
@@ -258,3 +308,22 @@ def test_data_dir_env_override(tmp_path, monkeypatch, capsys):
     assert run('stats') == 2
     err = capsys.readouterr().err
     assert str(tmp_path) in err
+
+
+# ------------------------------------------------------------ imports
+
+def test_text_commands_load_neither_scipy_nor_numpy():
+    probe = (
+        'import io, sys, contextlib\n'
+        'import lamit.cli\n'
+        'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))\n'
+        'with contextlib.redirect_stdout(io.StringIO()):\n'
+        '    code = lamit.cli.main(["validate"])\n'
+        'print(code, "numpy" in sys.modules)\n')
+    src = str(Path(__file__).resolve().parents[1] / 'src')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get('PYTHONPATH')])))
+    out = subprocess.run([sys.executable, '-c', probe], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout.splitlines()
+    assert out == ['[]', '0 False']

@@ -1,5 +1,9 @@
+import struct
+import warnings
+
 import numpy as np
 import pytest
+import scipy.io.wavfile
 
 from lamit.dsp import (AudioBuffer, DspError, band_energies,
                        compute_spectrogram, estimate_f0, rate_of_rise,
@@ -182,3 +186,124 @@ def test_wav_rejects_stereo(tmp_path):
 def test_low_rate_rejected():
     with pytest.raises(DspError, match='16 kHz'):
         AudioBuffer(np.zeros(100), 8000)
+
+
+# ------------------------------------------------ wav reader vs scipy
+
+GUID_TAIL = b'\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71'
+
+
+def riff(*chunks):
+    """A RIFF/WAVE file from (id, body) chunks, each padded to even size."""
+    body = b'WAVE' + b''.join(
+        cid + struct.pack('<I', len(data)) + data + b'\0' * (len(data) % 2)
+        for cid, data in chunks)
+    return b'RIFF' + struct.pack('<I', len(body)) + body
+
+
+def fmt_chunk(tag, bits, rate=16000, channels=1):
+    align = channels * bits // 8
+    body = struct.pack('<HHIIHH', tag, channels, rate, rate * align, align,
+                       bits)
+    return b'fmt ', body
+
+
+def extensible_fmt_chunk(subformat, bits, rate=16000):
+    _, body = fmt_chunk(0xFFFE, bits, rate)
+    return b'fmt ', (body + struct.pack('<HHII', 22, bits, 4, subformat)
+                     + GUID_TAIL)
+
+
+def samples_of(dtype, n=401, seed=0):
+    x = 0.4 * np.random.default_rng(seed).standard_normal(n)
+    if dtype == np.int16:
+        return (x * 32767).astype(np.int16)
+    return x.astype(dtype)
+
+
+def scipy_oracle(path):
+    """scipy's reader followed by the conversion read_wav promises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter('ignore', scipy.io.wavfile.WavFileWarning)
+        rate, data = scipy.io.wavfile.read(path)
+    if data.dtype == np.int16:
+        return rate, data / 32768.0
+    return rate, data.astype(np.float64)
+
+
+def assert_reads_like_scipy(path):
+    rate, want = scipy_oracle(path)
+    audio = read_wav(path)
+    assert audio.sample_rate == rate
+    assert audio.samples.dtype == np.float64
+    np.testing.assert_array_equal(audio.samples, want)
+
+
+@pytest.mark.parametrize('dtype', [np.int16, np.float32, np.float64])
+def test_wav_matches_scipy_reader(tmp_path, dtype):
+    path = tmp_path / 'x.wav'
+    scipy.io.wavfile.write(path, 22050, samples_of(dtype))
+    assert_reads_like_scipy(path)
+
+
+@pytest.mark.parametrize('subformat,dtype', [(1, np.int16), (3, np.float32),
+                                             (3, np.float64)])
+def test_wav_extensible_header(tmp_path, subformat, dtype):
+    data = samples_of(dtype)
+    path = tmp_path / 'ext.wav'
+    path.write_bytes(riff(extensible_fmt_chunk(subformat, data.itemsize * 8),
+                          (b'data', data.tobytes())))
+    assert_reads_like_scipy(path)
+
+
+def test_wav_skips_list_and_odd_sized_chunks(tmp_path):
+    data = samples_of(np.int16)
+    path = tmp_path / 'chunks.wav'
+    path.write_bytes(riff((b'LIST', b'INFOISFT\x05\x00\x00\x00lamit\x00'),
+                          fmt_chunk(1, 16),
+                          (b'odd ', b'abc'),         # pad byte follows
+                          (b'data', data.tobytes())))
+    assert_reads_like_scipy(path)
+
+
+def test_write_wav_bytes_match_scipy_writer(tmp_path):
+    audio = synth.buf(samples_of(np.float64))
+    ours, theirs = tmp_path / 'ours.wav', tmp_path / 'theirs.wav'
+    write_wav(ours, audio)
+    scipy.io.wavfile.write(theirs, audio.sample_rate,
+                           audio.samples.astype(np.float32))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+MALFORMED = {
+    'empty': (b'', 'RIFF'),
+    'mp3': (b'ID3\x03' + bytes(60), 'RIFF'),
+    'riff-avi': (b'RIFF\x04\x00\x00\x00AVI ', 'RIFF'),
+    'no-data': (riff(fmt_chunk(1, 16)), 'no data chunk'),
+    'data-first': (riff((b'data', bytes(8)), fmt_chunk(1, 16)), 'before fmt'),
+    'short-data': (riff(fmt_chunk(1, 16), (b'data', bytes(64)))[:-10],
+                   'truncated'),
+    'short-fmt': (riff(fmt_chunk(1, 16))[:-4], 'truncated'),
+    'tiny-fmt': (riff((b'fmt ', bytes(12)), (b'data', bytes(8))),
+                 'fmt chunk'),
+    'stereo': (riff(fmt_chunk(1, 16, channels=2), (b'data', bytes(8))),
+               'mono'),
+    'pcm8': (riff(fmt_chunk(1, 8), (b'data', bytes(8))), 'unsupported'),
+    'pcm24': (riff(fmt_chunk(1, 24), (b'data', bytes(9))), 'unsupported'),
+    'adpcm': (riff(fmt_chunk(2, 16), (b'data', bytes(8))), 'unsupported'),
+    'ext-no-guid': (riff(fmt_chunk(0xFFFE, 16), (b'data', bytes(8))),
+                    'extensible'),
+    'ext-bad-guid': (riff((b'fmt ', extensible_fmt_chunk(1, 16)[1][:-1]
+                           + b'\x00'), (b'data', bytes(8))), 'extensible'),
+    '8khz': (riff(fmt_chunk(1, 16, rate=8000), (b'data', bytes(8))),
+             '16 kHz'),
+}
+
+
+@pytest.mark.parametrize('raw,message', MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_wav_malformed_raises_dsp_error(tmp_path, raw, message):
+    path = tmp_path / 'bad.wav'
+    path.write_bytes(raw)
+    with pytest.raises(DspError, match=message):
+        read_wav(path)

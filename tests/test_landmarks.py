@@ -7,7 +7,8 @@ from lamit.landmarks import (Landmark, LandmarkError, LandmarkKind,
                              LandmarkSequence, Manner, detect_all,
                              detect_consonant_landmarks,
                              detect_glide_landmarks, detect_vowel_landmarks,
-                             landmark_sequence, landmarks_csv)
+                             landmark_sequence, landmarks_csv,
+                             parse_landmarks_csv)
 
 import synth
 
@@ -196,3 +197,31 @@ def test_csv_format():
     assert len(cells) == 4
     float(cells[0])
     float(cells[3])
+
+
+def test_csv_roundtrip():
+    for audio in (synth.cv_syllable()[0], synth.vcv_stop()[0],
+                  synth.fricative_vcv()[0]):
+        csv = landmarks_csv(detect_all(audio))
+        assert landmarks_csv(parse_landmarks_csv(csv)) == csv
+
+
+@pytest.mark.parametrize('row,message', [
+    ('0.1,Bogus,,1.0', 'not a valid LandmarkKind'),
+    ('0.1,Vowel,1.0', 'expected 4 fields'),
+    ('0.1,Vowel,,1.0,extra', 'expected 4 fields'),
+    ('abc,Vowel,,1.0', 'could not convert'),
+    ('0.1,Vowel,,nan', 'finite'),
+    ('0.1,ConsonantRelease,gliding,1.0', 'not a valid Manner'),
+    ('0.1,Vowel,sonorant,1.0', 'manner is set exactly'),
+])
+def test_csv_parse_errors_name_the_line(row, message):
+    text = 'time_s,kind,manner,strength_dB\n0.050000,Vowel,,3.00\n' + row
+    with pytest.raises(LandmarkError, match=f'line 3: .*{message}'):
+        parse_landmarks_csv(text)
+
+
+def test_csv_parse_rejects_unordered_times():
+    text = 'time_s,kind,manner,strength_dB\n0.2,Vowel,,1\n0.1,Glide,,1\n'
+    with pytest.raises(LandmarkError, match='line 3: .*increase'):
+        parse_landmarks_csv(text)
