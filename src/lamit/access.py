@@ -9,7 +9,8 @@ from .config import AnalysisConfig
 from .dsp import ParameterTrack
 from .features import (FeatureBundle, FeatureInventory, MINUS, PLUS,
                        PLUSMINUS, UNSPECIFIED, FeatureName)
-from .landmarks import LandmarkKind, LandmarkSequence, Manner
+from .landmarks import F1, HIGH, LOW, LandmarkKind, LandmarkSequence, \
+    Manner
 from .lexicon import Lexicon
 from .textgrid import AnnotationDocument
 
@@ -55,25 +56,29 @@ class MatchResult:
 
 # ------------------------------------------------------------------ cues
 
-def _vowel_rules(frame, bundle: FeatureBundle, cfg: AnalysisConfig):
-    openness = frame.f1_proxy_db - frame.low_band_db
+def _vowel_rules(params: ParameterTrack, i: int, bundle: FeatureBundle,
+                 cfg: AnalysisConfig):
+    energy = params.tracks.energy
+    openness = energy[F1, i] - energy[LOW, i]
     if openness >= cfg.open_vowel_db:
         bundle['low'] = PLUS
         bundle['high'] = MINUS
     elif openness <= cfg.close_vowel_db:
         bundle['high'] = PLUS
         bundle['low'] = MINUS
-    if frame.spectral_tilt <= cfg.back_tilt_db:
+    if params.tilt[i] <= cfg.back_tilt_db:
         bundle['back'] = PLUS
         bundle['round'] = PLUS
 
 
-def cues_to_bundles(seq: LandmarkSequence, params: ParameterTrack,
+def cues_to_bundles(seq: LandmarkSequence,
+                    params: ParameterTrack | None = None,
                     cfg: AnalysisConfig | None = None
                     ) -> list[EstimatedSegment]:
     """One estimated segment per vowel/glide landmark and per
     closure-release pair; articulator-bound features only where a
-    parameter rule fires, everything else unspecified."""
+    parameter rule fires, everything else unspecified.  Without params
+    (landmarks alone) the segments carry the broad features only."""
     cfg = cfg or AnalysisConfig()
     out: list[EstimatedSegment] = []
     items = seq.items
@@ -82,7 +87,8 @@ def cues_to_bundles(seq: LandmarkSequence, params: ParameterTrack,
         lm = items[i]
         if lm.kind is LandmarkKind.VOWEL:
             bundle = FeatureBundle({'vowel': PLUS})
-            _vowel_rules(params.at(lm.time), bundle, cfg)
+            if params is not None:
+                _vowel_rules(params, params.at(lm.time), bundle, cfg)
             out.append(EstimatedSegment((lm.time - 0.05, lm.time + 0.05),
                                         bundle, (i,)))
             i += 1
@@ -115,31 +121,36 @@ def _manner_features(manner: Manner | None, bundle: FeatureBundle):
         bundle['cont'] = MINUS
 
 
-def _consonant_segment(items, i_cl, i_rel, params: ParameterTrack,
+def _consonant_segment(items, i_cl, i_rel, params: ParameterTrack | None,
                        cfg: AnalysisConfig) -> EstimatedSegment:
     closure, release = items[i_cl], items[i_rel]
     bundle = FeatureBundle({'cons': PLUS})
     manner = release.manner if release.manner is not None else closure.manner
     _manner_features(manner, bundle)
+    segment = EstimatedSegment((closure.time - 0.05, release.time + 0.08),
+                               bundle, (i_cl, i_rel))
+    if params is None:
+        return segment
+    high = params.tracks.energy[HIGH]
     inside = params.window(closure.time, release.time)
-    if manner is Manner.CONTINUANT and inside:
-        high_in = float(np.median([f.high_band_db for f in inside]))
-        neighbours = params.window(closure.time - 0.08, closure.time - 0.02) \
-            + params.window(release.time + 0.02, release.time + 0.08)
-        if neighbours:
-            high_out = float(np.median([f.high_band_db for f in neighbours]))
-            bundle['strid'] = (PLUS if high_in >
-                               high_out + cfg.strident_margin_db else MINUS)
-    if manner is not Manner.SONORANT and inside:
-        voiced = np.mean([f.f0 is not None for f in inside])
+    high_in = high[inside]
+    if manner is Manner.CONTINUANT and high_in.size:
+        neighbours = np.concatenate([
+            high[params.window(closure.time - 0.08, closure.time - 0.02)],
+            high[params.window(release.time + 0.02, release.time + 0.08)]])
+        if neighbours.size:
+            bundle['strid'] = (PLUS if float(np.median(high_in)) >
+                               float(np.median(neighbours))
+                               + cfg.strident_margin_db else MINUS)
+    if manner is not Manner.SONORANT and high_in.size:
+        voiced = np.mean(~np.isnan(params.f0[inside]))
         if voiced >= 0.5:
             bundle['slack'] = PLUS
             bundle['stiff'] = MINUS
         else:
             bundle['stiff'] = PLUS
             bundle['slack'] = MINUS
-    return EstimatedSegment((closure.time - 0.05, release.time + 0.08),
-                            bundle, (i_cl, i_rel))
+    return segment
 
 
 # -------------------------------------------------------------- distance

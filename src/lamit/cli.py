@@ -155,23 +155,17 @@ def cmd_lexi(args) -> int:
 
 # ------------------------------------------------------------ landmarks
 
-def _wav_landmarks(path, cfg):
-    """Read a wav and detect its landmarks; bad audio becomes a CliError."""
-    from . import dsp, landmarks
-    try:
-        audio = dsp.read_wav(path)
-        return audio, landmarks.detect_all(audio, cfg)
-    except (dsp.DspError, landmarks.LandmarkError) as e:
-        raise CliError(f'{path}: {e}') from None
-
-
 def cmd_landmarks(args) -> int:
-    from . import landmarks
+    from . import dsp, landmarks
     cfg = _load_config(args)
     path = Path(args.wav)
     if not path.exists():
         raise CliError(f'missing wav: {path}')
-    audio, seq = _wav_landmarks(path, cfg)
+    try:
+        audio = dsp.read_wav(path)
+        seq = landmarks.detect_all(audio, cfg)
+    except (dsp.DspError, landmarks.LandmarkError) as e:
+        raise CliError(f'{path}: {e}') from None
     csv = landmarks.landmarks_csv(seq)
     out = Path(args.out) if args.out else path.with_suffix('')
     csv_path = out.with_suffix('.csv')
@@ -194,46 +188,19 @@ def _segments_from_args(args, cfg):
     if not source.exists():
         raise CliError(f'missing input: {source}')
     if args.wav:
-        audio, seq = _wav_landmarks(source, cfg)
-        params = dsp.parameter_frames(audio, cfg)
+        # one analysis pass: the detectors read the cue parameters' tracks
+        try:
+            params = dsp.parameter_frames(dsp.read_wav(source), cfg)
+            seq = landmarks.detect_landmarks(params.tracks, cfg)
+        except (dsp.DspError, landmarks.LandmarkError) as e:
+            raise CliError(f'{source}: {e}') from None
         return access.cues_to_bundles(seq, params, cfg)
     # landmark CSV: broad-class evidence only
-    from .features import FeatureBundle, PLUS
-    from .landmarks import LandmarkKind
     try:
-        items = landmarks.parse_landmarks_csv(
-            source.read_text('utf-8')).items
+        seq = landmarks.parse_landmarks_csv(source.read_text('utf-8'))
     except (landmarks.LandmarkError, UnicodeDecodeError) as e:
         raise CliError(f'{source}: {e}') from None
-    segments = []
-    i = 0
-    while i < len(items):
-        lm = items[i]
-        if lm.kind is LandmarkKind.VOWEL:
-            segments.append(access.EstimatedSegment(
-                (lm.time - 0.05, lm.time + 0.05),
-                FeatureBundle({'vowel': PLUS}), (i,)))
-            i += 1
-        elif lm.kind is LandmarkKind.GLIDE:
-            segments.append(access.EstimatedSegment(
-                (lm.time - 0.05, lm.time + 0.05),
-                FeatureBundle({'glide': PLUS}), (i,)))
-            i += 1
-        elif lm.kind is LandmarkKind.CLOSURE and i + 1 < len(items) and \
-                items[i + 1].kind is LandmarkKind.RELEASE:
-            bundle = FeatureBundle({'cons': PLUS})
-            access._manner_features(items[i + 1].manner or lm.manner, bundle)
-            segments.append(access.EstimatedSegment(
-                (lm.time - 0.05, items[i + 1].time + 0.08), bundle,
-                (i, i + 1)))
-            i += 2
-        else:
-            bundle = FeatureBundle({'cons': PLUS})
-            access._manner_features(lm.manner, bundle)
-            segments.append(access.EstimatedSegment(
-                (lm.time - 0.05, lm.time + 0.08), bundle, (i,)))
-            i += 1
-    return segments
+    return access.cues_to_bundles(seq, cfg=cfg)
 
 
 def cmd_match(args) -> int:
@@ -248,7 +215,10 @@ def cmd_match(args) -> int:
     path = Path(args.textgrid)
     if not path.exists():
         raise CliError(f'missing TextGrid: {path}')
-    doc = parse_textgrid(path.read_bytes())
+    try:
+        doc = parse_textgrid(path.read_bytes())
+    except TextGridError as e:
+        raise CliError(f'TextGrid: {e}') from None
     if not doc.has_tier('Word'):
         raise CliError('input has no Word tier', EXIT_RESOLUTION)
     segments = _segments_from_args(args, cfg)

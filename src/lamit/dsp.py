@@ -6,10 +6,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import AnalysisConfig
 
 DB_FLOOR = -120.0
+
+# frames per batch in the spectrogram and F0 passes: enough to amortise
+# numpy's per-call cost, few enough to keep peak memory flat
+BLOCK_FRAMES = 128
 
 
 class DspError(ValueError):
@@ -144,11 +149,13 @@ def compute_spectrogram(audio: AudioBuffer, frame_length: float = 0.025,
     step = int(round(frame_step * sr))
     if nwin > len(audio.samples):
         raise DspError('frame length exceeds signal duration')
-    n_frames = (len(audio.samples) - nwin) // step + 1
+    frames = sliding_window_view(audio.samples, nwin)[::step]
     window = np.hanning(nwin)
-    idx = np.arange(nwin)[None, :] + step * np.arange(n_frames)[:, None]
-    mag = np.abs(np.fft.rfft(audio.samples[idx] * window, axis=1))
-    db = 20.0 * np.log10(np.maximum(mag, 10 ** (DB_FLOOR / 20.0)))
+    floor = 10 ** (DB_FLOOR / 20.0)
+    db = np.empty((len(frames), nwin // 2 + 1))
+    for b in range(0, len(frames), BLOCK_FRAMES):
+        mag = np.abs(np.fft.rfft(frames[b:b + BLOCK_FRAMES] * window, axis=1))
+        db[b:b + BLOCK_FRAMES] = 20.0 * np.log10(np.maximum(mag, floor))
     return Spectrogram(db, frame_step, frame_length, sr / nwin,
                        t0=frame_length / 2)
 
@@ -211,45 +218,60 @@ def rate_of_rise(track: np.ndarray, window: float,
 
 def estimate_f0(audio: AudioBuffer, times: np.ndarray,
                 cfg: AnalysisConfig | None = None) -> np.ndarray:
-    """Autocorrelation F0 per frame; NaN where unvoiced."""
+    """Autocorrelation F0 per frame; NaN where unvoiced.
+
+    The frame for time t starts at sample rint(t * sr) - nwin // 2,
+    clipped to the signal.  Each block of frames, mean removed, gets its
+    autocorrelation from one rfft/irfft pair, zero-padded to a power of
+    two of at least nwin + lag_max samples so that no lag up to lag_max
+    wraps around.
+    """
     cfg = cfg or AnalysisConfig()
     sr = audio.sample_rate
     nwin = int(round(cfg.f0_frame_length * sr))
     lag_min = int(sr / cfg.f0_max)
     lag_max = min(int(np.ceil(sr / cfg.f0_min)), nwin - 2)
     x = audio.samples
+    times = np.asarray(times, dtype=np.float64)
     out = np.full(len(times), np.nan)
-    for i, t in enumerate(np.asarray(times)):
-        start = int(round(t * sr)) - nwin // 2
-        start = max(0, min(start, len(x) - nwin))
-        if len(x) < nwin:
-            break
-        frame = x[start:start + nwin]
-        frame = frame - frame.mean()
-        e0 = float(np.dot(frame, frame))
-        if e0 < 1e-12:
-            continue
-        ac = np.correlate(frame, frame, mode='full')[nwin - 1:]
-        ac = ac / e0
-        seg = ac[lag_min:lag_max + 1]
-        if len(seg) < 3:
-            continue
-        best = float(seg.max())
-        if best < cfg.f0_voicing_threshold:
-            continue
-        # earliest near-maximal lag, to avoid subharmonic octave errors
-        k = int(np.argmax(seg >= 0.9 * best))
-        lag = lag_min + k
-        # parabolic interpolation around the peak
-        if 0 < k < len(seg) - 1:
-            a, b, c = seg[k - 1], seg[k], seg[k + 1]
-            denom = a - 2 * b + c
-            if abs(denom) > 1e-12:
-                lag = lag + 0.5 * (a - c) / denom
-        f0 = sr / lag
-        if cfg.f0_min <= f0 <= cfg.f0_max:
-            out[i] = f0
+    if len(x) < nwin or lag_max - lag_min < 2:
+        return out
+    starts = np.clip(np.rint(times * sr).astype(np.intp) - nwin // 2,
+                     0, len(x) - nwin)
+    frames = sliding_window_view(x, nwin)
+    nfft = 1 << (nwin + lag_max - 1).bit_length()
+    for b in range(0, len(times), BLOCK_FRAMES):
+        block = frames[starts[b:b + BLOCK_FRAMES]]
+        block = block - block.mean(axis=1, keepdims=True)
+        spec = np.fft.rfft(block, nfft, axis=1)
+        ac = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft, axis=1)
+        out[b:b + BLOCK_FRAMES] = _f0_from_autocorrelation(
+            ac[:, lag_min:lag_max + 1], np.einsum('ij,ij->i', block, block),
+            lag_min, sr, cfg)
     return out
+
+
+def _f0_from_autocorrelation(seg: np.ndarray, e0: np.ndarray, lag_min: int,
+                             sr: int, cfg: AnalysisConfig) -> np.ndarray:
+    """F0 per row of seg, the autocorrelation over lags lag_min..lag_max
+    of frames with energies e0; NaN where a frame is unvoiced."""
+    energetic = e0 >= 1e-12
+    seg = seg / np.where(energetic, e0, 1.0)[:, None]
+    best = seg.max(axis=1)
+    # earliest near-maximal lag, to avoid subharmonic octave errors
+    k = np.argmax(seg >= 0.9 * best[:, None], axis=1)
+    # parabolic interpolation around the peak
+    rows = np.arange(len(seg))
+    a = seg[rows, np.maximum(k - 1, 0)]
+    b = seg[rows, k]
+    c = seg[rows, np.minimum(k + 1, seg.shape[1] - 1)]
+    denom = a - 2 * b + c
+    refine = (k > 0) & (k < seg.shape[1] - 1) & (np.abs(denom) > 1e-12)
+    shift = 0.5 * (a - c) / np.where(refine, denom, 1.0)
+    f0 = sr / ((lag_min + k) + np.where(refine, shift, 0.0))
+    voiced = (energetic & (best >= cfg.f0_voicing_threshold)
+              & (cfg.f0_min <= f0) & (f0 <= cfg.f0_max))
+    return np.where(voiced, f0, np.nan)
 
 
 def spectral_tilt(tracks: BandEnergyTracks,
@@ -264,31 +286,25 @@ def spectral_tilt(tracks: BandEnergyTracks,
 
 
 @dataclass
-class ParameterFrame:
-    time: float
-    low_band_db: float
-    mid_band_db: float
-    high_band_db: float
-    f1_proxy_db: float
-    f0: float | None           # Hz, None when unvoiced
-    spectral_tilt: float       # mid minus low, dB
-    flags: dict = field(default_factory=dict)
-
-
-@dataclass
 class ParameterTrack:
-    frames: list[ParameterFrame]
-    tracks: BandEnergyTracks
+    """Cue parameters as arrays, one value per band-track frame."""
+    tracks: BandEnergyTracks   # the standard bands: low, f1, mid, high
+    f0: np.ndarray             # Hz, NaN where unvoiced
+    tilt: np.ndarray           # dB/octave over the f1, mid and high bands
 
-    def at(self, t: float) -> ParameterFrame:
+    def at(self, t: float) -> int:
+        """Index of the frame nearest to t."""
         times = self.tracks.times
-        i = int(np.clip(np.searchsorted(times, t), 0, len(self.frames) - 1))
+        i = int(np.clip(np.searchsorted(times, t), 0, len(times) - 1))
         if i > 0 and abs(times[i - 1] - t) < abs(times[i] - t):
             i -= 1
-        return self.frames[i]
+        return i
 
-    def window(self, t0: float, t1: float) -> list[ParameterFrame]:
-        return [f for f in self.frames if t0 <= f.time <= t1]
+    def window(self, t0: float, t1: float) -> slice:
+        """The frames with t0 <= time <= t1."""
+        times = self.tracks.times
+        return slice(int(np.searchsorted(times, t0, 'left')),
+                     int(np.searchsorted(times, t1, 'right')))
 
 
 STANDARD_BANDS = ('low_band', 'f1_band', 'mid_band', 'high_band')
@@ -308,39 +324,9 @@ def standard_tracks(audio: AudioBuffer,
 
 def parameter_frames(audio: AudioBuffer,
                      cfg: AnalysisConfig | None = None) -> ParameterTrack:
-    """Per-frame acoustic parameters used for cue extraction.
-
-    The flags field records which of the measurable parameter groups are
-    informative at each frame: vocalic posture and glottal state (1, 4,
-    5), rapid articulator movement (3), frication place (6), pressurised
-    glottis (7), murmur (2, 8); group 10 is the landmark timing itself.
-    """
+    """Per-frame acoustic parameters used for cue extraction: the standard
+    band tracks, F0 and spectral tilt on the spectrogram's frames."""
     cfg = cfg or AnalysisConfig()
     tracks = standard_tracks(audio, cfg)
-    low, f1, mid, high = tracks.energy
-    f0 = estimate_f0(audio, tracks.times, cfg)
-    ror_low = rate_of_rise(low, cfg.ror_window, tracks.frame_step)
-    ror_high = rate_of_rise(high, cfg.ror_window, tracks.frame_step)
-    tilts = spectral_tilt(tracks)
-    peak = float(low.max())
-    frames = []
-    for i, t in enumerate(tracks.times):
-        voiced = not np.isnan(f0[i])
-        vocalic = voiced and low[i] >= peak - cfg.gate_db
-        tilt = float(tilts[i])
-        frames.append(ParameterFrame(
-            time=float(t), low_band_db=float(low[i]),
-            mid_band_db=float(mid[i]), high_band_db=float(high[i]),
-            f1_proxy_db=float(f1[i]),
-            f0=float(f0[i]) if voiced else None,
-            spectral_tilt=float(tilt),
-            flags={
-                1: vocalic, 2: vocalic and tilt < cfg.back_tilt_db,
-                3: abs(ror_low[i]) >= cfg.ror_threshold
-                   or abs(ror_high[i]) >= cfg.ror_threshold,
-                4: voiced, 5: vocalic,
-                6: high[i] > low[i], 7: not voiced and high[i] > peak - cfg.gate_db,
-                8: voiced and high[i] < low[i] - 30.0,
-                10: True,
-            }))
-    return ParameterTrack(frames, tracks)
+    return ParameterTrack(tracks, estimate_f0(audio, tracks.times, cfg),
+                          spectral_tilt(tracks))

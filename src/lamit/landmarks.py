@@ -338,15 +338,21 @@ def landmark_sequence(vowels, glides, consonants,
     return LandmarkSequence(kept)
 
 
-def detect_all(audio: AudioBuffer,
-               cfg: AnalysisConfig | None = None) -> LandmarkSequence:
-    """Full detection pipeline over one utterance."""
+def detect_landmarks(tracks: BandEnergyTracks,
+                     cfg: AnalysisConfig | None = None) -> LandmarkSequence:
+    """All three detectors over the standard band tracks, merged."""
     cfg = cfg or AnalysisConfig()
-    tracks = standard_tracks(audio, cfg)
     vowels = detect_vowel_landmarks(tracks, cfg)
     glides = detect_glide_landmarks(tracks, vowels, cfg)
     consonants = detect_consonant_landmarks(tracks, cfg)
     return landmark_sequence(vowels, glides, consonants, cfg)
+
+
+def detect_all(audio: AudioBuffer,
+               cfg: AnalysisConfig | None = None) -> LandmarkSequence:
+    """Full detection pipeline over one utterance."""
+    cfg = cfg or AnalysisConfig()
+    return detect_landmarks(standard_tracks(audio, cfg), cfg)
 
 
 def landmarks_csv(seq: LandmarkSequence) -> str:

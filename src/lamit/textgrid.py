@@ -132,8 +132,8 @@ class _Scanner:
     def __init__(self, text: str):
         # bracketed item indices ("item [1]:") are structure, not values
         text = re.sub(r'\[\s*\d*\s*\]', '[]', text)
-        self.tokens = re.findall(r'"(?:[^"]|"")*"|-?\d+(?:\.\d+)?(?:[eE]-?\d+)?',
-                                 text)
+        self.tokens = re.findall(
+            r'"(?:[^"]|"")*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?', text)
         self.pos = 0
 
     def next_number(self) -> float:
@@ -151,6 +151,12 @@ class _Scanner:
             if tok.startswith('"'):
                 return tok[1:-1].replace('""', '"')
         raise TextGridParseError('unexpected end of file (string expected)')
+
+    def check_end(self):
+        if self.pos < len(self.tokens):
+            raise TextGridParseError(
+                f'{len(self.tokens) - self.pos} unread value(s) after the '
+                f'last tier, first {self.tokens[self.pos]!r}')
 
 
 def parse_textgrid(document: str | bytes) -> AnnotationDocument:
@@ -195,6 +201,7 @@ def parse_textgrid(document: str | bytes) -> AnnotationDocument:
             tiers.append(PointTier(name, pts))
         else:
             raise TextGridParseError(f'unknown tier class {klass!r}')
+    sc.check_end()
     if xmin != 0:
         raise TextGridError(f'document must start at 0, not {xmin}')
     return AnnotationDocument(xmax, tiers)

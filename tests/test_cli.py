@@ -243,6 +243,70 @@ def test_match_orphans_reported(tmp_path, capsys):
     assert (tmp_path / 'm.orphans.txt').exists()
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace module.name with a wrapper that counts its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_match_wav_computes_one_spectrogram(tmp_path, monkeypatch):
+    from lamit import dsp
+    audio, _ = synth.vcv_stop()
+    wav = tmp_path / 'vcv.wav'
+    write_wav(wav, audio)
+    tg = word_doc_path(tmp_path, ['PAPÀ'], dur=audio.duration)
+    spectrograms = count_calls(monkeypatch, dsp, 'compute_spectrogram')
+    f0s = count_calls(monkeypatch, dsp, 'estimate_f0')
+    assert run('match', '--wav', str(wav), '--textgrid', str(tg),
+               '--out', str(tmp_path / 'm.csv')) == 0
+    assert len(spectrograms) == 1
+    assert len(f0s) == 1
+
+
+def test_landmarks_computes_no_f0(tmp_path, monkeypatch):
+    from lamit import dsp
+    audio, _ = synth.vcv_stop()
+    wav = tmp_path / 'vcv.wav'
+    write_wav(wav, audio)
+    f0s = count_calls(monkeypatch, dsp, 'estimate_f0')
+    assert run('landmarks', '--wav', str(wav),
+               '--out', str(tmp_path / 'o')) == 0
+    assert f0s == []
+
+
+def bad_interval_textgrid(tmp_path):
+    """A Word-tier TextGrid whose first interval has xmax = oops."""
+    path = word_doc_path(tmp_path, ['MAMMA', 'BENE'])
+    text = path.read_text('utf-8')
+    assert '            xmax = 0.5\n' in text
+    path.write_text(text.replace('            xmax = 0.5\n',
+                                 '            xmax = oops\n', 1),
+                    encoding='utf-8')
+    return path
+
+
+def test_match_bad_textgrid_exits_2(tmp_path, capsys):
+    csv = tmp_path / 'empty.csv'
+    csv.write_text('time_s,kind,manner,strength_dB\n', encoding='utf-8')
+    tg = bad_interval_textgrid(tmp_path)
+    assert run('match', '--landmarks', str(csv), '--textgrid', str(tg),
+               '--out', str(tmp_path / 'm.csv')) == 2
+    assert_one_line_error(capsys, 'TextGrid')
+
+
+def test_lexi_bad_textgrid_exits_2(tmp_path, capsys):
+    tg = bad_interval_textgrid(tmp_path)
+    assert run('lexi', '--textgrid', str(tg),
+               '--out', str(tmp_path / 'o.TextGrid')) == 2
+    assert_one_line_error(capsys, 'TextGrid')
+
+
 # ------------------------------------------------------------- validate
 
 def test_validate_pristine(capsys):

@@ -1,0 +1,243 @@
+"""The block-batched front end against the per-frame loops it replaced."""
+import numpy as np
+import pytest
+
+from lamit.access import cues_to_bundles
+from lamit.config import AnalysisConfig
+from lamit.dsp import (BLOCK_FRAMES, DB_FLOOR, AudioBuffer,
+                       compute_spectrogram, estimate_f0, parameter_frames,
+                       standard_tracks)
+from lamit.landmarks import detect_all, detect_landmarks
+
+import synth
+
+BROAD = {'vowel', 'glide', 'cons', 'son', 'cont'}
+
+
+def f0_loop(audio, times, cfg=None):
+    """Reference F0: one np.correlate autocorrelation per frame."""
+    cfg = cfg or AnalysisConfig()
+    sr = audio.sample_rate
+    nwin = int(round(cfg.f0_frame_length * sr))
+    lag_min = int(sr / cfg.f0_max)
+    lag_max = min(int(np.ceil(sr / cfg.f0_min)), nwin - 2)
+    x = audio.samples
+    out = np.full(len(times), np.nan)
+    for i, t in enumerate(np.asarray(times)):
+        start = int(round(t * sr)) - nwin // 2
+        start = max(0, min(start, len(x) - nwin))
+        if len(x) < nwin:
+            break
+        frame = x[start:start + nwin]
+        frame = frame - frame.mean()
+        e0 = float(np.dot(frame, frame))
+        if e0 < 1e-12:
+            continue
+        ac = np.correlate(frame, frame, mode='full')[nwin - 1:]
+        ac = ac / e0
+        seg = ac[lag_min:lag_max + 1]
+        if len(seg) < 3:
+            continue
+        best = float(seg.max())
+        if best < cfg.f0_voicing_threshold:
+            continue
+        k = int(np.argmax(seg >= 0.9 * best))
+        lag = lag_min + k
+        if 0 < k < len(seg) - 1:
+            a, b, c = seg[k - 1], seg[k], seg[k + 1]
+            denom = a - 2 * b + c
+            if abs(denom) > 1e-12:
+                lag = lag + 0.5 * (a - c) / denom
+        f0 = sr / lag
+        if cfg.f0_min <= f0 <= cfg.f0_max:
+            out[i] = f0
+    return out
+
+
+def spectrogram_gather(audio, frame_length, frame_step):
+    """Reference spectrogram from an (n_frames x nwin) index matrix."""
+    sr = audio.sample_rate
+    nwin = int(round(frame_length * sr))
+    step = int(round(frame_step * sr))
+    n_frames = (len(audio.samples) - nwin) // step + 1
+    idx = np.arange(nwin)[None, :] + step * np.arange(n_frames)[:, None]
+    mag = np.abs(np.fft.rfft(audio.samples[idx] * np.hanning(nwin), axis=1))
+    return 20.0 * np.log10(np.maximum(mag, 10 ** (DB_FLOOR / 20.0)))
+
+
+def fixtures():
+    def first(x):
+        return x[0] if isinstance(x, tuple) else x
+    return {
+        'steady_vowel': synth.steady_vowel(),
+        'vowel_rise_fall': first(synth.vowel_rise_fall(0.3)),
+        'two_vowels': first(synth.two_vowels()),
+        'cv_syllable': first(synth.cv_syllable()),
+        'vcv_stop': first(synth.vcv_stop()),
+        'noise_onset': first(synth.noise_onset()),
+        'awa_glide': first(synth.awa_glide()),
+        'apa_stop': first(synth.apa_stop()),
+        'ama_nasal': first(synth.ama_nasal()),
+        'fricative_vcv': first(synth.fricative_vcv()),
+        'pulse_train': synth.buf(synth.pulse_train(0.5, f0=120.0)),
+        'pulse_train_high': synth.buf(synth.pulse_train(0.4, f0=410.0)),
+        # peaks at the first and the last lag searched, and a long lag
+        # at 22.05 kHz, where the FFT length leaves the least headroom
+        'pulse_train_f0_max': synth.buf(synth.pulse_train(0.3, f0=500.0)),
+        'pulse_train_f0_min': synth.buf(synth.pulse_train(0.3, f0=50.0)),
+        'pulse_train_22k': AudioBuffer(
+            synth.pulse_train(0.3, f0=60.0, sr=22050), 22050),
+        'white_noise': synth.buf(synth.white_noise(0.5, seed=1)),
+        'frication_noise': synth.buf(synth.frication_noise(0.3)),
+        'silence': synth.buf(synth.silence(0.3)),
+    }
+
+
+def random_signal(seed):
+    """A seeded mix of voiced, noisy, clipped and silent stretches."""
+    rng = np.random.default_rng(seed)
+    sr = int(rng.choice([16000, 22050]))
+    n = int(rng.integers(sr // 4, sr))
+    t = np.arange(n) / sr
+    f0 = rng.uniform(45.0, 520.0) * (1 + 0.2 * np.sin(2 * np.pi * t))
+    phase = 2 * np.pi * np.cumsum(f0) / sr
+    harmonics = sum(rng.uniform(0, 1) * np.sin(k * phase)
+                    for k in range(1, 8))
+    sig = harmonics * rng.uniform(0.01, 1.0)
+    sig += rng.uniform(0, 1.5) * rng.standard_normal(n)
+    sig *= np.abs(np.sin(np.pi * t * rng.uniform(0.5, 6.0)))
+    sig = np.clip(sig, -rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0))
+    sig[rng.integers(0, n):][:rng.integers(0, n // 4)] = 0.0
+    return AudioBuffer(sig, sr)
+
+
+def assert_f0_matches_loop(audio, times, cfg=None):
+    got = estimate_f0(audio, times, cfg)
+    want = f0_loop(audio, times, cfg)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    voiced = ~np.isnan(want)
+    if voiced.any():
+        assert np.max(np.abs(got[voiced] - want[voiced])) <= 1e-6
+
+
+def frame_times(audio):
+    """The spectrogram's frame times, plus times before the start and
+    past the end whose F0 frames are clipped to the signal."""
+    times = standard_tracks(audio).times
+    return np.concatenate([[-0.05, 0.0, 0.001], times,
+                           [audio.duration - 0.001, audio.duration + 0.1]])
+
+
+@pytest.mark.parametrize('name', fixtures().keys())
+def test_f0_matches_loop_on_fixtures(name):
+    audio = fixtures()[name]
+    assert_f0_matches_loop(audio, frame_times(audio))
+
+
+@pytest.mark.parametrize('seed', range(12))
+def test_f0_matches_loop_on_random_signals(seed):
+    audio = random_signal(seed)
+    assert_f0_matches_loop(audio, frame_times(audio))
+
+
+def test_f0_matches_loop_with_other_settings():
+    cfg = AnalysisConfig(f0_frame_length=0.025, f0_min=70.0, f0_max=300.0,
+                         f0_voicing_threshold=0.5)
+    for seed in range(4):
+        audio = random_signal(100 + seed)
+        assert_f0_matches_loop(audio, frame_times(audio), cfg)
+
+
+def test_f0_audio_shorter_than_window():
+    # 0.03 s: long enough for a spectrogram frame, short of the 40 ms
+    # F0 frame, so every frame is unvoiced
+    audio = synth.buf(synth.harmonic_source(0.03))
+    times = standard_tracks(audio).times
+    assert np.all(np.isnan(estimate_f0(audio, times)))
+    assert_f0_matches_loop(audio, times)
+    assert len(estimate_f0(audio, np.zeros(0))) == 0
+
+
+@pytest.mark.parametrize('n_frames', [1, 7, BLOCK_FRAMES - 1, BLOCK_FRAMES,
+                                      BLOCK_FRAMES + 1, 3 * BLOCK_FRAMES,
+                                      3 * BLOCK_FRAMES + 41])
+def test_spectrogram_bit_identical_to_gather(n_frames):
+    nwin, step = 400, 80
+    rng = np.random.default_rng(n_frames)
+    # a few samples past the last frame, which no frame covers
+    n = nwin + (n_frames - 1) * step + int(rng.integers(0, step))
+    audio = AudioBuffer(rng.standard_normal(n) * rng.uniform(0, 1, n), 16000)
+    spec = compute_spectrogram(audio, 0.025, 0.005)
+    assert spec.n_frames == n_frames
+    np.testing.assert_array_equal(spec.frames,
+                                  spectrogram_gather(audio, 0.025, 0.005))
+
+
+def test_spectrogram_bit_identical_on_fixtures():
+    for audio in fixtures().values():
+        for length, step in ((0.025, 0.005), (0.030, 0.010)):
+            spec = compute_spectrogram(audio, length, step)
+            np.testing.assert_array_equal(
+                spec.frames, spectrogram_gather(audio, length, step))
+
+
+def test_parameter_track_arrays():
+    audio, _ = synth.vowel_rise_fall(0.3)
+    params = parameter_frames(audio)
+    n = len(params.tracks.times)
+    assert params.f0.shape == params.tilt.shape == (n,)
+    np.testing.assert_array_equal(params.tracks.energy,
+                                  standard_tracks(audio).energy)
+    np.testing.assert_array_equal(
+        np.isnan(params.f0),
+        np.isnan(estimate_f0(audio, params.tracks.times)))
+
+
+def test_parameter_track_window_includes_both_ends():
+    params = parameter_frames(synth.vowel_rise_fall(0.3)[0])
+    times = params.tracks.times
+    assert params.window(times[10], times[20]) == slice(10, 21)
+    assert params.window(times[10] + 1e-9, times[20] - 1e-9) == slice(11, 20)
+    assert params.window(times[5], times[5]) == slice(5, 6)
+    assert params.window(-1.0, times[0]) == slice(0, 1)
+    assert params.window(times[-1], 99.0) == slice(len(times) - 1,
+                                                   len(times))
+    rng = np.random.default_rng(0)
+    for t0, t1 in rng.uniform(-0.05, 0.35, (200, 2)):
+        want = [i for i, t in enumerate(times) if t0 <= t <= t1]
+        got = range(len(times))[params.window(t0, t1)]
+        assert list(got) == want
+
+
+def test_parameter_track_at_is_nearest_frame():
+    params = parameter_frames(synth.vowel_rise_fall(0.3)[0])
+    times = params.tracks.times
+    for t in np.random.default_rng(1).uniform(-0.1, 0.4, 300):
+        i = params.at(t)
+        assert abs(times[i] - t) == np.min(np.abs(times - t))
+    assert params.at(times[7]) == 7
+
+
+@pytest.mark.parametrize('name', ['vcv_stop', 'fricative_vcv', 'ama_nasal',
+                                  'awa_glide', 'two_vowels'])
+def test_detect_landmarks_reads_parameter_tracks(name):
+    audio = fixtures()[name]
+    params = parameter_frames(audio)
+    assert detect_landmarks(params.tracks) == detect_all(audio)
+
+
+@pytest.mark.parametrize('name', ['vcv_stop', 'fricative_vcv', 'ama_nasal',
+                                  'awa_glide', 'cv_syllable'])
+def test_cues_without_parameters_are_broad(name):
+    audio = fixtures()[name]
+    seq = detect_all(audio)
+    full = cues_to_bundles(seq, parameter_frames(audio))
+    broad = cues_to_bundles(seq)
+    assert [s.window for s in broad] == [s.window for s in full]
+    assert [s.source_landmarks for s in broad] == \
+        [s.source_landmarks for s in full]
+    for b, f in zip(broad, full):
+        assert set(b.bundle) <= BROAD
+        assert {k: b.bundle.value(k) for k in b.bundle} == \
+            {k: f.bundle.value(k) for k in f.bundle if k in BROAD}
+    assert broad

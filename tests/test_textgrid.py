@@ -86,6 +86,30 @@ item []:
     assert doc.tiers[1].items[0].time == 0.8
 
 
+def test_exponent_notation_times():
+    text = serialize_textgrid(sample_doc())
+    assert text.count('xmax = 1\n') == 3 and 'number = 0.3\n' in text
+    text = text.replace('xmax = 1\n', 'xmax = 1e+00\n', 2)
+    text = text.replace('xmax = 1\n', 'xmax = 1E+0\n')
+    text = text.replace('number = 0.3\n', 'number = 3.0e-1\n')
+    doc = parse_textgrid(text)
+    want = sample_doc()
+    assert doc.duration == want.duration
+    assert [t.items for t in doc.tiers] == [t.items for t in want.tiers]
+
+
+def test_unread_values_after_last_tier_rejected():
+    # a bad top-level xmax shifts every later value by one; the declared
+    # tier count then reads a tier's xmin (0) and values are left over
+    text = serialize_textgrid(sample_doc()).replace('xmax = 1\n',
+                                                    'xmax = oops\n', 1)
+    with pytest.raises(TextGridParseError, match='after the last tier'):
+        parse_textgrid(text)
+    extra = serialize_textgrid(sample_doc()) + '0.5 "stray"\n'
+    with pytest.raises(TextGridParseError, match='after the last tier'):
+        parse_textgrid(extra)
+
+
 def test_malformed_header():
     with pytest.raises(TextGridParseError, match='header'):
         parse_textgrid('not a textgrid at all')
