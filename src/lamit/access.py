@@ -1,6 +1,7 @@
 """Lexical access: estimated feature bundles matched against the lexicon."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,28 +196,61 @@ def cohort_match(segments, lex: Lexicon, w: DistanceWeights | None = None,
                  ) -> list[MatchResult]:
     """Top-k candidates by incremental cohort scoring.
 
-    Lossless pruning: a candidate is dropped only when its prefix score
-    already exceeds a known k-th best full score, which can never remove
-    a true top-k member (scores are non-decreasing left to right).
+    Each segment is scored against every inventory phoneme once, and
+    segments with equal bundles share one row of distances, computed
+    afresh on every call.  Lossless pruning: a candidate is dropped only
+    when its prefix score already exceeds a known k-th best full score,
+    which can never remove a true top-k member (scores are
+    non-decreasing left to right).
     """
     w = w or DistanceWeights()
+    _check_query(lex, k)
+    segments = list(segments)
+    if not segments:
+        raise MatchError('no segments to match')
+    cost = _cost_rows(segments, lex.inventory, w, {})
+    return _rank(cost, _phones(lex), w, k, word_freq or {})
+
+
+def _check_query(lex: Lexicon, k: int):
     if not lex.entries:
         raise MatchError('empty lexicon')
     if k < 1:
         raise MatchError('k must be positive')
-    segments = list(segments)
-    if not segments:
-        raise MatchError('no segments to match')
-    inv = lex.inventory
-    freq = word_freq or {}
-    n = len(segments)
 
-    # lexical bundles are shared per phoneme, so each segment needs one
-    # distance per inventory phoneme rather than one per lexicon entry
-    cost = [{ipa: feature_distance(seg.bundle, inv.bundles[ipa], w, inv)
-             for ipa in inv.bundles} for seg in segments]
-    phones = {orth: [t.phoneme.ipa for t in entry.phonemes]
-              for orth, entry in lex.entries.items()}
+
+def _phones(lex: Lexicon) -> dict[str, list[str]]:
+    return {orth: [t.phoneme.ipa for t in entry.phonemes]
+            for orth, entry in lex.entries.items()}
+
+
+def _cost_rows(segments, inv: FeatureInventory, w: DistanceWeights,
+               rows: dict) -> list[dict[str, float]]:
+    """Each segment's distances to every inventory phoneme, by ipa.
+
+    Lexical bundles are shared per phoneme, so a segment needs one
+    distance per inventory phoneme rather than one per lexicon entry.
+    A row depends only on the segment's bundle: `rows`, owned by the
+    caller, holds one per distinct bundle, so segments with equal
+    bundles share it.
+    """
+    out = []
+    for seg in segments:
+        key = frozenset(seg.bundle.items())
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = {
+                ipa: feature_distance(seg.bundle, bundle, w, inv)
+                for ipa, bundle in inv.bundles.items()}
+        out.append(row)
+    return out
+
+
+def _rank(cost: list[dict[str, float]], phones: dict[str, list[str]],
+          w: DistanceWeights, k: int, freq: dict[str, int]
+          ) -> list[MatchResult]:
+    """Seeded-bound, prefix-pruned top-k over one cost row per segment."""
+    n = len(cost)
 
     def full_score(orth):
         ps = phones[orth]
@@ -270,30 +304,40 @@ def match_in_word_intervals(doc: AnnotationDocument, segments, lex: Lexicon,
                             w: DistanceWeights | None = None, k: int = 10,
                             word_freq: dict[str, int] | None = None):
     """Per-word cohort matching; segments are assigned to the word
-    interval containing their midpoint.  Returns (matches, orphans)."""
-    word_tier = doc.tier('Word')
-    labelled = [(i, iv) for i, iv in enumerate(word_tier.items) if iv.label]
-    per_word: dict[int, list] = {i: [] for i, _ in labelled}
+    interval containing their midpoint (the earlier one on a shared
+    boundary).  Returns (matches, orphans).
+
+    Each word is ranked as `cohort_match` ranks it, but the words share
+    one row of phoneme distances per distinct bundle, computed during
+    this call only; orphans are never scored.
+    """
+    w = w or DistanceWeights()
+    labelled = [(i, iv) for i, iv in enumerate(doc.tier('Word').items)
+                if iv.label]
+    # the tier is sorted and non-overlapping, so the first labelled
+    # interval ending at or after t is the only one that can hold t
+    ends = [iv.t_end for _, iv in labelled]
+    per_word: list[list] = [[] for _ in labelled]
     orphans = []
     for seg in segments:
         t = seg.midpoint
-        home = None
-        for i, iv in labelled:
-            if iv.t_start <= t <= iv.t_end:
-                home = i
-                break
-        if home is None:
-            orphans.append(seg)
+        j = bisect_left(ends, t)
+        if j < len(labelled) and labelled[j][1].t_start <= t:
+            per_word[j].append(seg)
         else:
-            per_word[home].append(seg)
+            orphans.append(seg)
+    phones = _phones(lex)
+    rows: dict = {}
+    freq = word_freq or {}
     matches = []
-    for idx, (i, iv) in enumerate(labelled):
-        segs = per_word[i]
+    for (i, iv), segs in zip(labelled, per_word):
         if not segs:
             matches.append(WordMatch(i, iv.label, [], no_evidence=True))
-        else:
-            matches.append(WordMatch(
-                i, iv.label, cohort_match(segs, lex, w, k, word_freq)))
+            continue
+        _check_query(lex, k)
+        cost = _cost_rows(segs, lex.inventory, w, rows)
+        results = _rank(cost, phones, w, k, freq)
+        matches.append(WordMatch(i, iv.label, results))
     return matches, orphans
 
 

@@ -75,6 +75,21 @@ class FeatureBundle(dict):
         return {f: v for f, v in self.items() if v is not UNSPECIFIED}
 
 
+class ReadOnlyBundle(FeatureBundle):
+    """An inventory's bundle: geminates share their singleton's, so no
+    caller may change one.  `FeatureBundle(b)` gives a mutable copy."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError('inventory feature bundles are read-only')
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        # copy and pickle would otherwise refill the copy item by item
+        return type(self), (dict(self),)
+
+
 class InventoryError(ValueError):
     pass
 
@@ -207,12 +222,13 @@ def load_inventory(text: str) -> FeatureInventory:
         if base != '.':
             pending.append((ipa, arp, base))
             continue
-        bundle = FeatureBundle()
+        cells = {}
         for f, c in zip(features, vals):
             if c not in valmap:
                 raise ParseError(f'line {lineno}: bad cell {c!r}')
             if c != '.':
-                bundle[f] = valmap[c]
+                cells[f] = valmap[c]
+        bundle = ReadOnlyBundle(cells)
         cls = classify_major(bundle)
         phonemes.append(PhonemeId(ipa, arp, cls))
         bundles[ipa] = bundle

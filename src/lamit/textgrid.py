@@ -122,41 +122,59 @@ def decode_textgrid_bytes(data: bytes) -> str:
     return data.decode('utf-8-sig')
 
 
+# patterns, not compiled objects: re compiles them at the first parse, so
+# commands that read no TextGrid do not pay for it
+_NUMBER = r'[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?'
+# a value is a quoted string, the word after '=' (long format) or a bare
+# number (short format); bracketed item indices and keys are structure
+_TOKEN = rf'"(?:[^"]|"")*"|\[[^\]"]*\]|=\s*([^\s"]+)|{_NUMBER}'
+
+
 class _Scanner:
-    """Token scanner over the numbers and quoted strings of a TextGrid.
+    """Token scanner over the values of a TextGrid.
 
     Praat's long format is key = value noise around an ordered stream of
-    values, so scanning the values in order is enough to rebuild it.
+    values, so scanning the values in order is enough to rebuild it.  A
+    value of the wrong kind is an error, never skipped, so a malformed
+    value is reported where it stands.
     """
 
     def __init__(self, text: str):
-        # bracketed item indices ("item [1]:") are structure, not values
-        text = re.sub(r'\[\s*\d*\s*\]', '[]', text)
-        self.tokens = re.findall(
-            r'"(?:[^"]|"")*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?', text)
+        self.text = text
+        self.tokens = [(m.start(m.lastindex or 0), m.group(m.lastindex or 0))
+                       for m in re.finditer(_TOKEN, text)
+                       if not m.group(0).startswith('[')]
         self.pos = 0
 
+    def _next(self, kind: str) -> tuple[int, str]:
+        if self.pos >= len(self.tokens):
+            raise TextGridParseError(f'unexpected end of file ({kind} '
+                                     f'expected)')
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def _wrong_kind(self, at: int, tok: str, kind: str):
+        line = self.text.count('\n', 0, at) + 1
+        return TextGridParseError(f'line {line}: {kind} expected, found '
+                                  f'{tok}')
+
     def next_number(self) -> float:
-        while self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            self.pos += 1
-            if not tok.startswith('"'):
-                return float(tok)
-        raise TextGridParseError('unexpected end of file (number expected)')
+        at, tok = self._next('number')
+        if not re.fullmatch(_NUMBER, tok):
+            raise self._wrong_kind(at, tok, 'number')
+        return float(tok)
 
     def next_string(self) -> str:
-        while self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            self.pos += 1
-            if tok.startswith('"'):
-                return tok[1:-1].replace('""', '"')
-        raise TextGridParseError('unexpected end of file (string expected)')
+        at, tok = self._next('string')
+        if not tok.startswith('"'):
+            raise self._wrong_kind(at, tok, 'quoted string')
+        return tok[1:-1].replace('""', '"')
 
     def check_end(self):
         if self.pos < len(self.tokens):
             raise TextGridParseError(
                 f'{len(self.tokens) - self.pos} unread value(s) after the '
-                f'last tier, first {self.tokens[self.pos]!r}')
+                f'last tier, first {self.tokens[self.pos][1]!r}')
 
 
 def parse_textgrid(document: str | bytes) -> AnnotationDocument:

@@ -2,6 +2,7 @@
 import numpy as np
 
 from lamit.dsp import AudioBuffer
+from lamit.textgrid import AnnotationDocument, Interval, IntervalTier
 
 SR = 16000
 
@@ -225,3 +226,39 @@ def fricative_vcv(vdur=0.25, fdur=0.18, seed=5, noise_amp=0.25):
     v2[:ramp] *= np.linspace(0, 1, ramp)
     sig = np.concatenate([v1, fric, v2])
     return buf(sig), (vdur, vdur + fdur)
+
+
+# ---------------------------------------------------------- utterances
+
+WORDS = ['MAMMA', 'BENE', 'CASA', 'PAPÀ', 'TI', 'VOGLIONO', 'E', 'ZOO']
+
+
+def utterances():
+    """The fixtures above by name, and all of them concatenated."""
+    def first(x):
+        return x[0] if isinstance(x, tuple) else x
+    out = {
+        'steady_vowel': steady_vowel(),
+        'vowel_rise_fall': first(vowel_rise_fall(0.3)),
+        'two_vowels': first(two_vowels()),
+        'cv_syllable': first(cv_syllable()),
+        'vcv_stop': first(vcv_stop()),
+        'noise_onset': first(noise_onset()),
+        'awa_glide': first(awa_glide()),
+        'apa_stop': first(apa_stop()),
+        'ama_nasal': first(ama_nasal()),
+        'fricative_vcv': first(fricative_vcv()),
+    }
+    out['concatenated'] = buf(np.concatenate(
+        [a.samples for a in out.values()]))
+    return out
+
+
+def word_doc(duration, step=0.15):
+    """A Word tier of contiguous `step`-second intervals; every third is
+    unlabelled, so segments there become orphans."""
+    edges = list(np.arange(0.0, duration, step)) + [duration]
+    items = [Interval(float(a), float(b),
+                      '' if i % 3 == 2 else WORDS[i % len(WORDS)])
+             for i, (a, b) in enumerate(zip(edges, edges[1:])) if b > a]
+    return AnnotationDocument(duration, [IntervalTier('Word', items)])

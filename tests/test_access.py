@@ -3,14 +3,14 @@ import random
 import pytest
 
 from lamit.access import (DistanceWeights, EstimatedSegment, MatchError,
-                          cohort_match, cues_to_bundles, feature_distance,
-                          match_in_word_intervals, matches_csv,
-                          score_candidate)
+                          WordMatch, cohort_match, cues_to_bundles,
+                          feature_distance, match_in_word_intervals,
+                          matches_csv, score_candidate)
 from lamit.config import AnalysisConfig
 from lamit.dsp import parameter_frames
 from lamit.features import (FeatureBundle, MINUS, PLUS, UNSPECIFIED,
                             features_of)
-from lamit.landmarks import detect_all
+from lamit.landmarks import detect_all, detect_landmarks
 from lamit.lexicon import Lexicon, expand_word
 from lamit.textgrid import AnnotationDocument, Interval, IntervalTier
 
@@ -378,3 +378,166 @@ def test_matches_csv(lamit_lexicon):
     lines = csv.strip().split('\n')
     assert lines[0] == 'word_interval_index,candidate,score,rank'
     assert lines[1].startswith('0,MAMMA,0.0000,1')
+
+
+# ------------------------------------- word-interval match vs per word
+
+W_ODD = DistanceWeights(w_free=2.0, w_bound=0.1, unspecified_cost=0.3)
+
+
+def per_word_reference(doc, segments, lex, w, k=10, word_freq=None):
+    """Segments assigned by a linear scan over the labelled intervals,
+    then one independent cohort_match call per word."""
+    labelled = [(i, iv) for i, iv in enumerate(doc.tier('Word').items)
+                if iv.label]
+    per_word = {i: [] for i, _ in labelled}
+    orphans = []
+    for s in segments:
+        home = next((i for i, iv in labelled
+                     if iv.t_start <= s.midpoint <= iv.t_end), None)
+        (orphans if home is None else per_word[home]).append(s)
+    matches = [WordMatch(i, iv.label,
+                         cohort_match(per_word[i], lex, w, k, word_freq)
+                         if per_word[i] else [],
+                         no_evidence=not per_word[i])
+               for i, iv in labelled]
+    return matches, orphans
+
+
+def assert_same_as_per_word(doc, segments, lex, w, k=10, word_freq=None):
+    matches, orphans = match_in_word_intervals(doc, segments, lex, w, k,
+                                               word_freq)
+    want, want_orphans = per_word_reference(doc, segments, lex, w, k,
+                                            word_freq)
+    assert matches == want
+    assert [id(s) for s in orphans] == [id(s) for s in want_orphans]
+    return matches
+
+
+def fixture_segments(audio):
+    params = parameter_frames(audio)
+    return cues_to_bundles(detect_landmarks(params.tracks), params)
+
+
+@pytest.mark.parametrize('w', [W, W_ODD], ids=['default', 'non-dyadic'])
+def test_word_match_equals_per_word_on_fixtures(lamit_lexicon, w):
+    ranked = 0
+    for name, audio in synth.utterances().items():
+        segments = fixture_segments(audio)
+        doc = synth.word_doc(audio.duration)
+        matches = assert_same_as_per_word(doc, segments, lamit_lexicon, w)
+        ranked += sum(bool(m.results) for m in matches)
+    assert ranked >= 20
+
+
+def random_word_doc(rng, pool):
+    """Contiguous intervals, some unlabelled, with segments drawn from a
+    small bundle pool (so bundles repeat) at random midpoints, on shared
+    boundaries and past the end."""
+    edges = [0.0]
+    for _ in range(rng.randint(1, 8)):
+        edges.append(round(edges[-1] + rng.choice([0.1, 0.25, 0.3, 0.7]),
+                           3))
+    items = [Interval(a, b, rng.choice(['', 'W', 'W', 'W']))
+             for a, b in zip(edges, edges[1:])]
+    doc = AnnotationDocument(edges[-1] + 0.5, [IntervalTier('Word', items)])
+    segments = []
+    for _ in range(rng.randint(0, 25)):
+        t = rng.choice([rng.uniform(0, edges[-1] + 0.5), rng.choice(edges)])
+        segments.append(EstimatedSegment((t - 0.02, t + 0.02),
+                                         FeatureBundle(rng.choice(pool))))
+    segments.sort(key=lambda s: s.midpoint)
+    return doc, segments
+
+
+def bundle_pool(rng, lex, size=12):
+    pool = []
+    while len(pool) < size:
+        pool.extend(s.bundle for s in _random_segments(rng, lex))
+    return pool[:size]
+
+
+@pytest.mark.parametrize('w', [W, W_ODD], ids=['default', 'non-dyadic'])
+def test_word_match_equals_per_word_random(lamit_lexicon, italian, w):
+    from lamit.lexicon import load_lexicon, serialize_lexicon
+    rng = random.Random(7)
+    lines = [ln for ln in serialize_lexicon(lamit_lexicon).splitlines()
+             if ln]
+    for trial in range(25):
+        sub = load_lexicon('\n'.join(rng.sample(lines, 80)), italian)
+        freq = {orth: rng.randint(0, 3) for orth in sub.entries}
+        doc, segments = random_word_doc(rng, bundle_pool(rng, sub))
+        assert_same_as_per_word(doc, segments, sub, w,
+                                k=rng.choice([1, 3, 10]), word_freq=freq)
+
+
+def test_midpoint_on_shared_boundary_goes_to_earlier_word(lamit_lexicon):
+    items = [Interval(0.0, 1.0, 'MAMMA'), Interval(1.0, 2.0, 'BENE'),
+             Interval(2.0, 3.0, ''), Interval(3.0, 4.0, 'CASA')]
+    doc = AnnotationDocument(4.0, [IntervalTier('Word', items)])
+    vowel = FeatureBundle({'vowel': PLUS})
+    at = [EstimatedSegment((t - 0.05, t + 0.05), vowel)
+          for t in (0.0, 1.0, 2.0, 2.5, 3.0, 4.0)]
+    matches, orphans = match_in_word_intervals(doc, at, lamit_lexicon, W)
+    # 0.0 and 1.0 to MAMMA, 2.0 to BENE (not the unlabelled interval it
+    # starts), 2.5 inside the unlabelled one, 3.0 and 4.0 to CASA
+    assert [m.no_evidence for m in matches] == [False, False, False]
+    assert orphans == [at[3]]
+    assert_same_as_per_word(doc, at, lamit_lexicon, W)
+    one = [EstimatedSegment((0.95, 1.05), vowel)]
+    matches, _ = match_in_word_intervals(doc, one, lamit_lexicon, W)
+    assert [m.no_evidence for m in matches] == [False, True, True]
+
+
+def test_distance_computed_once_per_distinct_bundle(lamit_lexicon,
+                                                    monkeypatch):
+    import lamit.access as access
+    calls = []
+    real = access.feature_distance
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(access, 'feature_distance', counted)
+    doc, segments = make_word_doc(lamit_lexicon,
+                                  ['MAMMA', 'MAMMA', 'BENE', 'CASA'])
+    # orphans are never scored, so an unknown feature there is harmless
+    stray = EstimatedSegment((9.0, 9.1), FeatureBundle({'bogus': PLUS}))
+    distinct = {frozenset(s.bundle.items()) for s in segments}
+    assert len(distinct) < len(segments)
+    for _ in range(2):
+        calls.clear()
+        _, orphans = match_in_word_intervals(doc, segments + [stray],
+                                             lamit_lexicon, W)
+        assert orphans == [stray]
+        assert len(calls) == \
+            len(distinct) * len(lamit_lexicon.inventory.bundles)
+
+
+def test_no_state_survives_a_call(lamit_lexicon):
+    doc, segments = make_word_doc(lamit_lexicon, ['MAMMA', 'CASA', 'BENE'])
+    for s in segments[1::3]:
+        s.bundle.pop('high', None)
+    first = match_in_word_intervals(doc, segments, lamit_lexicon, W)
+    odd = match_in_word_intervals(doc, segments, lamit_lexicon, W_ODD)
+    assert first == match_in_word_intervals(doc, segments, lamit_lexicon, W)
+    assert odd == per_word_reference(doc, segments, lamit_lexicon, W_ODD)
+    assert [r.score for r in first[0][0].results] != \
+        [r.score for r in odd[0][0].results]
+
+
+def test_word_match_errors_in_word_order(lamit_lexicon, italian):
+    doc, segments = make_word_doc(lamit_lexicon, ['MAMMA', 'BENE', 'CASA'])
+    segments[7].bundle['nasalized'] = PLUS      # in BENE
+    segments[9].bundle['creaky'] = PLUS         # in CASA
+    for call in (match_in_word_intervals, per_word_reference):
+        with pytest.raises(MatchError, match="'nasalized'"):
+            call(doc, segments, lamit_lexicon, W)
+    with pytest.raises(MatchError, match='k must be positive'):
+        match_in_word_intervals(doc, segments, lamit_lexicon, W, k=0)
+    with pytest.raises(MatchError, match='empty lexicon'):
+        match_in_word_intervals(doc, segments, Lexicon({}, italian), W)
+    # with no evidence in any word nothing is matched, so nothing raises
+    matches, _ = match_in_word_intervals(doc, [], Lexicon({}, italian), W,
+                                         k=0)
+    assert all(m.no_evidence for m in matches)

@@ -307,6 +307,27 @@ def test_lexi_bad_textgrid_exits_2(tmp_path, capsys):
     assert_one_line_error(capsys, 'TextGrid')
 
 
+@pytest.mark.parametrize('old, new, message', [
+    ('            xmin = 0.5\n', '            xmin = oops\n',
+     'number expected, found oops'),
+    ('text = "MAMMA"', 'text = MAMMA',
+     'quoted string expected, found MAMMA'),
+])
+@pytest.mark.parametrize('command', ['lexi', 'match'])
+def test_wrong_kind_textgrid_value_exits_2(tmp_path, capsys, command, old,
+                                           new, message):
+    tg = word_doc_path(tmp_path, ['MAMMA', 'BENE'])
+    text = tg.read_text('utf-8')
+    assert old in text
+    tg.write_text(text.replace(old, new, 1), encoding='utf-8')
+    csv = tmp_path / 'empty.csv'
+    csv.write_text('time_s,kind,manner,strength_dB\n', encoding='utf-8')
+    argv = {'lexi': ['lexi'], 'match': ['match', '--landmarks', str(csv)]}
+    assert run(*argv[command], '--textgrid', str(tg),
+               '--out', str(tmp_path / 'o')) == 2
+    assert_one_line_error(capsys, 'TextGrid', message)
+
+
 # ------------------------------------------------------------- validate
 
 def test_validate_pristine(capsys):

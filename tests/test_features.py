@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from lamit.features import (InventoryError, LookupError_, MINUS, PLUS,
-                            MajorClass, classify_major,
+from lamit.features import (FeatureBundle, InventoryError, LookupError_,
+                            MINUS, PLUS, MajorClass, classify_major,
                             distinguishing_features, features_of,
                             load_inventory, load_italian, natural_class,
                             serialize_inventory)
@@ -55,6 +55,33 @@ def test_palatal_nasal_is_dorsal(italian):
 
 def test_geminate_equals_singleton(italian):
     assert features_of(italian, 'mm') == features_of(italian, 'm')
+
+
+def test_inventory_bundles_read_only():
+    import copy
+    import pickle
+    inv = load_italian()        # a private copy, in case a mutator slips
+    single = features_of(inv, 'm')
+    assert features_of(inv, 'mm') is single
+    before = dict(single)
+    for mutate in (lambda b: b.__setitem__('nasal', MINUS),
+                   lambda b: b.__delitem__('nasal'),
+                   lambda b: b.pop('nasal'),
+                   lambda b: b.popitem(),
+                   lambda b: b.setdefault('lat', PLUS),
+                   lambda b: b.update(nasal=MINUS),
+                   lambda b: b.__ior__({'nasal': MINUS}),
+                   lambda b: b.clear()):
+        with pytest.raises(TypeError):
+            mutate(single)
+    assert features_of(inv, 'mm') == features_of(inv, 'm') == before
+    # copies made for estimates stay mutable
+    mutable = FeatureBundle(single)
+    mutable['nasal'] = MINUS
+    assert features_of(inv, 'mm').value('nasal') is PLUS
+    for again in (copy.copy(single), copy.deepcopy(single),
+                  pickle.loads(pickle.dumps(single))):
+        assert type(again) is type(single) and again == single
 
 
 def test_classify_major_examples(italian):

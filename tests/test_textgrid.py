@@ -99,15 +99,49 @@ def test_exponent_notation_times():
 
 
 def test_unread_values_after_last_tier_rejected():
-    # a bad top-level xmax shifts every later value by one; the declared
-    # tier count then reads a tier's xmin (0) and values are left over
-    text = serialize_textgrid(sample_doc()).replace('xmax = 1\n',
-                                                    'xmax = oops\n', 1)
+    # a declared tier count below the tiers present leaves values over
+    text = serialize_textgrid(sample_doc()).replace('size = 2\n',
+                                                    'size = 1\n', 1)
     with pytest.raises(TextGridParseError, match='after the last tier'):
         parse_textgrid(text)
     extra = serialize_textgrid(sample_doc()) + '0.5 "stray"\n'
     with pytest.raises(TextGridParseError, match='after the last tier'):
         parse_textgrid(extra)
+
+
+@pytest.mark.parametrize('old, new, message', [
+    # a value of the wrong kind is reported where it stands, not as the
+    # fault it would cause once later values had shifted into its place
+    ('xmax = 1\n', 'xmax = oops\n', 'line 5: number expected, found oops'),
+    ('            xmin = 0.35\n', '            xmin = oops\n',
+     'line 20: number expected, found oops'),
+    ('text = "MAMMA"', 'text = MAMMA',
+     'line 18: quoted string expected, found MAMMA'),
+    ('name = "Word"', 'name = 12',
+     'line 11: quoted string expected, found 12'),
+    ('mark = "V"', 'mark = 0.5',
+     'line 35: quoted string expected, found 0.5'),
+    ('number = 0.3\n', 'number = "0.3"\n',
+     'line 37: number expected, found "0.3"'),
+    ('xmax = 0.95\n', 'xmax = 0.95s\n',
+     'line 25: number expected, found 0.95s'),
+])
+def test_value_of_wrong_kind_named(old, new, message):
+    text = serialize_textgrid(sample_doc())
+    assert old in text
+    with pytest.raises(TextGridParseError, match=f'^{message}$'):
+        parse_textgrid(text.replace(old, new, 1))
+
+
+def test_short_format_values():
+    long = serialize_textgrid(sample_doc())
+    values = [ln.split(' = ', 1)[1] for ln in long.splitlines()[3:]
+              if ' = ' in ln]
+    short = ('File type = "ooTextFile"\nObject class = "TextGrid"\n\n'
+             + '\n'.join(values[:2] + ['<exists>'] + values[2:]) + '\n')
+    doc = parse_textgrid(short)
+    assert [t.items for t in doc.tiers] == \
+        [t.items for t in sample_doc().tiers]
 
 
 def test_malformed_header():
