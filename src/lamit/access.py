@@ -79,9 +79,14 @@ def cues_to_bundles(seq: LandmarkSequence,
     """One estimated segment per vowel/glide landmark and per
     closure-release pair; articulator-bound features only where a
     parameter rule fires, everything else unspecified.  Without params
-    (landmarks alone) the segments carry the broad features only."""
+    (landmarks alone) the segments carry the broad features only.
+
+    The voicing rule reads only the frames inside non-sonorant
+    closure-release windows; they are collected first and voiced by one
+    `ParameterTrack.voiced` call."""
     cfg = cfg or AnalysisConfig()
     out: list[EstimatedSegment] = []
+    voicing: list[tuple[FeatureBundle, slice]] = []
     items = seq.items
     i = 0
     while i < len(items):
@@ -99,7 +104,8 @@ def cues_to_bundles(seq: LandmarkSequence,
             i += 1
         elif lm.kind is LandmarkKind.CLOSURE and i + 1 < len(items) \
                 and items[i + 1].kind is LandmarkKind.RELEASE:
-            out.append(_consonant_segment(items, i, i + 1, params, cfg))
+            out.append(_consonant_segment(items, i, i + 1, params, cfg,
+                                          voicing))
             i += 2
         else:
             # unpaired consonant landmark: only the broad features
@@ -108,6 +114,8 @@ def cues_to_bundles(seq: LandmarkSequence,
             out.append(EstimatedSegment((lm.time - 0.05, lm.time + 0.08),
                                         bundle, (i,)))
             i += 1
+    if params is not None:
+        _voicing_rule(params, voicing)
     return out
 
 
@@ -123,7 +131,10 @@ def _manner_features(manner: Manner | None, bundle: FeatureBundle):
 
 
 def _consonant_segment(items, i_cl, i_rel, params: ParameterTrack | None,
-                       cfg: AnalysisConfig) -> EstimatedSegment:
+                       cfg: AnalysisConfig, voicing: list
+                       ) -> EstimatedSegment:
+    """The segment of one closure-release pair; a non-sonorant pair with
+    frames between its landmarks is appended to `voicing` with them."""
     closure, release = items[i_cl], items[i_rel]
     bundle = FeatureBundle({'cons': PLUS})
     manner = release.manner if release.manner is not None else closure.manner
@@ -144,14 +155,27 @@ def _consonant_segment(items, i_cl, i_rel, params: ParameterTrack | None,
                                float(np.median(neighbours))
                                + cfg.strident_margin_db else MINUS)
     if manner is not Manner.SONORANT and high_in.size:
-        voiced = np.mean(~np.isnan(params.f0[inside]))
-        if voiced >= 0.5:
+        voicing.append((bundle, inside))
+    return segment
+
+
+def _voicing_rule(params: ParameterTrack,
+                  voicing: list[tuple[FeatureBundle, slice]]):
+    """[+slack -stiff] where at least half of a window's frames are
+    voiced, else [+stiff -slack]; one voicing call for all windows."""
+    frames = [f for _, inside in voicing
+              for f in range(inside.start, inside.stop)]
+    voiced = params.voiced(frames)
+    pos = 0
+    for bundle, inside in voicing:
+        n = inside.stop - inside.start
+        if np.mean(voiced[pos:pos + n]) >= 0.5:
             bundle['slack'] = PLUS
             bundle['stiff'] = MINUS
         else:
             bundle['stiff'] = PLUS
             bundle['slack'] = MINUS
-    return segment
+        pos += n
 
 
 # -------------------------------------------------------------- distance

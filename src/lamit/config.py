@@ -1,7 +1,8 @@
 """Analysis parameters with file overrides (key = value format)."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 
 
 class ConfigError(ValueError):
@@ -51,6 +52,12 @@ class AnalysisConfig:
 
 _TUPLE_FIELDS = {'low_band', 'f1_band', 'mid_band', 'high_band'}
 
+# durations turned into frame counts and F0 limits used as divisors
+_POSITIVE_FIELDS = {'frame_length', 'frame_step', 'ror_window',
+                    'f0_frame_length', 'f0_min', 'f0_max',
+                    'vowel_min_separation', 'noise_min_duration',
+                    'gate_min_duration'}
+
 
 def parse_config_file(text: str, base: AnalysisConfig | None = None
                       ) -> AnalysisConfig:
@@ -69,11 +76,19 @@ def parse_config_file(text: str, base: AnalysisConfig | None = None
         try:
             if key in _TUPLE_FIELDS:
                 lo, hi = (float(x) for x in val.replace(',', ' ').split())
-                setattr(cfg, key, (lo, hi))
+                value = (lo, hi)
             else:
-                setattr(cfg, key, float(val))
+                value = float(val)
         except ValueError:
             raise ConfigError(f'line {lineno}: bad value {val!r}') from None
+        numbers = value if key in _TUPLE_FIELDS else (value,)
+        if not all(math.isfinite(x) for x in numbers):
+            raise ConfigError(f'line {lineno}: {key} must be finite, '
+                              f'got {val!r}')
+        if key in _POSITIVE_FIELDS and not value > 0:
+            raise ConfigError(f'line {lineno}: {key} must be positive, '
+                              f'got {val!r}')
+        setattr(cfg, key, value)
     return cfg
 
 

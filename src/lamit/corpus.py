@@ -152,19 +152,7 @@ def _citation_ipa(word: TranscribedWord) -> tuple[str, ...]:
 
 def _citation_entry(word: TranscribedWord, lex: Lexicon):
     """Lexicon entry whose phonemes match the doubling-stripped word."""
-    return _phoneme_index(lex).get(_citation_ipa(word))
-
-
-def _phoneme_index(lex: Lexicon):
-    # the reverse index lives on the lexicon it belongs to
-    idx = getattr(lex, '_phoneme_index', None)
-    if idx is None:
-        idx = {}
-        for entry in lex.entries.values():
-            seq = tuple(t.phoneme.ipa for t in entry.phonemes)
-            idx.setdefault(seq, entry)
-        lex._phoneme_index = idx
-    return idx
+    return lex.by_ipa_sequence.get(_citation_ipa(word))
 
 
 @dataclass

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -137,9 +137,11 @@ class Spectrogram:
         return self.freq_resolution * (self.frames.shape[1] - 1)
 
 
-def compute_spectrogram(audio: AudioBuffer, frame_length: float = 0.025,
-                        frame_step: float = 0.005) -> Spectrogram:
-    """Hann-windowed magnitude spectrogram in dB, floored at -120 dB."""
+def _frame_spectra(audio: AudioBuffer, frame_length: float,
+                   frame_step: float):
+    """Validate the framing; return the frame count, the window length in
+    samples and a generator of (first frame, rfft of the Hann-windowed
+    frames) over blocks of BLOCK_FRAMES frames."""
     if not frame_length >= frame_step > 0:
         raise DspError('need frame_length >= frame_step > 0')
     if len(audio.samples) == 0:
@@ -151,13 +153,21 @@ def compute_spectrogram(audio: AudioBuffer, frame_length: float = 0.025,
         raise DspError('frame length exceeds signal duration')
     frames = sliding_window_view(audio.samples, nwin)[::step]
     window = np.hanning(nwin)
+    blocks = ((b, np.fft.rfft(frames[b:b + BLOCK_FRAMES] * window, axis=1))
+              for b in range(0, len(frames), BLOCK_FRAMES))
+    return len(frames), nwin, blocks
+
+
+def compute_spectrogram(audio: AudioBuffer, frame_length: float = 0.025,
+                        frame_step: float = 0.005) -> Spectrogram:
+    """Hann-windowed magnitude spectrogram in dB, floored at -120 dB."""
+    n_frames, nwin, blocks = _frame_spectra(audio, frame_length, frame_step)
     floor = 10 ** (DB_FLOOR / 20.0)
-    db = np.empty((len(frames), nwin // 2 + 1))
-    for b in range(0, len(frames), BLOCK_FRAMES):
-        mag = np.abs(np.fft.rfft(frames[b:b + BLOCK_FRAMES] * window, axis=1))
-        db[b:b + BLOCK_FRAMES] = 20.0 * np.log10(np.maximum(mag, floor))
-    return Spectrogram(db, frame_step, frame_length, sr / nwin,
-                       t0=frame_length / 2)
+    db = np.empty((n_frames, nwin // 2 + 1))
+    for b, spec in blocks:
+        db[b:b + len(spec)] = 20.0 * np.log10(np.maximum(np.abs(spec), floor))
+    return Spectrogram(db, frame_step, frame_length,
+                       audio.sample_rate / nwin, t0=frame_length / 2)
 
 
 @dataclass
@@ -165,31 +175,38 @@ class BandEnergyTracks:
     bands: list[tuple[float, float]]
     energy: np.ndarray         # (n_bands, n_frames) dB
     times: np.ndarray
-    frame_step: float = field(default=0.0)
-
-    def track(self, i: int) -> np.ndarray:
-        return self.energy[i]
+    frame_step: float
 
 
-def band_energies(spec: Spectrogram,
-                  bands: list[tuple[float, float]]) -> BandEnergyTracks:
-    """Per-frame energy of each band: bin powers summed, then to dB."""
-    nyq = spec.nyquist
+def _band_bins(bands, freq_resolution: float, n_bins: int) -> list[slice]:
+    """The bins of each band (lo <= bin frequency <= hi), as slices."""
+    nyq = freq_resolution * (n_bins - 1)
     for lo, hi in bands:
         if not 0 <= lo < hi:
             raise DspError(f'degenerate band ({lo}, {hi})')
         if hi > nyq + 1e-9:
             raise DspError(f'band ({lo}, {hi}) beyond Nyquist {nyq:.0f} Hz')
-    power = 10.0 ** (spec.frames / 10.0)
-    freqs = spec.freq_resolution * np.arange(spec.frames.shape[1])
-    rows = []
+    freqs = freq_resolution * np.arange(n_bins)
+    out = []
     for lo, hi in bands:
-        mask = (freqs >= lo) & (freqs <= hi)
-        if not mask.any():
+        inside = np.flatnonzero((freqs >= lo) & (freqs <= hi))
+        if not inside.size:
             raise DspError(f'band ({lo}, {hi}) contains no bins')
-        rows.append(10.0 * np.log10(np.maximum(power[:, mask].sum(axis=1),
-                                               10 ** (DB_FLOOR / 10.0))))
-    return BandEnergyTracks(list(bands), np.vstack(rows), spec.times(),
+        out.append(slice(int(inside[0]), int(inside[-1]) + 1))
+    return out
+
+
+def _power_to_db(power: np.ndarray) -> np.ndarray:
+    return 10.0 * np.log10(np.maximum(power, 10 ** (DB_FLOOR / 10.0)))
+
+
+def band_energies(spec: Spectrogram,
+                  bands: list[tuple[float, float]]) -> BandEnergyTracks:
+    """Per-frame energy of each band: bin powers summed, then to dB."""
+    bins = _band_bins(bands, spec.freq_resolution, spec.frames.shape[1])
+    power = 10.0 ** (spec.frames / 10.0)
+    energy = np.vstack([_power_to_db(power[:, b].sum(axis=1)) for b in bins])
+    return BandEnergyTracks(list(bands), energy, spec.times(),
                             spec.frame_step)
 
 
@@ -287,10 +304,12 @@ def spectral_tilt(tracks: BandEnergyTracks,
 
 @dataclass
 class ParameterTrack:
-    """Cue parameters as arrays, one value per band-track frame."""
+    """Cue parameters as arrays, one value per band-track frame, and the
+    audio they were measured on, for the cues computed only on demand."""
     tracks: BandEnergyTracks   # the standard bands: low, f1, mid, high
-    f0: np.ndarray             # Hz, NaN where unvoiced
     tilt: np.ndarray           # dB/octave over the f1, mid and high bands
+    audio: AudioBuffer
+    cfg: AnalysisConfig
 
     def at(self, t: float) -> int:
         """Index of the frame nearest to t."""
@@ -306,27 +325,47 @@ class ParameterTrack:
         return slice(int(np.searchsorted(times, t0, 'left')),
                      int(np.searchsorted(times, t1, 'right')))
 
+    def voiced(self, frames) -> np.ndarray:
+        """Whether each of the given frame indices is voiced, from one
+        `estimate_f0` call on those frames' times only."""
+        times = self.tracks.times[np.asarray(frames, dtype=np.intp)]
+        return ~np.isnan(estimate_f0(self.audio, times, self.cfg))
+
 
 STANDARD_BANDS = ('low_band', 'f1_band', 'mid_band', 'high_band')
 
 
 def standard_tracks(audio: AudioBuffer,
                     cfg: AnalysisConfig | None = None) -> BandEnergyTracks:
+    """The standard band energies, as `band_energies(compute_spectrogram(
+    ...))` gives them (bands clipped at Nyquist), but summed from each
+    block's bin powers: no dB spectrogram is built."""
     cfg = cfg or AnalysisConfig()
-    spec = compute_spectrogram(audio, cfg.frame_length, cfg.frame_step)
-    nyq = spec.nyquist
+    n_frames, nwin, blocks = _frame_spectra(audio, cfg.frame_length,
+                                            cfg.frame_step)
+    resolution = audio.sample_rate / nwin
+    nyq = resolution * (nwin // 2)
     bands = []
     for name in STANDARD_BANDS:
         lo, hi = getattr(cfg, name)
         bands.append((lo, min(hi, nyq)))
-    return band_energies(spec, bands)
+    bins = _band_bins(bands, resolution, nwin // 2 + 1)
+    power = np.empty((len(bands), n_frames))
+    for b, spec in blocks:
+        bin_power = np.maximum(spec.real ** 2 + spec.imag ** 2,
+                               10 ** (DB_FLOOR / 10.0))
+        for row, band in zip(power, bins):
+            row[b:b + len(spec)] = bin_power[:, band].sum(axis=1)
+    times = cfg.frame_length / 2 + cfg.frame_step * np.arange(n_frames)
+    return BandEnergyTracks(bands, _power_to_db(power), times,
+                            cfg.frame_step)
 
 
 def parameter_frames(audio: AudioBuffer,
                      cfg: AnalysisConfig | None = None) -> ParameterTrack:
     """Per-frame acoustic parameters used for cue extraction: the standard
-    band tracks, F0 and spectral tilt on the spectrogram's frames."""
+    band tracks and spectral tilt on the spectrogram's frames.  Voicing
+    is computed later, only on the frames a cue rule reads."""
     cfg = cfg or AnalysisConfig()
     tracks = standard_tracks(audio, cfg)
-    return ParameterTrack(tracks, estimate_f0(audio, tracks.times, cfg),
-                          spectral_tilt(tracks))
+    return ParameterTrack(tracks, spectral_tilt(tracks), audio, cfg)

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
 
 class FeatureValue(enum.Enum):
@@ -102,18 +104,26 @@ class LookupError_(KeyError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureInventory:
+    """Immutable: the lists are stored as tuples and the dicts behind
+    read-only mapping proxies."""
     language_tag: str
-    phonemes: list[PhonemeId]
-    bundles: dict[str, FeatureBundle]      # keyed by ipa
-    features: list[str]
-    by_ipa: dict[str, PhonemeId] = field(default_factory=dict)
-    by_arpabet: dict[str, PhonemeId] = field(default_factory=dict)
+    phonemes: tuple[PhonemeId, ...]
+    bundles: Mapping[str, FeatureBundle]   # keyed by ipa
+    features: tuple[str, ...]
+    by_ipa: Mapping[str, PhonemeId] = field(init=False)
+    by_arpabet: Mapping[str, PhonemeId] = field(init=False)
 
     def __post_init__(self):
-        self.by_ipa = {p.ipa: p for p in self.phonemes}
-        self.by_arpabet = {p.arpabet: p for p in self.phonemes}
+        assign = object.__setattr__
+        assign(self, 'phonemes', tuple(self.phonemes))
+        assign(self, 'bundles', MappingProxyType(dict(self.bundles)))
+        assign(self, 'features', tuple(self.features))
+        assign(self, 'by_ipa',
+               MappingProxyType({p.ipa: p for p in self.phonemes}))
+        assign(self, 'by_arpabet',
+               MappingProxyType({p.arpabet: p for p in self.phonemes}))
 
     # -- basic lookups ----------------------------------------------------
     def phoneme(self, key) -> PhonemeId:
@@ -250,7 +260,7 @@ def load_inventory(text: str) -> FeatureInventory:
                 raise InventoryError(
                     f'non-distinct bundles: {a.arpabet} vs {b.arpabet}')
 
-    return FeatureInventory(language, phonemes, bundles, list(features))
+    return FeatureInventory(language, phonemes, bundles, features)
 
 
 def serialize_inventory(inv: FeatureInventory) -> str:

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import AnalysisConfig
 from .dsp import AudioBuffer, BandEnergyTracks, rate_of_rise, standard_tracks
@@ -85,25 +86,13 @@ def _gate(tracks: BandEnergyTracks, cfg: AnalysisConfig, rel=None):
     if float(tracks.energy[LOW].max()) <= SILENCE_DB:
         return None
     rel = _relative(tracks, cfg) if rel is None else rel
-    active = rel[LOW] > -cfg.gate_db
+    starts, stops = _runs(rel[LOW] > -cfg.gate_db)
     min_run = max(1, int(round(cfg.gate_min_duration / tracks.frame_step)))
-    best = None
-    i = 0
-    n = len(active)
-    while i < n:
-        if active[i]:
-            j = i
-            while j < n and active[j]:
-                j += 1
-            if j - i >= min_run:
-                best = (i, j - 1) if best is None else (best[0], j - 1)
-            i = j
-        else:
-            i += 1
-    if best is None:
+    long = stops - starts >= min_run
+    if not long.any():
         return None
-    return (tracks.times[best[0]] - cfg.ror_window,
-            tracks.times[best[1]] + cfg.ror_window)
+    return (tracks.times[starts[long][0]] - cfg.ror_window,
+            tracks.times[stops[long][-1] - 1] + cfg.ror_window)
 
 
 def _sparse_table(x: np.ndarray, pick) -> list[np.ndarray]:
@@ -246,68 +235,78 @@ def detect_consonant_landmarks(tracks: BandEnergyTracks,
     # polarity comes from the low band (vocal-tract openness), so a
     # vowel-to-fricative transition reads as a closure even though the
     # high band rises
-    hits = (np.abs(rors) >= cfg.ror_threshold).sum(axis=0) >= 2
+    size = np.abs(rors)
+    hits = (size >= cfg.ror_threshold).sum(axis=0) >= 2
+    mag = size.sum(axis=0)
+    # one candidate per run of hits: its frame of largest summed |rate|
+    cands = []
+    for i0, i1 in zip(*_runs(hits)):
+        k = int(i0) + int(np.argmax(mag[i0:i1]))
+        if span[0] <= float(tracks.times[k]) <= span[1]:
+            cands.append(k)
+    manners = _classify_manner(rel, np.array(cands, dtype=np.intp), step,
+                               cfg)
     out = []
-    for i0, i1 in _runs(hits):
-        seg = rors[:, i0:i1]
-        mag = np.abs(seg).sum(axis=0)
-        k = i0 + int(np.argmax(mag))
-        t = float(tracks.times[k])
-        if not span[0] <= t <= span[1]:
-            continue
+    for k, manner in zip(cands, manners):
         polarity = rors[0, k] if abs(rors[0, k]) > 1e-9 else rors[:, k].sum()
         kind = (LandmarkKind.RELEASE if polarity > 0
                 else LandmarkKind.CLOSURE)
-        manner = _classify_manner(rel, k, step, cfg)
-        out.append(Landmark(t, kind, manner,
-                            strength=float(np.abs(rors[:, k]).max())))
-    out.sort(key=lambda lm: lm.time)
+        out.append(Landmark(float(tracks.times[k]), kind, manner,
+                            strength=float(size[:, k].max())))
     return out
 
 
-def _runs(mask: np.ndarray):
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j < n and mask[j]:
-                j += 1
-            yield i, j
-            i = j
-        else:
-            i += 1
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and (exclusive) stops of the runs of True in mask."""
+    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
-def _frication(rel: np.ndarray, lo: int, hi: int,
-               cfg: AnalysisConfig) -> bool:
-    """Sustained frication in [lo, hi): high band dominant and energetic."""
-    lo = max(0, lo)
-    hi = min(rel.shape[1], hi)
-    if hi <= lo:
-        return False
-    high = rel[HIGH, lo:hi]
-    low = rel[LOW, lo:hi]
-    dominant = float(np.median(high - low)) >= cfg.noise_dominance_db
-    energetic = float(np.median(high)) > -(cfg.gate_db - 10.0)
-    return dominant and energetic
+def _frication(rel: np.ndarray, starts: np.ndarray, n: int,
+               cfg: AnalysisConfig) -> np.ndarray:
+    """Sustained frication in each window [s, s + n), clipped to the
+    track: high band dominant and energetic.  An empty window has none.
+
+    Whole windows read their medians from one sliding-window median per
+    band; the few clipped at the track edges are computed one by one.
+    """
+    total = rel.shape[1]
+    dominance = rel[HIGH] - rel[LOW]
+    med_dominance = np.full(len(starts), -np.inf)
+    med_high = np.full(len(starts), -np.inf)
+    whole = (starts >= 0) & (starts + n <= total)
+    if whole.any():
+        s = starts[whole]
+        med_dominance[whole] = np.median(
+            sliding_window_view(dominance, n)[s], axis=1)
+        med_high[whole] = np.median(sliding_window_view(rel[HIGH], n)[s],
+                                    axis=1)
+    for i in np.flatnonzero(~whole).tolist():
+        lo, hi = max(0, int(starts[i])), min(total, int(starts[i]) + n)
+        if hi > lo:
+            med_dominance[i] = np.median(dominance[lo:hi])
+            med_high[i] = np.median(rel[HIGH, lo:hi])
+    return ((med_dominance >= cfg.noise_dominance_db)
+            & (med_high > -(cfg.gate_db - 10.0)))
 
 
-def _classify_manner(rel: np.ndarray, k: int, step: float,
-                     cfg: AnalysisConfig) -> Manner:
+def _classify_manner(rel: np.ndarray, ks: np.ndarray, step: float,
+                     cfg: AnalysisConfig) -> list[Manner]:
+    """Manner of the consonantal events at frames ks: sonorant when the
+    low band is about as strong on both sides, continuant with sustained
+    high-band noise on either side, else noncontinuant."""
     low = rel[LOW]
     d = max(1, int(round(0.030 / step)))
-    before = low[max(0, k - d)]
-    after = low[min(len(low) - 1, k + d)]
-    if abs(after - before) <= cfg.sonorant_window_db:
-        return Manner.SONORANT
-    # continuant: sustained high-band noise on either side of the event
+    before = low[np.maximum(ks - d, 0)]
+    after = low[np.minimum(ks + d, len(low) - 1)]
+    sonorant = np.abs(after - before) <= cfg.sonorant_window_db
     n = max(1, int(round(cfg.noise_min_duration / step)))
     off = max(1, int(round(0.005 / step)))
-    if _frication(rel, k + off, k + off + n, cfg) or \
-            _frication(rel, k - off - n, k - off, cfg):
-        return Manner.CONTINUANT
-    return Manner.NONCONTINUANT
+    fricated = _frication(rel, np.concatenate([ks + off, ks - off - n]),
+                          n, cfg).reshape(2, -1).any(axis=0)
+    return [Manner.SONORANT if s else
+            Manner.CONTINUANT if f else Manner.NONCONTINUANT
+            for s, f in zip(sonorant.tolist(), fricated.tolist())]
 
 
 def _require_bands(tracks: BandEnergyTracks, n: int):

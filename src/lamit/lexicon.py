@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from types import MappingProxyType
 
 from .features import (FeatureBundle, FeatureInventory, LookupError_,
                        MajorClass, PhonemeId, features_of)
@@ -39,10 +42,15 @@ class LexEntry:
         return [t.label for t in self.phonemes]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lexicon:
-    entries: dict[str, LexEntry]
+    """Immutable: the entries sit behind a read-only mapping proxy."""
+    entries: Mapping[str, LexEntry]
     inventory: FeatureInventory
+
+    def __post_init__(self):
+        object.__setattr__(self, 'entries',
+                           MappingProxyType(dict(self.entries)))
 
     def __len__(self):
         return len(self.entries)
@@ -55,6 +63,16 @@ class Lexicon:
         if key not in self.entries:
             raise LookupError_(f'unknown word {orthography!r}')
         return self.entries[key]
+
+    @cached_property
+    def by_ipa_sequence(self) -> Mapping[tuple[str, ...], LexEntry]:
+        """Entries by their phonemes' IPA symbols; of homophones, the
+        first entry.  Built on first use."""
+        idx: dict[tuple[str, ...], LexEntry] = {}
+        for entry in self.entries.values():
+            idx.setdefault(tuple(t.phoneme.ipa for t in entry.phonemes),
+                           entry)
+        return MappingProxyType(idx)
 
 
 def parse_arpabet(tokens: str, inv: FeatureInventory) -> list[PhonemeToken]:

@@ -244,29 +244,58 @@ def test_match_orphans_reported(tmp_path, capsys):
 
 
 def count_calls(monkeypatch, module, name):
-    """Replace module.name with a wrapper that counts its calls."""
+    """Replace module.name with a wrapper that records its arguments."""
     calls = []
     real = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return real(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
     return calls
 
 
+def voicing_times(audio):
+    """The frame times inside non-sonorant closure-release windows: the
+    only frames whose voicing a cue rule reads."""
+    from lamit import dsp, landmarks
+    params = dsp.parameter_frames(audio)
+    items = landmarks.detect_landmarks(params.tracks).items
+    frames = []
+    i = 0
+    while i < len(items):
+        cl = items[i]
+        if cl.kind is landmarks.LandmarkKind.CLOSURE and i + 1 < len(items) \
+                and items[i + 1].kind is landmarks.LandmarkKind.RELEASE:
+            rel = items[i + 1]
+            manner = rel.manner if rel.manner is not None else cl.manner
+            if manner is not landmarks.Manner.SONORANT:
+                frames += range(len(params.tracks.times))[
+                    params.window(cl.time, rel.time)]
+            i += 2
+        else:
+            i += 1
+    return params.tracks.times[frames]
+
+
 def test_match_wav_computes_one_spectrogram(tmp_path, monkeypatch):
+    """One spectral pass, fused with the band sums, and one F0 call on
+    just the frames the voicing rule reads."""
     from lamit import dsp
     audio, _ = synth.vcv_stop()
     wav = tmp_path / 'vcv.wav'
     write_wav(wav, audio)
     tg = word_doc_path(tmp_path, ['PAPÀ'], dur=audio.duration)
+    want = voicing_times(audio)
     spectrograms = count_calls(monkeypatch, dsp, 'compute_spectrogram')
+    bands = count_calls(monkeypatch, dsp, 'band_energies')
     f0s = count_calls(monkeypatch, dsp, 'estimate_f0')
     assert run('match', '--wav', str(wav), '--textgrid', str(tg),
                '--out', str(tmp_path / 'm.csv')) == 0
-    assert len(spectrograms) == 1
+    assert spectrograms == bands == []
     assert len(f0s) == 1
+    np.testing.assert_array_equal(f0s[0][1], want)
+    assert 0 < len(want) < len(dsp.standard_tracks(audio).times) // 2
 
 
 def test_landmarks_computes_no_f0(tmp_path, monkeypatch):
@@ -387,6 +416,28 @@ def test_bad_config_exits_2(tmp_path):
     assert run('stats', '--config', str(cfg), '--show-config') == 2
 
 
+@pytest.mark.parametrize('line', [
+    'f0_min = 0', 'f0_max = 0', 'f0_min = -50', 'f0_frame_length = 0',
+    'noise_min_duration = nan', 'noise_min_duration = 0',
+    'frame_step = 0', 'frame_length = -0.025', 'ror_window = 0',
+    'vowel_min_separation = 0', 'gate_min_duration = -1',
+    'gate_db = inf', 'ror_threshold = -inf', 'w_free = nan',
+    'high_band = 2500 inf', 'low_band = nan 400',
+])
+def test_non_finite_or_non_positive_config_exits_2(tmp_path, capsys, line):
+    audio, _ = synth.vcv_stop()
+    wav = tmp_path / 'vcv.wav'
+    write_wav(wav, audio)
+    tg = word_doc_path(tmp_path, ['PAPÀ'], dur=audio.duration)
+    cfg = tmp_path / 'bad.cfg'
+    cfg.write_text(f'# analysis\n{line}\n', encoding='utf-8')
+    assert run('match', '--wav', str(wav), '--textgrid', str(tg),
+               '--config', str(cfg), '--out', str(tmp_path / 'm.csv')) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert 'line 2' in err and line.split()[0] in err
+
+
 def test_data_dir_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv('LAMIT_DATA_DIR', str(tmp_path))
     # the default corpus now resolves inside the empty override dir
@@ -412,3 +463,29 @@ def test_text_commands_load_neither_scipy_nor_numpy():
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout.splitlines()
     assert out == ['[]', '0 False']
+
+
+def test_audio_commands_load_no_scipy(tmp_path):
+    audio, _ = synth.fricative_vcv()
+    wav = tmp_path / 'fvcv.wav'
+    write_wav(wav, audio)
+    tg = word_doc_path(tmp_path, ['BASSO'], dur=audio.duration)
+    probe = (
+        'import io, sys, contextlib\n'
+        'import lamit.cli\n'
+        'wav, tg, out = sys.argv[1:]\n'
+        'with contextlib.redirect_stdout(io.StringIO()):\n'
+        '    codes = [lamit.cli.main(["landmarks", "--wav", wav,\n'
+        '                             "--out", out]),\n'
+        '             lamit.cli.main(["match", "--wav", wav, "--textgrid",\n'
+        '                             tg, "--out", out + ".csv"])]\n'
+        'print(codes, "numpy" in sys.modules)\n'
+        'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))\n')
+    src = str(Path(__file__).resolve().parents[1] / 'src')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get('PYTHONPATH')])))
+    out = subprocess.run([sys.executable, '-c', probe, str(wav), str(tg),
+                          str(tmp_path / 'out')], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout.splitlines()
+    assert out == ['[0, 0] True', '[]']

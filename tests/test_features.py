@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -82,6 +83,56 @@ def test_inventory_bundles_read_only():
     for again in (copy.copy(single), copy.deepcopy(single),
                   pickle.loads(pickle.dumps(single))):
         assert type(again) is type(single) and again == single
+
+
+def test_inventory_bundle_table_read_only():
+    inv = load_italian()
+    with pytest.raises(TypeError):
+        inv.bundles['m'] = FeatureBundle()
+    with pytest.raises(TypeError):
+        del inv.bundles['m']
+    assert inv.bundles['m'] is features_of(inv, 'm')
+
+
+def test_inventory_feature_list_read_only():
+    inv = load_italian()
+    with pytest.raises(AttributeError):
+        inv.features.append('extra')
+    assert 'extra' not in inv.features and isinstance(inv.features, tuple)
+
+
+def test_inventory_phoneme_list_read_only():
+    inv = load_italian()
+    with pytest.raises(AttributeError):
+        inv.phonemes.pop()
+    assert len(inv.phonemes) == 50
+
+
+def test_inventory_lookup_tables_read_only():
+    inv = load_italian()
+    for table in (inv.by_ipa, inv.by_arpabet):
+        with pytest.raises(TypeError):
+            table['Q'] = inv.phonemes[0]
+    assert 'Q' not in inv.by_ipa and 'Q' not in inv.by_arpabet
+
+
+def test_inventory_fields_cannot_be_rebound():
+    inv = load_italian()
+    for name in ('language_tag', 'phonemes', 'bundles', 'features',
+                 'by_ipa', 'by_arpabet'):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inv, name, None)
+
+
+def test_inventory_does_not_share_the_callers_containers(italian):
+    phonemes, bundles = list(italian.phonemes), dict(italian.bundles)
+    features = list(italian.features)
+    inv = type(italian)('it', phonemes, bundles, features)
+    phonemes.pop()
+    bundles.clear()
+    features.append('extra')
+    assert len(inv.phonemes) == 50 and len(inv.bundles) == 50
+    assert inv.features == italian.features
 
 
 def test_classify_major_examples(italian):

@@ -4,9 +4,9 @@ import pytest
 
 from lamit.access import cues_to_bundles
 from lamit.config import AnalysisConfig
-from lamit.dsp import (BLOCK_FRAMES, DB_FLOOR, AudioBuffer,
-                       compute_spectrogram, estimate_f0, parameter_frames,
-                       standard_tracks)
+from lamit.dsp import (BLOCK_FRAMES, DB_FLOOR, AudioBuffer, DspError,
+                       band_energies, compute_spectrogram, estimate_f0,
+                       parameter_frames, standard_tracks)
 from lamit.landmarks import detect_all, detect_landmarks
 
 import synth
@@ -185,12 +185,123 @@ def test_parameter_track_arrays():
     audio, _ = synth.vowel_rise_fall(0.3)
     params = parameter_frames(audio)
     n = len(params.tracks.times)
-    assert params.f0.shape == params.tilt.shape == (n,)
+    assert params.tilt.shape == (n,)
+    assert params.audio is audio
+    assert not hasattr(params, 'f0')
     np.testing.assert_array_equal(params.tracks.energy,
                                   standard_tracks(audio).energy)
+    voiced = params.voiced(np.arange(n))
+    assert voiced.dtype == bool and voiced.any()
     np.testing.assert_array_equal(
-        np.isnan(params.f0),
-        np.isnan(estimate_f0(audio, params.tracks.times)))
+        voiced, ~np.isnan(estimate_f0(audio, params.tracks.times)))
+
+
+def frame_sets(n, rng):
+    """Empty, single-frame, edge, whole-track and random frame sets."""
+    yield []
+    yield [0]
+    yield [n - 1]
+    yield [0, n - 1]
+    yield list(range(n))
+    yield list(range(max(0, n - BLOCK_FRAMES - 3), n))
+    for size in (1, 5, BLOCK_FRAMES + 1):
+        yield rng.integers(0, n, size).tolist()
+    yield sorted(rng.choice(n, n // 3, replace=False).tolist())
+
+
+def assert_voiced_on_demand(audio, cfg=None, seed=0):
+    params = parameter_frames(audio, cfg)
+    times = params.tracks.times
+    whole = ~np.isnan(estimate_f0(audio, times, cfg))
+    for frames in frame_sets(len(times), np.random.default_rng(seed)):
+        got = params.voiced(frames)
+        assert got.dtype == bool and got.shape == (len(frames),)
+        np.testing.assert_array_equal(got, whole[frames])
+
+
+@pytest.mark.parametrize('name', fixtures().keys())
+def test_voiced_on_demand_on_fixtures(name):
+    assert_voiced_on_demand(fixtures()[name])
+
+
+@pytest.mark.parametrize('seed', range(6))
+def test_voiced_on_demand_on_random_signals(seed):
+    assert_voiced_on_demand(random_signal(seed), seed=seed)
+
+
+def test_voiced_on_demand_reads_the_track_settings():
+    cfg = AnalysisConfig(f0_frame_length=0.025, f0_min=70.0, f0_max=300.0,
+                         f0_voicing_threshold=0.5)
+    for seed in range(3):
+        assert_voiced_on_demand(random_signal(200 + seed), cfg, seed)
+
+
+def band_energies_masked(spec, bands):
+    """Reference band energies: dB bins back to power, summed under a
+    boolean frequency mask per band."""
+    power = 10.0 ** (spec.frames / 10.0)
+    freqs = spec.freq_resolution * np.arange(spec.frames.shape[1])
+    return np.vstack([
+        10.0 * np.log10(np.maximum(
+            power[:, (freqs >= lo) & (freqs <= hi)].sum(axis=1),
+            10 ** (DB_FLOOR / 10.0)))
+        for lo, hi in bands])
+
+
+def assert_fused_tracks_match(audio, cfg=None):
+    cfg = cfg or AnalysisConfig()
+    fused = standard_tracks(audio, cfg)
+    spec = compute_spectrogram(audio, cfg.frame_length, cfg.frame_step)
+    oracle = band_energies(spec, fused.bands)
+    # a sum over a slice adds in another order than one over a masked
+    # copy, so the last bits may differ
+    assert np.max(np.abs(oracle.energy - band_energies_masked(
+        spec, fused.bands))) <= 1e-12
+    assert fused.bands == oracle.bands
+    assert fused.frame_step == oracle.frame_step
+    np.testing.assert_array_equal(fused.times, oracle.times)
+    assert fused.energy.shape == oracle.energy.shape
+    assert np.max(np.abs(fused.energy - oracle.energy)) <= 1e-12
+
+
+@pytest.mark.parametrize('name', fixtures().keys())
+def test_fused_band_energies_match_spectrogram(name):
+    assert_fused_tracks_match(fixtures()[name])
+
+
+@pytest.mark.parametrize('seed', range(12))
+def test_fused_band_energies_match_on_random_signals(seed):
+    assert_fused_tracks_match(random_signal(seed))
+
+
+def test_fused_band_energies_with_other_settings():
+    cfg = AnalysisConfig(frame_length=0.030, frame_step=0.010,
+                         low_band=(50.0, 350.0), high_band=(3000.0, 9000.0))
+    for seed in range(4):
+        # at 16 kHz the high band is clipped at Nyquist
+        assert_fused_tracks_match(random_signal(300 + seed), cfg)
+    # one frame, and frames ending on the block boundaries
+    for n_frames in (1, BLOCK_FRAMES, BLOCK_FRAMES + 1):
+        n = 400 + 80 * (n_frames - 1)
+        audio = AudioBuffer(np.random.default_rng(n).standard_normal(n),
+                            16000)
+        assert len(standard_tracks(audio).times) == n_frames
+        assert_fused_tracks_match(audio)
+
+
+@pytest.mark.parametrize('cfg, message', [
+    (AnalysisConfig(low_band=(400.0, 300.0)), 'degenerate band'),
+    (AnalysisConfig(low_band=(100.0, 110.0)), 'contains no bins'),
+    (AnalysisConfig(frame_step=0.030), 'frame_length >= frame_step'),
+])
+def test_fused_band_energies_raise_as_the_spectrogram_does(cfg, message):
+    audio = fixtures()['steady_vowel']
+    with pytest.raises(DspError, match=message):
+        standard_tracks(audio, cfg)
+    with pytest.raises(DspError, match=message):
+        band_energies(compute_spectrogram(audio, cfg.frame_length,
+                                          cfg.frame_step),
+                      [cfg.low_band, cfg.high_band])
 
 
 def test_parameter_track_window_includes_both_ends():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from lamit.config import AnalysisConfig
-from lamit.dsp import AudioBuffer, standard_tracks
-from lamit.landmarks import (Landmark, LandmarkError, LandmarkKind,
-                             LandmarkSequence, Manner, detect_all,
+from lamit.dsp import AudioBuffer, BandEnergyTracks, standard_tracks
+from lamit.landmarks import (HIGH, LOW, SILENCE_DB, Landmark, LandmarkError,
+                             LandmarkKind, LandmarkSequence, Manner,
+                             _classify_manner, _frication, _gate, _relative,
+                             _runs, detect_all,
                              detect_consonant_landmarks,
                              detect_glide_landmarks, detect_vowel_landmarks,
                              landmark_sequence, landmarks_csv,
@@ -225,3 +227,169 @@ def test_csv_parse_rejects_unordered_times():
     text = 'time_s,kind,manner,strength_dB\n0.2,Vowel,,1\n0.1,Glide,,1\n'
     with pytest.raises(LandmarkError, match='line 3: .*increase'):
         parse_landmarks_csv(text)
+
+
+# ------------------------------------- vectorised detectors vs the loops
+
+def runs_loop(mask):
+    """Reference runs of True: the per-frame while loop."""
+    i, n = 0, len(mask)
+    while i < n:
+        if mask[i]:
+            j = i
+            while j < n and mask[j]:
+                j += 1
+            yield i, j
+            i = j
+        else:
+            i += 1
+
+
+def gate_loop(tracks, cfg):
+    """Reference gate: the longest-run scan as a per-frame while loop."""
+    if float(tracks.energy[LOW].max()) <= SILENCE_DB:
+        return None
+    active = _relative(tracks, cfg)[LOW] > -cfg.gate_db
+    min_run = max(1, int(round(cfg.gate_min_duration / tracks.frame_step)))
+    best = None
+    for i, j in runs_loop(active):
+        if j - i >= min_run:
+            best = (i, j - 1) if best is None else (best[0], j - 1)
+    if best is None:
+        return None
+    return (tracks.times[best[0]] - cfg.ror_window,
+            tracks.times[best[1]] + cfg.ror_window)
+
+
+def frication_one(rel, lo, hi, cfg):
+    """Reference frication test of one window [lo, hi)."""
+    lo = max(0, lo)
+    hi = min(rel.shape[1], hi)
+    if hi <= lo:
+        return False
+    high = rel[HIGH, lo:hi]
+    low = rel[LOW, lo:hi]
+    dominant = float(np.median(high - low)) >= cfg.noise_dominance_db
+    energetic = float(np.median(high)) > -(cfg.gate_db - 10.0)
+    return dominant and energetic
+
+
+def manner_one(rel, k, step, cfg):
+    """Reference manner of one candidate frame k."""
+    low = rel[LOW]
+    d = max(1, int(round(0.030 / step)))
+    before = low[max(0, k - d)]
+    after = low[min(len(low) - 1, k + d)]
+    if abs(after - before) <= cfg.sonorant_window_db:
+        return Manner.SONORANT
+    n = max(1, int(round(cfg.noise_min_duration / step)))
+    off = max(1, int(round(0.005 / step)))
+    if frication_one(rel, k + off, k + off + n, cfg) or \
+            frication_one(rel, k - off - n, k - off, cfg):
+        return Manner.CONTINUANT
+    return Manner.NONCONTINUANT
+
+
+def random_masks(seed, count=300):
+    rng = np.random.default_rng(seed)
+    yield np.zeros(0, dtype=bool)
+    for n in (1, 2, 7):
+        yield np.ones(n, dtype=bool)
+        yield np.zeros(n, dtype=bool)
+    for _ in range(count):
+        n = int(rng.integers(1, 80))
+        yield rng.random(n) < rng.uniform(0.05, 0.95)
+
+
+def test_runs_equal_while_loop_on_random_masks():
+    for mask in random_masks(0):
+        starts, stops = _runs(mask)
+        assert list(zip(starts.tolist(), stops.tolist())) == \
+            list(runs_loop(mask))
+
+
+def test_gate_equals_while_loop_on_random_masks():
+    rng = np.random.default_rng(1)
+    for mask in random_masks(2):
+        if not len(mask):
+            continue
+        # low band within the gate where the mask is set, far below it
+        # elsewhere; sometimes all below the silence level
+        low = np.where(mask, rng.uniform(-50.0, 0.0, len(mask)),
+                       rng.uniform(-200.0, -61.0, len(mask)))
+        if rng.random() < 0.1:
+            low -= 100.0
+        energy = np.vstack([low, rng.uniform(-150.0, 0.0, (3, len(mask)))])
+        tracks = BandEnergyTracks(
+            [(0.0, 400.0), (300.0, 900.0), (800.0, 2500.0), (2500.0, 8000.0)],
+            energy, 0.0125 + 0.005 * np.arange(len(mask)), 0.005)
+        cfg = AnalysisConfig(
+            gate_min_duration=float(rng.choice([0.001, 0.01, 0.02, 0.1])))
+        assert _gate(tracks, cfg) == gate_loop(tracks, cfg)
+
+
+def assert_manners_match(tracks, cfg):
+    rel = _relative(tracks, cfg)
+    n = rel.shape[1]
+    # every frame, both track edges included
+    ks = np.arange(n)
+    got = _classify_manner(rel, ks, tracks.frame_step, cfg)
+    want = [manner_one(rel, int(k), tracks.frame_step, cfg) for k in ks]
+    assert got == want
+    width = max(1, int(round(cfg.noise_min_duration / tracks.frame_step)))
+    starts = np.arange(-width - 2, n + 2)
+    np.testing.assert_array_equal(
+        _frication(rel, starts, width, cfg),
+        [frication_one(rel, int(s), int(s) + width, cfg) for s in starts])
+    return set(got)
+
+
+def manner_fixtures():
+    def first(x):
+        return x[0] if isinstance(x, tuple) else x
+    return {name: first(make()) for name, make in (
+        ('steady_vowel', synth.steady_vowel),
+        ('vowel_rise_fall', lambda: synth.vowel_rise_fall(0.3)),
+        ('two_vowels', synth.two_vowels), ('cv_syllable', synth.cv_syllable),
+        ('vcv_stop', synth.vcv_stop), ('noise_onset', synth.noise_onset),
+        ('awa_glide', synth.awa_glide), ('apa_stop', synth.apa_stop),
+        ('ama_nasal', synth.ama_nasal),
+        ('fricative_vcv', synth.fricative_vcv),
+        ('short_noise', lambda: synth.buf(synth.frication_noise(0.04))))}
+
+
+@pytest.mark.parametrize('name', manner_fixtures().keys())
+def test_vectorised_manner_equals_per_candidate(name):
+    tracks = standard_tracks(manner_fixtures()[name])
+    assert_manners_match(tracks, AnalysisConfig())
+
+
+@pytest.mark.parametrize('seed', range(20))
+def test_vectorised_manner_equals_per_candidate_on_random_tracks(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    # coarse levels, so medians tie and sit on the thresholds
+    energy = rng.choice(np.arange(-70.0, 1.0, 5.0), (4, n))
+    step = float(rng.choice([0.002, 0.005, 0.01]))
+    tracks = BandEnergyTracks(
+        [(0.0, 400.0), (300.0, 900.0), (800.0, 2500.0), (2500.0, 8000.0)],
+        energy, step / 2 + step * np.arange(n), step)
+    cfg = AnalysisConfig(
+        noise_min_duration=float(rng.uniform(0.001, 0.08)),
+        noise_dominance_db=float(rng.choice([-10.0, 0.0, 5.0])),
+        sonorant_window_db=float(rng.choice([0.0, 5.0, 10.0])),
+        gate_db=float(rng.choice([40.0, 60.0])))
+    assert_manners_match(tracks, cfg)
+
+
+def test_vectorised_manner_covers_every_manner():
+    seen = set()
+    for audio in manner_fixtures().values():
+        tracks = standard_tracks(audio)
+        for cfg in (AnalysisConfig(),
+                    AnalysisConfig(noise_min_duration=0.1,
+                                   noise_dominance_db=-10.0,
+                                   sonorant_window_db=3.0),
+                    AnalysisConfig(noise_min_duration=0.004)):
+            seen |= assert_manners_match(tracks, cfg)
+    assert seen == set(Manner)

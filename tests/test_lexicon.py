@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from lamit.features import LookupError_, PLUS, MINUS
-from lamit.lexicon import (LexiconParseError, expand_word, geminate_of,
-                           load_lexicon, parse_arpabet, serialize_lexicon,
-                           singleton_of)
+from lamit.lexicon import (Lexicon, LexiconParseError, expand_word,
+                           geminate_of, load_lamit_lexicon, load_lexicon,
+                           parse_arpabet, serialize_lexicon, singleton_of)
 
 
 def test_parse_arpabet_mamma(italian):
@@ -126,3 +128,41 @@ def test_accented_orthographies_are_distinct(lamit_lexicon):
     assert e.phonemes != e_grave.phonemes
     assert e.phonemes[0].phoneme.ipa == 'e'
     assert e_grave.phonemes[0].phoneme.ipa == 'ɛ'
+
+
+def test_lexicon_entries_cannot_be_deleted(italian):
+    lex = load_lamit_lexicon(italian)
+    with pytest.raises(TypeError):
+        del lex.entries['MAMMA']
+    assert 'MAMMA' in lex
+
+
+def test_lexicon_entries_cannot_be_added(lamit_lexicon):
+    with pytest.raises(TypeError):
+        lamit_lexicon.entries['NUOVO'] = lamit_lexicon.entry('MAMMA')
+    with pytest.raises(AttributeError):
+        lamit_lexicon.entries.clear()
+    assert 'NUOVO' not in lamit_lexicon
+
+
+def test_lexicon_fields_cannot_be_rebound(lamit_lexicon, italian):
+    for name, value in (('entries', {}), ('inventory', italian)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lamit_lexicon, name, value)
+
+
+def test_lexicon_does_not_share_the_callers_dict(lamit_lexicon, italian):
+    entries = {'MAMMA': lamit_lexicon.entry('MAMMA')}
+    lex = Lexicon(entries, italian)
+    del entries['MAMMA']
+    assert len(lex) == 1 and 'MAMMA' in lex
+
+
+def test_lexicon_ipa_index_read_only(lamit_lexicon):
+    index = lamit_lexicon.by_ipa_sequence
+    mamma = lamit_lexicon.entry('MAMMA')
+    key = tuple(t.phoneme.ipa for t in mamma.phonemes)
+    assert index[key] is mamma
+    assert lamit_lexicon.by_ipa_sequence is index
+    with pytest.raises(TypeError):
+        index[key] = lamit_lexicon.entry('BENE')
