@@ -1,6 +1,7 @@
 """Lexical access: estimated feature bundles matched against the lexicon."""
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -12,7 +13,7 @@ from .features import (FeatureBundle, FeatureInventory, MINUS, PLUS,
                        PLUSMINUS, UNSPECIFIED, FeatureName)
 from .landmarks import F1, HIGH, LOW, LandmarkKind, LandmarkSequence, \
     Manner
-from .lexicon import Lexicon
+from .lexicon import Lexicon, PhonemeIndex
 from .textgrid import AnnotationDocument
 
 
@@ -38,6 +39,9 @@ class DistanceWeights:
     unspecified_cost: float = 0.25
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in
+                   (self.w_free, self.w_bound, self.unspecified_cost)):
+            raise MatchError('weights must be finite')
         if not self.w_free >= self.w_bound > 0:
             raise MatchError('need w_free >= w_bound > 0')
         if self.unspecified_cost < 0:
@@ -218,14 +222,12 @@ def score_candidate(segments, bundles, w: DistanceWeights,
 def cohort_match(segments, lex: Lexicon, w: DistanceWeights | None = None,
                  k: int = 10, word_freq: dict[str, int] | None = None
                  ) -> list[MatchResult]:
-    """Top-k candidates by incremental cohort scoring.
+    """Top-k candidates by cohort scoring over the whole lexicon.
 
     Each segment is scored against every inventory phoneme once, and
     segments with equal bundles share one row of distances, computed
-    afresh on every call.  Lossless pruning: a candidate is dropped only
-    when its prefix score already exceeds a known k-th best full score,
-    which can never remove a true top-k member (scores are
-    non-decreasing left to right).
+    afresh on every call; every entry's score is then summed from those
+    rows at once (see `_top_k`).
     """
     w = w or DistanceWeights()
     _check_query(lex, k)
@@ -233,7 +235,8 @@ def cohort_match(segments, lex: Lexicon, w: DistanceWeights | None = None,
     if not segments:
         raise MatchError('no segments to match')
     cost = _cost_rows(segments, lex.inventory, w, {})
-    return _rank(cost, _phones(lex), w, k, word_freq or {})
+    table = lex.phoneme_index
+    return _top_k(cost, table, w, k, _neg_freq(table, word_freq))
 
 
 def _check_query(lex: Lexicon, k: int):
@@ -243,14 +246,17 @@ def _check_query(lex: Lexicon, k: int):
         raise MatchError('k must be positive')
 
 
-def _phones(lex: Lexicon) -> dict[str, list[str]]:
-    return {orth: [t.phoneme.ipa for t in entry.phonemes]
-            for orth, entry in lex.entries.items()}
+def _neg_freq(table: PhonemeIndex, freq: dict[str, int] | None
+              ) -> np.ndarray:
+    if not freq:
+        return np.zeros(len(table.orthographies), dtype=np.intp)
+    return np.array([-freq.get(orth, 0) for orth in table.orthographies])
 
 
 def _cost_rows(segments, inv: FeatureInventory, w: DistanceWeights,
-               rows: dict) -> list[dict[str, float]]:
-    """Each segment's distances to every inventory phoneme, by ipa.
+               rows: dict) -> list[np.ndarray]:
+    """Each segment's distances to every inventory phoneme, in
+    `inv.phonemes` order, plus a trailing 0.0 for the lexicon's pad.
 
     Lexical bundles are shared per phoneme, so a segment needs one
     distance per inventory phoneme rather than one per lexicon entry.
@@ -263,56 +269,40 @@ def _cost_rows(segments, inv: FeatureInventory, w: DistanceWeights,
         key = frozenset(seg.bundle.items())
         row = rows.get(key)
         if row is None:
-            row = rows[key] = {
-                ipa: feature_distance(seg.bundle, bundle, w, inv)
-                for ipa, bundle in inv.bundles.items()}
+            row = rows[key] = np.array(
+                [feature_distance(seg.bundle, inv.bundles[p.ipa], w, inv)
+                 for p in inv.phonemes] + [0.0])
         out.append(row)
     return out
 
 
-def _rank(cost: list[dict[str, float]], phones: dict[str, list[str]],
-          w: DistanceWeights, k: int, freq: dict[str, int]
-          ) -> list[MatchResult]:
-    """Seeded-bound, prefix-pruned top-k over one cost row per segment."""
+def _top_k(cost: list[np.ndarray], table: PhonemeIndex, w: DistanceWeights,
+           k: int, neg_freq: np.ndarray) -> list[MatchResult]:
+    """Every entry scored, then the k best by score, corpus frequency
+    (higher first) and orthography.
+
+    Column i of the index matrix holds each entry's i-th phoneme, or the
+    pad past its end, so one gather of cost row i adds position i to all
+    entries.  The sums run left to right from 0.0 and adding the pad's
+    0.0 is exact, so each score is the float `score_candidate` gives.
+    """
     n = len(cost)
-
-    def full_score(orth):
-        ps = phones[orth]
-        m = min(len(ps), n)
-        return sum(cost[i][ps[i]] for i in range(m)) + \
-            w.w_free * abs(len(ps) - n)
-
-    # seed the pruning bound with the k entries closest in length
-    seeds = sorted(phones, key=lambda o: abs(len(phones[o]) - n))[:k]
-    seed_scores = sorted(full_score(o) for o in seeds)
-    bound = seed_scores[min(k, len(seed_scores)) - 1]
-
-    alive = {orth: 0.0 for orth in phones}
-    for i in range(n):
-        ci = cost[i]
-        nxt = {}
-        for orth, prefix in alive.items():
-            ps = phones[orth]
-            if i < len(ps):
-                prefix += ci[ps[i]]
-            if prefix <= bound:
-                nxt[orth] = prefix
-        alive = nxt
-    finals = []
-    for orth, prefix in alive.items():
-        score = prefix + w.w_free * abs(len(phones[orth]) - n)
-        finals.append((score, -freq.get(orth, 0), orth))
-    finals.sort()
+    scores = np.zeros(len(table.orthographies))
+    for row, column in zip(cost, table.index.T):
+        scores += row[column]
+    scores += w.w_free * np.abs(table.lengths - n)
+    best = np.lexsort((table.orth_rank, neg_freq, scores))[:k]
     # competition ranking: candidates with equal scores (homophones)
     # share a rank
     results = []
     rank = 0
     prev_score = None
-    for pos, (score, negfreq, orth) in enumerate(finals[:k], 1):
+    for pos, e in enumerate(best.tolist(), 1):
+        score = float(scores[e])
         if prev_score is None or score > prev_score:
             rank = pos
             prev_score = score
-        results.append(MatchResult(orth, score, rank))
+        results.append(MatchResult(table.orthographies[e], score, rank))
     return results
 
 
@@ -350,18 +340,19 @@ def match_in_word_intervals(doc: AnnotationDocument, segments, lex: Lexicon,
             per_word[j].append(seg)
         else:
             orphans.append(seg)
-    phones = _phones(lex)
     rows: dict = {}
-    freq = word_freq or {}
+    if any(per_word):
+        _check_query(lex, k)
+        table = lex.phoneme_index
+        neg_freq = _neg_freq(table, word_freq)
     matches = []
     for (i, iv), segs in zip(labelled, per_word):
         if not segs:
             matches.append(WordMatch(i, iv.label, [], no_evidence=True))
             continue
-        _check_query(lex, k)
         cost = _cost_rows(segs, lex.inventory, w, rows)
-        results = _rank(cost, phones, w, k, freq)
-        matches.append(WordMatch(i, iv.label, results))
+        matches.append(WordMatch(i, iv.label,
+                                 _top_k(cost, table, w, k, neg_freq)))
     return matches, orphans
 
 

@@ -192,9 +192,9 @@ def _segments_from_args(args, cfg):
         try:
             params = dsp.parameter_frames(dsp.read_wav(source), cfg)
             seq = landmarks.detect_landmarks(params.tracks, cfg)
+            return access.cues_to_bundles(seq, params, cfg)
         except (dsp.DspError, landmarks.LandmarkError) as e:
             raise CliError(f'{source}: {e}') from None
-        return access.cues_to_bundles(seq, params, cfg)
     # landmark CSV: broad-class evidence only
     try:
         seq = landmarks.parse_landmarks_csv(source.read_text('utf-8'))

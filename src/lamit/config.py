@@ -89,6 +89,9 @@ def parse_config_file(text: str, base: AnalysisConfig | None = None
             raise ConfigError(f'line {lineno}: {key} must be positive, '
                               f'got {val!r}')
         setattr(cfg, key, value)
+    if not cfg.f0_min < cfg.f0_max:
+        raise ConfigError(f'f0_min ({cfg.f0_min:g}) must be below f0_max '
+                          f'({cfg.f0_max:g})')
     return cfg
 
 

@@ -235,7 +235,9 @@ def rate_of_rise(track: np.ndarray, window: float,
 
 def estimate_f0(audio: AudioBuffer, times: np.ndarray,
                 cfg: AnalysisConfig | None = None) -> np.ndarray:
-    """Autocorrelation F0 per frame; NaN where unvoiced.
+    """Autocorrelation F0 per frame; NaN where unvoiced, and everywhere
+    when the audio is shorter than one F0 frame.  DspError when the
+    config leaves fewer than three lags to search at this sample rate.
 
     The frame for time t starts at sample rint(t * sr) - nwin // 2,
     clipped to the signal.  Each block of frames, mean removed, gets its
@@ -248,10 +250,15 @@ def estimate_f0(audio: AudioBuffer, times: np.ndarray,
     nwin = int(round(cfg.f0_frame_length * sr))
     lag_min = int(sr / cfg.f0_max)
     lag_max = min(int(np.ceil(sr / cfg.f0_min)), nwin - 2)
+    if lag_max - lag_min < 2:
+        raise DspError(
+            f'no F0 lag range at {sr} Hz: f0_min {cfg.f0_min:g} Hz, '
+            f'f0_max {cfg.f0_max:g} Hz, f0_frame_length '
+            f'{cfg.f0_frame_length:g} s')
     x = audio.samples
     times = np.asarray(times, dtype=np.float64)
     out = np.full(len(times), np.nan)
-    if len(x) < nwin or lag_max - lag_min < 2:
+    if len(x) < nwin:
         return out
     starts = np.clip(np.rint(times * sr).astype(np.intp) - nwin // 2,
                      0, len(x) - nwin)

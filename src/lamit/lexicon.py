@@ -7,9 +7,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from types import MappingProxyType
+from typing import TYPE_CHECKING, NamedTuple
 
 from .features import (FeatureBundle, FeatureInventory, LookupError_,
                        MajorClass, PhonemeId, features_of)
+
+if TYPE_CHECKING:       # numpy is imported only where the arrays are built
+    import numpy as np
 
 
 class LexiconParseError(ValueError):
@@ -42,6 +46,17 @@ class LexEntry:
         return [t.label for t in self.phonemes]
 
 
+class PhonemeIndex(NamedTuple):
+    """A lexicon as read-only arrays, one row per entry in entry order."""
+    orthographies: tuple[str, ...]
+    # (entries, longest entry): each phoneme's position in
+    # `inventory.phonemes`, padded past the entry's end with the number
+    # of inventory phonemes; column-major, so each column is contiguous
+    index: np.ndarray
+    lengths: np.ndarray       # phonemes per entry
+    orth_rank: np.ndarray     # each orthography's place in sorted() order
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Immutable: the entries sit behind a read-only mapping proxy."""
@@ -63,6 +78,29 @@ class Lexicon:
         if key not in self.entries:
             raise LookupError_(f'unknown word {orthography!r}')
         return self.entries[key]
+
+    @cached_property
+    def phoneme_index(self) -> PhonemeIndex:
+        """The entries as arrays for scoring all of them at once; see
+        `PhonemeIndex`.  Read-only, built on first use."""
+        import numpy as np
+        pad = len(self.inventory.phonemes)
+        position = {p.ipa: j for j, p in enumerate(self.inventory.phonemes)}
+        orths = tuple(self.entries)
+        lengths = np.array([len(self.entries[o].phonemes) for o in orths],
+                           dtype=np.intp)
+        index = np.full((len(orths), int(lengths.max(initial=0))), pad,
+                        dtype=np.intp, order='F')
+        # a boolean mask assigns in row-major order: entry by entry
+        index[np.arange(index.shape[1]) < lengths[:, None]] = [
+            position[t.phoneme.ipa]
+            for o in orths for t in self.entries[o].phonemes]
+        orth_rank = np.empty(len(orths), dtype=np.intp)
+        orth_rank[sorted(range(len(orths)), key=orths.__getitem__)] = \
+            np.arange(len(orths))
+        for a in (index, lengths, orth_rank):
+            a.flags.writeable = False
+        return PhonemeIndex(orths, index, lengths, orth_rank)
 
     @cached_property
     def by_ipa_sequence(self) -> Mapping[tuple[str, ...], LexEntry]:

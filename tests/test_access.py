@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lamit.access import (DistanceWeights, EstimatedSegment, MatchError,
-                          WordMatch, cohort_match, cues_to_bundles,
+                          MatchResult, WordMatch, cohort_match, cues_to_bundles,
                           feature_distance, match_in_word_intervals,
                           matches_csv, score_candidate)
 from lamit.config import AnalysisConfig
@@ -108,6 +108,17 @@ def test_weights_validation():
         DistanceWeights(w_free=1.0, w_bound=2.0)
     with pytest.raises(MatchError):
         DistanceWeights(unspecified_cost=-1)
+
+
+@pytest.mark.parametrize('bad', [
+    {'unspecified_cost': float('nan')}, {'unspecified_cost': float('inf')},
+    {'w_free': float('inf')}, {'w_free': float('nan')},
+    {'w_free': float('inf'), 'w_bound': float('inf')},
+    {'w_bound': float('nan')}])
+def test_weights_must_be_finite(bad):
+    # a NaN score would order differently under lexsort and tuple sort
+    with pytest.raises(MatchError, match='finite'):
+        DistanceWeights(**bad)
 
 
 # --------------------------------------------------------------- cohort
@@ -541,3 +552,171 @@ def test_word_match_errors_in_word_order(lamit_lexicon, italian):
     matches, _ = match_in_word_intervals(doc, [], Lexicon({}, italian), W,
                                          k=0)
     assert all(m.no_evidence for m in matches)
+
+
+# ------------------------------------------- array ranking vs the old loop
+
+def old_phones(lex):
+    return {orth: [t.phoneme.ipa for t in entry.phonemes]
+            for orth, entry in lex.entries.items()}
+
+
+def old_rank(cost, phones, w, k, freq):
+    """The seeded-bound, prefix-pruned ranking the array ranking
+    replaced, kept as an oracle: one dict of distances per segment."""
+    n = len(cost)
+
+    def full_score(orth):
+        ps = phones[orth]
+        m = min(len(ps), n)
+        return sum(cost[i][ps[i]] for i in range(m)) + \
+            w.w_free * abs(len(ps) - n)
+
+    seeds = sorted(phones, key=lambda o: abs(len(phones[o]) - n))[:k]
+    seed_scores = sorted(full_score(o) for o in seeds)
+    bound = seed_scores[min(k, len(seed_scores)) - 1]
+
+    alive = {orth: 0.0 for orth in phones}
+    for i in range(n):
+        ci = cost[i]
+        nxt = {}
+        for orth, prefix in alive.items():
+            ps = phones[orth]
+            if i < len(ps):
+                prefix += ci[ps[i]]
+            if prefix <= bound:
+                nxt[orth] = prefix
+        alive = nxt
+    finals = []
+    for orth, prefix in alive.items():
+        score = prefix + w.w_free * abs(len(phones[orth]) - n)
+        finals.append((score, -freq.get(orth, 0), orth))
+    finals.sort()
+    results = []
+    rank = 0
+    prev_score = None
+    for pos, (score, negfreq, orth) in enumerate(finals[:k], 1):
+        if prev_score is None or score > prev_score:
+            rank = pos
+            prev_score = score
+        results.append(MatchResult(orth, score, rank))
+    return results
+
+
+def old_cost(segments, lex, w):
+    inv = lex.inventory
+    return [{ipa: feature_distance(s.bundle, bundle, w, inv)
+             for ipa, bundle in inv.bundles.items()} for s in segments]
+
+
+def old_cohort_match(segments, lex, w, k, word_freq=None):
+    return old_rank(old_cost(segments, lex, w), old_phones(lex), w, k,
+                    word_freq or {})
+
+
+BROAD_FEATURES = ('vowel', 'glide', 'cons', 'son', 'cont')
+
+
+def random_query(rng, lex):
+    """Degraded, broad or concatenated entries: the last are longer than
+    the longest entry."""
+    kind = rng.choice(['degraded', 'broad', 'long'])
+    if kind == 'long':
+        segments = []
+        while len(segments) <= lex.phoneme_index.index.shape[1]:
+            segments += _random_segments(rng, lex)
+        return segments
+    segments = _random_segments(rng, lex)
+    if kind == 'broad':
+        for s in segments:
+            for f in [f for f in s.bundle if f not in BROAD_FEATURES]:
+                del s.bundle[f]
+    return segments
+
+
+@pytest.mark.parametrize('w', [W, W_ODD], ids=['default', 'non-dyadic'])
+def test_array_ranking_equals_old_rank(lamit_lexicon, w):
+    rng = random.Random(11)
+    n_entries = len(lamit_lexicon)
+    longest = lamit_lexicon.phoneme_index.index.shape[1]
+    seen_long = seen_shared_rank = 0
+    for trial in range(120):
+        segments = random_query(rng, lamit_lexicon)
+        k = rng.choice([1, 3, 10, n_entries, n_entries + 7])
+        freq = rng.choice([None, {orth: rng.randint(0, 2)
+                                  for orth in lamit_lexicon.entries}])
+        mine = cohort_match(segments, lamit_lexicon, w, k, freq)
+        assert mine == old_cohort_match(segments, lamit_lexicon, w, k, freq)
+        assert len(mine) == min(k, n_entries)
+        seen_long += len(segments) > longest
+        ranks = [r.cohort_rank for r in mine]
+        seen_shared_rank += len(set(ranks)) < len(ranks)
+    assert seen_long and seen_shared_rank
+
+
+def test_array_ranking_homophones_and_frequency_ties(lamit_lexicon):
+    segments = segs_for(lamit_lexicon, 'A')
+    n_entries = len(lamit_lexicon)
+    for freq in (None, {'HA': 5}, {'A': 5}, {'A': 3, 'HA': 3}):
+        for k in (1, 2, 10, n_entries):
+            mine = cohort_match(segments, lamit_lexicon, W, k, freq)
+            assert mine == old_cohort_match(segments, lamit_lexicon, W, k,
+                                            freq)
+    top = cohort_match(segments, lamit_lexicon, W, 2, {'HA': 5})
+    assert [(r.word, r.cohort_rank) for r in top] == [('HA', 1), ('A', 1)]
+    top = cohort_match(segments, lamit_lexicon, W, 2)
+    assert [(r.word, r.cohort_rank) for r in top] == [('A', 1), ('HA', 1)]
+
+
+def test_array_ranking_on_small_lexicons(lamit_lexicon, italian):
+    """Sub-lexicons, so that k often exceeds the lexicon and entry order
+    differs from sorted order."""
+    from lamit.lexicon import load_lexicon, serialize_lexicon
+    rng = random.Random(3)
+    lines = [ln for ln in serialize_lexicon(lamit_lexicon).splitlines()
+             if ln]
+    for trial in range(40):
+        sub = load_lexicon('\n'.join(rng.sample(lines, rng.randint(1, 12))),
+                           italian)
+        segments = random_query(rng, sub)
+        freq = {orth: rng.randint(0, 1) for orth in sub.entries}
+        for w in (W, W_ODD):
+            cost = old_cost(segments, sub, w)
+            for k in (1, 5, 20):
+                assert cohort_match(segments, sub, w, k, freq) == \
+                    old_rank(cost, old_phones(sub), w, k, freq)
+
+
+def test_empty_lexicon_raises_before_index_is_built(lamit_lexicon, italian):
+    empty = Lexicon({}, italian)
+    with pytest.raises(MatchError, match='empty lexicon'):
+        cohort_match(segs_for(lamit_lexicon, 'CASA'), empty, W)
+    doc, segments = make_word_doc(lamit_lexicon, ['CASA'])
+    with pytest.raises(MatchError, match='empty lexicon'):
+        match_in_word_intervals(doc, segments, empty, W)
+    assert 'phoneme_index' not in vars(empty)
+
+
+def test_phoneme_index_read_only(lamit_lexicon):
+    table = lamit_lexicon.phoneme_index
+    assert table is lamit_lexicon.phoneme_index
+    for a in (table.index, table.lengths, table.orth_rank):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+def test_phoneme_index_layout(lamit_lexicon, italian):
+    table = lamit_lexicon.phoneme_index
+    pad = len(italian.phonemes)
+    orths = list(lamit_lexicon.entries)
+    assert list(table.orthographies) == orths
+    assert [orths[i] for i in sorted(range(len(orths)),
+                                     key=table.orth_rank.__getitem__)] == \
+        sorted(orths)
+    for row, length, orth in zip(table.index, table.lengths, orths):
+        phonemes = lamit_lexicon.entries[orth].phonemes
+        assert length == len(phonemes)
+        assert [italian.phonemes[j].ipa for j in row[:length]] == \
+            [t.phoneme.ipa for t in phonemes]
+        assert all(row[length:] == pad)

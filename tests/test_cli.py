@@ -8,6 +8,7 @@ import pytest
 import scipy.io.wavfile
 
 from lamit.cli import main
+from lamit.config import ConfigError, parse_config_file
 from lamit.dsp import write_wav
 from lamit.textgrid import (AnnotationDocument, Interval, IntervalTier,
                             parse_textgrid, serialize_textgrid)
@@ -436,6 +437,35 @@ def test_non_finite_or_non_positive_config_exits_2(tmp_path, capsys, line):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert 'line 2' in err and line.split()[0] in err
+
+
+@pytest.mark.parametrize('text', [
+    'f0_min = 400\nf0_max = 100\n', 'f0_min = 500\n', 'f0_max = 50\n'])
+def test_f0_limits_out_of_order_exit_2(tmp_path, capsys, text):
+    with pytest.raises(ConfigError, match='f0_min .* f0_max'):
+        parse_config_file(text)
+    audio, _ = synth.vcv_stop()
+    wav = tmp_path / 'vcv.wav'
+    write_wav(wav, audio)
+    tg = word_doc_path(tmp_path, ['PAPÀ'], dur=audio.duration)
+    cfg = tmp_path / 'f0.cfg'
+    cfg.write_text(text, encoding='utf-8')
+    assert run('match', '--wav', str(wav), '--textgrid', str(tg),
+               '--config', str(cfg), '--out', str(tmp_path / 'm.csv')) == 2
+    assert_one_line_error(capsys, 'f0_min', 'f0_max')
+
+
+def test_f0_frame_too_short_for_lags_exits_2(tmp_path, capsys):
+    audio, _ = synth.vcv_stop()
+    wav = tmp_path / 'vcv.wav'
+    write_wav(wav, audio)
+    tg = word_doc_path(tmp_path, ['PAPÀ'], dur=audio.duration)
+    cfg = tmp_path / 'f0.cfg'
+    cfg.write_text('f0_frame_length = 0.002\n', encoding='utf-8')
+    assert run('match', '--wav', str(wav), '--textgrid', str(tg),
+               '--config', str(cfg), '--out', str(tmp_path / 'm.csv')) == 2
+    assert_one_line_error(capsys, str(wav), 'no F0 lag range')
+    assert not (tmp_path / 'm.csv').exists()
 
 
 def test_data_dir_env_override(tmp_path, monkeypatch, capsys):

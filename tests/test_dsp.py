@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
+from lamit.config import AnalysisConfig
 from lamit.dsp import (AudioBuffer, DspError, band_energies,
                        compute_spectrogram, estimate_f0, rate_of_rise,
                        read_wav, standard_tracks, write_wav)
@@ -135,6 +136,22 @@ def test_f0_range_clipped():
     f0 = estimate_f0(audio, np.arange(0.1, 0.3, 0.01))
     voiced = f0[~np.isnan(f0)]
     assert np.all((voiced >= 50) & (voiced <= 500))
+
+
+def test_f0_empty_lag_range_raises():
+    audio = synth.buf(synth.pulse_train(0.3, f0=120.0))
+    times = np.array([0.1, 0.2])
+    # a frame too short for f0_max, and limits the wrong way round
+    for cfg in (AnalysisConfig(f0_frame_length=0.002),
+                AnalysisConfig(f0_min=400.0, f0_max=100.0)):
+        with pytest.raises(DspError, match='no F0 lag range'):
+            estimate_f0(audio, times, cfg)
+
+
+def test_f0_audio_shorter_than_frame_is_unvoiced():
+    audio = synth.buf(synth.pulse_train(0.02, f0=120.0))
+    f0 = estimate_f0(audio, np.array([0.005, 0.01]))
+    assert f0.shape == (2,) and np.all(np.isnan(f0))
 
 
 def test_time_shift_equivariance():
