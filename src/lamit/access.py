@@ -34,9 +34,9 @@ class EstimatedSegment:
 
 @dataclass(frozen=True)
 class DistanceWeights:
-    w_free: float = 2.0
-    w_bound: float = 1.0
-    unspecified_cost: float = 0.25
+    w_free: float = AnalysisConfig.w_free
+    w_bound: float = AnalysisConfig.w_bound
+    unspecified_cost: float = AnalysisConfig.unspecified_cost
 
     def __post_init__(self):
         if not all(math.isfinite(x) for x in

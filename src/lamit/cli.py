@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -35,37 +36,31 @@ def data_dir() -> Path:
     return Path(str(resources.files('lamit') / 'data'))
 
 
-def _data_file(explicit, name) -> Path:
-    path = Path(explicit) if explicit else data_dir() / name
+def _existing(path, what) -> Path:
+    path = Path(path)
     if not path.exists():
-        raise CliError(f'missing file: {path}', EXIT_USAGE)
+        raise CliError(f'missing {what}: {path}')
     return path
 
 
+def _data_file(explicit, name) -> Path:
+    return _existing(explicit or data_dir() / name, 'file')
+
+
 def _load_config(args) -> AnalysisConfig:
+    """The defaults, overridden by each --config file in turn."""
     cfg = AnalysisConfig()
-    if getattr(args, 'config', None):
-        path = Path(args.config)
-        if not path.exists():
-            raise CliError(f'missing config file: {path}')
+    for name in args.config or ():
+        path = _existing(name, 'config file')
         try:
             cfg = parse_config_file(path.read_text('utf-8'), cfg)
         except ConfigError as e:
             raise CliError(f'bad config: {e}') from None
-    if getattr(args, 'weights', None):
-        path = Path(args.weights)
-        if not path.exists():
-            raise CliError(f'missing weights file: {path}')
-        try:
-            cfg = parse_config_file(path.read_text('utf-8'), cfg)
-        except ConfigError as e:
-            raise CliError(f'bad weights: {e}') from None
     return cfg
 
 
 def _load_italian(args):
-    path = _data_file(getattr(args, 'inventory', None),
-                      'italian_features.tsv')
+    path = _data_file(args.inventory, 'italian_features.tsv')
     try:
         return features.load_inventory(path.read_text('utf-8'))
     except features.InventoryError as e:
@@ -73,17 +68,28 @@ def _load_italian(args):
 
 
 def _load_lexicon(args, inv):
-    path = _data_file(getattr(args, 'lexicon', None), 'lamit_lexicon.tsv')
+    path = _data_file(args.lexicon, 'lamit_lexicon.tsv')
     try:
         return lexicon.load_lexicon(path.read_text('utf-8'), inv)
     except lexicon.LexiconParseError as e:
         raise CliError(f'lexicon: {e}', EXIT_VALIDATION) from None
 
 
-def _write_output(args, text, default_stream=True):
-    if getattr(args, 'out', None):
+def _read_word_doc(args) -> AnnotationDocument:
+    path = _existing(args.textgrid, 'TextGrid')
+    try:
+        doc = parse_textgrid(path.read_bytes())
+    except TextGridError as e:
+        raise CliError(f'TextGrid: {e}') from None
+    if not doc.has_tier('Word'):
+        raise CliError('input has no Word tier', EXIT_RESOLUTION)
+    return doc
+
+
+def _write_output(args, text):
+    if args.out:
         Path(args.out).write_text(text, encoding='utf-8')
-    elif default_stream:
+    else:
         sys.stdout.write(text)
 
 
@@ -97,12 +103,10 @@ def cmd_stats(args) -> int:
         table = corpus.phoneme_frequencies(sentences, inv)
     except corpus.TranscriptionError as e:
         raise CliError(f'corpus: {e}', EXIT_VALIDATION) from None
-    csv = corpus.frequency_csv(table)
-    _write_output(args, csv)
+    _write_output(args, corpus.frequency_csv(table))
     if args.out:
-        rows = sorted(table.counts.items(), key=lambda kv: -kv[1])
         print(f'{"phoneme":>8} {"arpabet":>8} {"count":>6} {"percent":>8}')
-        for p, n in rows:
+        for p, n in table.rows():
             print(f'{p.ipa:>8} {p.arpabet:>8} {n:6d} '
                   f'{table.percentages[p]:8.2f}')
         print(f'{"total":>8} {"":>8} {table.total:6d} {100.0:8.2f}')
@@ -111,43 +115,31 @@ def cmd_stats(args) -> int:
 
 # ----------------------------------------------------------------- lexi
 
+def _read_sentence(args, inv):
+    """The --sentence of the --transcription file (default: its first)."""
+    path = _existing(args.transcription, 'transcription')
+    try:
+        sentences = corpus.parse_corpus(path.read_text('utf-8'), inv)
+    except corpus.TranscriptionError as e:
+        raise CliError(f'transcription: {e}', EXIT_VALIDATION) from None
+    for sent in sentences:
+        if args.sentence is None or sent.id == args.sentence:
+            return sent
+    raise CliError(f'sentence {args.sentence} not found', EXIT_RESOLUTION)
+
+
 def cmd_lexi(args) -> int:
+    if not args.out:
+        raise CliError('--out is required for lexi')
     inv = _load_italian(args)
     lex = _load_lexicon(args, inv)
-    path = Path(args.textgrid)
-    if not path.exists():
-        raise CliError(f'missing TextGrid: {path}')
-    try:
-        doc = parse_textgrid(path.read_bytes())
-    except TextGridError as e:
-        raise CliError(f'TextGrid: {e}') from None
-    if not doc.has_tier('Word'):
-        raise CliError('input has no Word tier', EXIT_RESOLUTION)
-    sent = None
-    if args.transcription:
-        tpath = Path(args.transcription)
-        if not tpath.exists():
-            raise CliError(f'missing transcription: {tpath}')
-        lines = [ln for ln in tpath.read_text('utf-8').splitlines()
-                 if ln.strip() and not ln.startswith('#')]
-        wanted = None
-        for ln in lines:
-            parsed = corpus.parse_transcription(ln, inv)
-            if args.sentence is None or parsed.id == args.sentence:
-                wanted = parsed
-                break
-        if wanted is None:
-            raise CliError(f'sentence {args.sentence} not found',
-                           EXIT_RESOLUTION)
-        sent = wanted
+    doc = _read_word_doc(args)
+    sent = _read_sentence(args, inv) if args.transcription else None
     try:
         tier = annotation.generate_lexi_tier(doc.tier('Word'), lex, sent)
     except annotation.AnnotationError as e:
         raise CliError(str(e), EXIT_RESOLUTION) from None
-    out_doc = doc.with_tier(tier)
-    text = serialize_textgrid(out_doc)
-    if not args.out:
-        raise CliError('--out is required for lexi')
+    text = serialize_textgrid(doc.with_tier(tier))
     Path(args.out).write_text(text, encoding='utf-8')
     print(f'wrote {args.out} ({len(tier.labelled())} phoneme intervals)')
     return EXIT_OK
@@ -158,19 +150,16 @@ def cmd_lexi(args) -> int:
 def cmd_landmarks(args) -> int:
     from . import dsp, landmarks
     cfg = _load_config(args)
-    path = Path(args.wav)
-    if not path.exists():
-        raise CliError(f'missing wav: {path}')
+    path = _existing(args.wav, 'wav')
     try:
         audio = dsp.read_wav(path)
         seq = landmarks.detect_all(audio, cfg)
     except (dsp.DspError, landmarks.LandmarkError) as e:
         raise CliError(f'{path}: {e}') from None
-    csv = landmarks.landmarks_csv(seq)
     out = Path(args.out) if args.out else path.with_suffix('')
     csv_path = out.with_suffix('.csv')
     tg_path = out.with_suffix('.TextGrid')
-    csv_path.write_text(csv, encoding='utf-8')
+    csv_path.write_text(landmarks.landmarks_csv(seq), encoding='utf-8')
     tier = annotation.landmark_tier_from(seq.items)
     doc_dur = max(audio.duration, tier.t_end)
     tg_path.write_text(
@@ -184,9 +173,7 @@ def cmd_landmarks(args) -> int:
 
 def _segments_from_args(args, cfg):
     from . import access, dsp, landmarks
-    source = Path(args.wav or args.landmarks)
-    if not source.exists():
-        raise CliError(f'missing input: {source}')
+    source = _existing(args.wav or args.landmarks, 'input')
     if args.wav:
         # one analysis pass: the detectors read the cue parameters' tracks
         try:
@@ -212,15 +199,7 @@ def cmd_match(args) -> int:
     cfg = _load_config(args)
     inv = _load_italian(args)
     lex = _load_lexicon(args, inv)
-    path = Path(args.textgrid)
-    if not path.exists():
-        raise CliError(f'missing TextGrid: {path}')
-    try:
-        doc = parse_textgrid(path.read_bytes())
-    except TextGridError as e:
-        raise CliError(f'TextGrid: {e}') from None
-    if not doc.has_tier('Word'):
-        raise CliError('input has no Word tier', EXIT_RESOLUTION)
+    doc = _read_word_doc(args)
     segments = _segments_from_args(args, cfg)
     try:
         weights = access.DistanceWeights.from_config(cfg)
@@ -228,15 +207,12 @@ def cmd_match(args) -> int:
             doc, segments, lex, weights, args.topk)
     except access.MatchError as e:
         raise CliError(str(e)) from None
-    csv = access.matches_csv(matches)
-    _write_output(args, csv)
+    _write_output(args, access.matches_csv(matches))
     if orphans:
-        sidecar = Path(args.out).with_suffix('.orphans.txt') if args.out \
-            else None
-        lines = [f'{seg.window[0]:.6f},{seg.window[1]:.6f}'
-                 for seg in orphans]
-        if sidecar:
-            sidecar.write_text('\n'.join(lines) + '\n', encoding='utf-8')
+        if args.out:
+            Path(args.out).with_suffix('.orphans.txt').write_text(
+                ''.join(f'{seg.window[0]:.6f},{seg.window[1]:.6f}\n'
+                        for seg in orphans), encoding='utf-8')
         print(f'warning: {len(orphans)} orphan segment(s) excluded',
               file=sys.stderr)
     return EXIT_OK
@@ -320,13 +296,18 @@ def cmd_validate(args) -> int:
                 raise AssertionError(f'{e.orthography}: multiple stresses')
         return '563 entries resolve, stress is unique'
 
-    corpus_path = _data_file(getattr(args, 'corpus', None),
-                             'lamit_transcriptions.tsv')
-    corpus_text = corpus_path.read_text('utf-8')
+    corpus_text = _data_file(args.corpus, 'lamit_transcriptions.tsv') \
+        .read_text('utf-8')
+
+    @functools.cache
+    def corpus_table():
+        # both corpus suites read one parse; a failed parse is not cached,
+        # so each suite reports it
+        return corpus.phoneme_frequencies(
+            corpus.parse_corpus(corpus_text, inv), inv)
 
     def corpus_suite():
-        sentences = corpus.parse_corpus(corpus_text, inv)
-        table = corpus.phoneme_frequencies(sentences, inv)
+        table = corpus_table()
         oracle = _independent_recount(corpus_text)
         mine = {p.ipa: n for p, n in table.counts.items()}
         if mine != dict(oracle):
@@ -337,8 +318,7 @@ def cmd_validate(args) -> int:
         return f'{table.total} tokens match the independent recount'
 
     def frequency_suite():
-        sentences = corpus.parse_corpus(corpus_text, inv)
-        table = corpus.phoneme_frequencies(sentences, inv)
+        table = corpus_table()
         ref_path = _data_file(None, 'reference_frequencies.tsv')
         worst = (0.0, '')
         for ln in ref_path.read_text('utf-8').splitlines():
@@ -377,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
         description='Landmark-based lexical access toolkit for Italian')
     sub = parser.add_subparsers(dest='command', required=True)
 
-    def common(p, *, config=True):
+    def common(p):
         p.add_argument('--inventory', help='feature inventory file')
         p.add_argument('--lexicon', help='lexicon file')
         p.add_argument('--out', help='output path')
-        if config:
-            p.add_argument('--config', help='key=value analysis parameters')
-            p.add_argument('--weights', help='key=value matcher weights')
+        p.add_argument('--config', action='append',
+                       help='key = value analysis parameters and matcher '
+                       'weights; repeatable, later files override earlier')
         p.add_argument('--show-config', action='store_true',
                        help='print the effective configuration and exit')
 
@@ -428,7 +408,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
     try:
-        if getattr(args, 'show_config', False):
+        if args.show_config:
             print(render_config(_load_config(args)), end='')
             return EXIT_OK
         return args.fn(args)

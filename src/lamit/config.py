@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 
 class ConfigError(ValueError):
@@ -61,8 +61,10 @@ _POSITIVE_FIELDS = {'frame_length', 'frame_step', 'ror_window',
 
 def parse_config_file(text: str, base: AnalysisConfig | None = None
                       ) -> AnalysisConfig:
-    cfg = base or AnalysisConfig()
+    """A copy of base (default: the defaults) with the file's values;
+    base itself is never changed, even when the file is refused."""
     known = {f.name for f in fields(AnalysisConfig)}
+    changes = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split('#', 1)[0].strip()
         if not line:
@@ -88,7 +90,8 @@ def parse_config_file(text: str, base: AnalysisConfig | None = None
         if key in _POSITIVE_FIELDS and not value > 0:
             raise ConfigError(f'line {lineno}: {key} must be positive, '
                               f'got {val!r}')
-        setattr(cfg, key, value)
+        changes[key] = value
+    cfg = replace(base or AnalysisConfig(), **changes)
     if not cfg.f0_min < cfg.f0_max:
         raise ConfigError(f'f0_min ({cfg.f0_min:g}) must be below f0_max '
                           f'({cfg.f0_max:g})')

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .features import FeatureInventory, MajorClass, PhonemeId
@@ -18,9 +18,9 @@ _MULTI = ('tsts', 'dzdz', 'tʃtʃ', 'dʒdʒ', 'ts', 'dz', 'tʃ', 'dʒ')
 _VOWELS = 'aeiouɛɔ'
 
 
-@dataclass
+@dataclass(frozen=True)
 class TranscribedWord:
-    phonemes: list[PhonemeToken]
+    phonemes: tuple[PhonemeToken, ...]
     stress_position: int | None = None
     doubled: bool = False           # word-initial syntactic gemination
 
@@ -28,12 +28,12 @@ class TranscribedWord:
         return ''.join(t.phoneme.ipa for t in self.phonemes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TranscribedSentence:
     id: int
-    words: list[TranscribedWord]
+    words: tuple[TranscribedWord, ...]
     # (word index, geminate phoneme) for each word-initial doubling
-    doubling_events: list[tuple[int, PhonemeId]] = field(default_factory=list)
+    doubling_events: tuple[tuple[int, PhonemeId], ...] = ()
 
     def phoneme_string(self) -> str:
         return ''.join(w.ipa() for w in self.words)
@@ -114,12 +114,12 @@ def parse_transcription(line: str, inv: FeatureInventory,
             offset += len(raw) + 1
             continue
         doubled = tokens[0].phoneme.geminate
-        word = TranscribedWord(tokens, stress, doubled)
+        word = TranscribedWord(tuple(tokens), stress, doubled)
         if doubled:
             events.append((len(words), tokens[0].phoneme))
         words.append(word)
         offset += len(raw) + 1
-    return TranscribedSentence(sentence_id, words, events)
+    return TranscribedSentence(sentence_id, tuple(words), tuple(events))
 
 
 def detect_syntactic_doubling(sent: TranscribedSentence, lex: Lexicon | None = None):
@@ -164,6 +164,11 @@ class FrequencyTable:
     def percent(self, phoneme: PhonemeId) -> float:
         return self.percentages.get(phoneme, 0.0)
 
+    def rows(self) -> list[tuple[PhonemeId, int]]:
+        """(phoneme, count) by descending count, ties by ARPAbet."""
+        return sorted(self.counts.items(),
+                      key=lambda kv: (-kv[1], kv[0].arpabet))
+
 
 def phoneme_frequencies(sentences, inv: FeatureInventory,
                         doubling: str = 'singleton') -> FrequencyTable:
@@ -202,10 +207,8 @@ def word_frequencies(sentences, lex: Lexicon) -> dict[str, int]:
 
 def frequency_csv(table: FrequencyTable) -> str:
     """CSV 'phoneme,arpabet,count,percent', descending count."""
-    rows = sorted(table.counts.items(),
-                  key=lambda kv: (-kv[1], kv[0].arpabet))
     lines = ['phoneme,arpabet,count,percent']
-    for p, n in rows:
+    for p, n in table.rows():
         lines.append(f'{p.ipa},{p.arpabet},{n},{table.percentages[p]:.2f}')
     return '\n'.join(lines) + '\n'
 

@@ -233,6 +233,20 @@ def rate_of_rise(track: np.ndarray, window: float,
     return out
 
 
+def _f0_lags(sr: int, cfg: AnalysisConfig) -> tuple[int, int, int]:
+    """(frame samples, shortest lag, longest lag) of the F0 search at
+    sample rate sr; DspError when fewer than three lags are left."""
+    nwin = int(round(cfg.f0_frame_length * sr))
+    lag_min = int(sr / cfg.f0_max)
+    lag_max = min(int(np.ceil(sr / cfg.f0_min)), nwin - 2)
+    if lag_max - lag_min < 2:
+        raise DspError(
+            f'no F0 lag range at {sr} Hz: f0_min {cfg.f0_min:g} Hz, '
+            f'f0_max {cfg.f0_max:g} Hz, f0_frame_length '
+            f'{cfg.f0_frame_length:g} s')
+    return nwin, lag_min, lag_max
+
+
 def estimate_f0(audio: AudioBuffer, times: np.ndarray,
                 cfg: AnalysisConfig | None = None) -> np.ndarray:
     """Autocorrelation F0 per frame; NaN where unvoiced, and everywhere
@@ -247,14 +261,7 @@ def estimate_f0(audio: AudioBuffer, times: np.ndarray,
     """
     cfg = cfg or AnalysisConfig()
     sr = audio.sample_rate
-    nwin = int(round(cfg.f0_frame_length * sr))
-    lag_min = int(sr / cfg.f0_max)
-    lag_max = min(int(np.ceil(sr / cfg.f0_min)), nwin - 2)
-    if lag_max - lag_min < 2:
-        raise DspError(
-            f'no F0 lag range at {sr} Hz: f0_min {cfg.f0_min:g} Hz, '
-            f'f0_max {cfg.f0_max:g} Hz, f0_frame_length '
-            f'{cfg.f0_frame_length:g} s')
+    nwin, lag_min, lag_max = _f0_lags(sr, cfg)
     x = audio.samples
     times = np.asarray(times, dtype=np.float64)
     out = np.full(len(times), np.nan)
@@ -372,7 +379,9 @@ def parameter_frames(audio: AudioBuffer,
                      cfg: AnalysisConfig | None = None) -> ParameterTrack:
     """Per-frame acoustic parameters used for cue extraction: the standard
     band tracks and spectral tilt on the spectrogram's frames.  Voicing
-    is computed later, only on the frames a cue rule reads."""
+    is computed later, only on the frames a cue rule reads, so its F0
+    lag range is checked here, before any analysis."""
     cfg = cfg or AnalysisConfig()
+    _f0_lags(audio.sample_rate, cfg)
     tracks = standard_tracks(audio, cfg)
     return ParameterTrack(tracks, spectral_tilt(tracks), audio, cfg)

@@ -35,13 +35,6 @@ class LexEntry:
     orthography: str
     phonemes: tuple[PhonemeToken, ...]
 
-    @property
-    def stress_index(self) -> int | None:
-        for i, t in enumerate(self.phonemes):
-            if t.stressed:
-                return i
-        return None
-
     def labels(self) -> list[str]:
         return [t.label for t in self.phonemes]
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.io.wavfile
 
 from lamit.cli import main
-from lamit.config import ConfigError, parse_config_file
+from lamit.config import AnalysisConfig, ConfigError, parse_config_file
 from lamit.dsp import write_wav
 from lamit.textgrid import (AnnotationDocument, Interval, IntervalTier,
                             parse_textgrid, serialize_textgrid)
@@ -39,6 +39,20 @@ def test_stats_reproduces_published_table(tmp_path, capsys):
     row_a = next(ln for ln in lines if ln.startswith('a,AA,'))
     pct = float(row_a.split(',')[3])
     assert abs(pct - 12.99) <= 0.15
+
+
+def test_stats_table_rows_follow_csv_order(tmp_path, capsys):
+    """The console table and the CSV list tied counts in one order."""
+    out = tmp_path / 'freq.csv'
+    assert run('stats', '--out', str(out)) == 0
+    csv_rows = [ln.split(',') for ln in
+                out.read_text('utf-8').strip().split('\n')[1:]]
+    table = capsys.readouterr().out.strip().split('\n')
+    assert table[0].split() == ['phoneme', 'arpabet', 'count', 'percent']
+    assert table[-1].split()[0] == 'total'
+    assert [ln.split() for ln in table[1:-1]] == csv_rows
+    counts = [int(r[2]) for r in csv_rows]
+    assert len(set(counts)) < len(counts)       # the corpus has ties
 
 
 def test_stats_missing_file_exits_2(capsys):
@@ -76,6 +90,24 @@ def test_lexi_sentence_36(tmp_path):
     # the Word tier of the input is untouched
     assert [iv.label for iv in doc.tier('Word').items] == \
         ['MAMMA', 'E', 'PAPÀ', 'TI', 'VOGLIONO', 'BENE']
+
+
+def test_lexi_bad_transcription_exits_1(tmp_path, capsys):
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    trans = tmp_path / 'trans.tsv'
+    trans.write_text("# header\n1.\t'mamma\n2.\t'maxa\n",
+                     encoding='utf-8')
+    code = run('lexi', '--textgrid', str(tg), '--transcription', str(trans),
+               '--sentence', '1', '--out', str(tmp_path / 'o.TextGrid'))
+    assert code == 1
+    assert_one_line_error(capsys, 'transcription', 'line 3',
+                          "unknown symbol 'x'")
+    assert not (tmp_path / 'o.TextGrid').exists()
+
+
+def test_lexi_checks_out_before_reading(tmp_path, capsys):
+    assert run('lexi', '--textgrid', str(tmp_path / 'none.TextGrid')) == 2
+    assert_one_line_error(capsys, '--out is required for lexi')
 
 
 def test_lexi_without_word_tier_exits_3(tmp_path):
@@ -411,6 +443,42 @@ def test_config_file_override(tmp_path, capsys):
     assert 'w_bound = 0.5' in out
 
 
+def test_config_files_layer_in_order(tmp_path, capsys):
+    first = tmp_path / 'first.cfg'
+    first.write_text('frame_step = 0.010\nw_bound = 0.5\n', encoding='utf-8')
+    second = tmp_path / 'second.cfg'
+    second.write_text('w_bound = 0.75\n', encoding='utf-8')
+    assert run('stats', '--config', str(first), '--config', str(second),
+               '--show-config') == 0
+    out = capsys.readouterr().out
+    assert 'frame_step = 0.01\n' in out and 'w_bound = 0.75\n' in out
+    assert run('stats', '--config', str(second), '--config', str(first),
+               '--show-config') == 0
+    assert 'w_bound = 0.5\n' in capsys.readouterr().out
+
+
+def test_weights_option_is_gone(tmp_path, capsys):
+    cfg = tmp_path / 'w.cfg'
+    cfg.write_text('w_bound = 0.5\n', encoding='utf-8')
+    assert run('stats', '--weights', str(cfg), '--show-config') == 2
+    assert '--weights' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('text, ok', [
+    ('w_bound = 0.5\nf0_min = 600\n', False),
+    ('w_bound = 0.5\nno_such_knob = 1\n', False),
+    ('w_bound = 0.5\nf0_min = 60\n', True)])
+def test_parse_config_leaves_base_unchanged(text, ok):
+    base = AnalysisConfig()
+    if ok:
+        cfg = parse_config_file(text, base)
+        assert (cfg.w_bound, cfg.f0_min) == (0.5, 60.0)
+    else:
+        with pytest.raises(ConfigError):
+            parse_config_file(text, base)
+    assert base == AnalysisConfig()
+
+
 def test_bad_config_exits_2(tmp_path):
     cfg = tmp_path / 'bad.cfg'
     cfg.write_text('no_such_knob = 1\n', encoding='utf-8')
@@ -466,6 +534,31 @@ def test_f0_frame_too_short_for_lags_exits_2(tmp_path, capsys):
                '--config', str(cfg), '--out', str(tmp_path / 'm.csv')) == 2
     assert_one_line_error(capsys, str(wav), 'no F0 lag range')
     assert not (tmp_path / 'm.csv').exists()
+
+
+def test_f0_lag_range_checked_before_analysis(tmp_path, capsys,
+                                             monkeypatch):
+    from lamit import dsp
+    audio, _ = synth.vcv_stop()
+    wav = tmp_path / 'vcv.wav'
+    write_wav(wav, audio)
+    tg = word_doc_path(tmp_path, ['PAPÀ'], dur=audio.duration)
+    cfg = tmp_path / 'f0.cfg'
+    cfg.write_text('f0_frame_length = 0.002\n', encoding='utf-8')
+    tracks = count_calls(monkeypatch, dsp, 'standard_tracks')
+    assert run('match', '--wav', str(wav), '--textgrid', str(tg),
+               '--config', str(cfg), '--out', str(tmp_path / 'm.csv')) == 2
+    assert_one_line_error(capsys, str(wav), 'no F0 lag range')
+    assert tracks == []
+
+
+def test_validate_parses_corpus_once(monkeypatch, capsys):
+    from lamit import corpus
+    parses = count_calls(monkeypatch, corpus, 'parse_corpus')
+    counts = count_calls(monkeypatch, corpus, 'phoneme_frequencies')
+    assert run('validate') == 0
+    assert '4/4 suites passed' in capsys.readouterr().out
+    assert len(parses) == len(counts) == 1
 
 
 def test_data_dir_env_override(tmp_path, monkeypatch, capsys):

@@ -58,6 +58,23 @@ def test_parse_sentence_36(italian):
     assert sent.words[0].stress_position == 1
 
 
+def test_parsed_sentence_is_immutable(italian):
+    sent = parse_transcription(SENTENCE_36, italian, sentence_id=36)
+    word = sent.words[0]
+    mutations = [
+        lambda: sent.words.append(word),
+        lambda: setattr(sent, 'id', 7),
+        lambda: sent.doubling_events.append(sent.doubling_events[0]),
+        lambda: word.phonemes.append(word.phonemes[0]),
+        lambda: setattr(word, 'doubled', True),
+    ]
+    for mutate in mutations:
+        with pytest.raises(AttributeError):
+            mutate()
+    assert sent.id == 36 and len(sent.words) == 6
+    assert len(sent.doubling_events) == 2 and len(word.phonemes) == 4
+
+
 def test_parse_minimal(italian):
     sent = parse_transcription("'a", italian)
     assert len(sent.words) == 1
