@@ -12,8 +12,8 @@ from pathlib import Path
 # the audio modules (access, dsp, landmarks) need numpy; they are imported
 # inside the commands that use them, so text commands start without it
 from . import annotation, corpus, features, lexicon
-from .config import AnalysisConfig, ConfigError, parse_config_file, \
-    render_config
+from .config import AnalysisConfig, ConfigError, check_config, \
+    parse_config_values, render_config
 from .textgrid import AnnotationDocument, TextGridError, parse_textgrid, \
     serialize_textgrid
 
@@ -43,34 +43,51 @@ def _existing(path, what) -> Path:
     return path
 
 
-def _data_file(explicit, name) -> Path:
-    return _existing(explicit or data_dir() / name, 'file')
+def _read_text(path, what) -> str:
+    """The text of an input file, which must be UTF-8."""
+    path = _existing(path, what)
+    try:
+        return path.read_text('utf-8')
+    except UnicodeDecodeError as e:
+        raise CliError(f'{what} {path} is not UTF-8 text '
+                       f'({e.reason} at byte {e.start})') from None
+
+
+def _data_text(explicit, name) -> str:
+    return _read_text(explicit or data_dir() / name, 'file')
 
 
 def _load_config(args) -> AnalysisConfig:
-    """The defaults, overridden by each --config file in turn."""
-    cfg = AnalysisConfig()
+    """The defaults, overridden by each --config file in turn; values
+    that constrain each other are checked once, on the result."""
+    values = {}
     for name in args.config or ():
-        path = _existing(name, 'config file')
+        text = _read_text(name, 'config file')
         try:
-            cfg = parse_config_file(path.read_text('utf-8'), cfg)
+            values.update(parse_config_values(text))
         except ConfigError as e:
-            raise CliError(f'bad config: {e}') from None
-    return cfg
+            raise CliError(f'bad config: {name}: {e}') from None
+    try:
+        return check_config(AnalysisConfig(**values))
+    except ConfigError as e:
+        raise CliError(f'bad config: {e}') from None
 
 
 def _load_italian(args):
-    path = _data_file(args.inventory, 'italian_features.tsv')
+    text = _data_text(args.inventory, 'italian_features.tsv')
     try:
-        return features.load_inventory(path.read_text('utf-8'))
+        return features.load_inventory(text)
     except features.InventoryError as e:
         raise CliError(f'inventory: {e}', EXIT_VALIDATION) from None
 
 
-def _load_lexicon(args, inv):
-    path = _data_file(args.lexicon, 'lamit_lexicon.tsv')
+def _lexicon_text(args) -> str:
+    return _data_text(args.lexicon, 'lamit_lexicon.tsv')
+
+
+def _load_lexicon(text, inv):
     try:
-        return lexicon.load_lexicon(path.read_text('utf-8'), inv)
+        return lexicon.load_lexicon(text, inv)
     except lexicon.LexiconParseError as e:
         raise CliError(f'lexicon: {e}', EXIT_VALIDATION) from None
 
@@ -95,11 +112,11 @@ def _write_output(args, text):
 
 # ---------------------------------------------------------------- stats
 
-def cmd_stats(args) -> int:
+def cmd_stats(args, cfg) -> int:
     inv = _load_italian(args)
-    path = _data_file(args.corpus, 'lamit_transcriptions.tsv')
+    text = _data_text(args.corpus, 'lamit_transcriptions.tsv')
     try:
-        sentences = corpus.parse_corpus(path.read_text('utf-8'), inv)
+        sentences = corpus.parse_corpus(text, inv)
         table = corpus.phoneme_frequencies(sentences, inv)
     except corpus.TranscriptionError as e:
         raise CliError(f'corpus: {e}', EXIT_VALIDATION) from None
@@ -117,9 +134,9 @@ def cmd_stats(args) -> int:
 
 def _read_sentence(args, inv):
     """The --sentence of the --transcription file (default: its first)."""
-    path = _existing(args.transcription, 'transcription')
+    text = _read_text(args.transcription, 'transcription')
     try:
-        sentences = corpus.parse_corpus(path.read_text('utf-8'), inv)
+        sentences = corpus.parse_corpus(text, inv)
     except corpus.TranscriptionError as e:
         raise CliError(f'transcription: {e}', EXIT_VALIDATION) from None
     for sent in sentences:
@@ -128,11 +145,11 @@ def _read_sentence(args, inv):
     raise CliError(f'sentence {args.sentence} not found', EXIT_RESOLUTION)
 
 
-def cmd_lexi(args) -> int:
+def cmd_lexi(args, cfg) -> int:
     if not args.out:
         raise CliError('--out is required for lexi')
     inv = _load_italian(args)
-    lex = _load_lexicon(args, inv)
+    lex = _load_lexicon(_lexicon_text(args), inv)
     doc = _read_word_doc(args)
     sent = _read_sentence(args, inv) if args.transcription else None
     try:
@@ -147,9 +164,8 @@ def cmd_lexi(args) -> int:
 
 # ------------------------------------------------------------ landmarks
 
-def cmd_landmarks(args) -> int:
+def cmd_landmarks(args, cfg) -> int:
     from . import dsp, landmarks
-    cfg = _load_config(args)
     path = _existing(args.wav, 'wav')
     try:
         audio = dsp.read_wav(path)
@@ -173,8 +189,8 @@ def cmd_landmarks(args) -> int:
 
 def _segments_from_args(args, cfg):
     from . import access, dsp, landmarks
-    source = _existing(args.wav or args.landmarks, 'input')
     if args.wav:
+        source = _existing(args.wav, 'input')
         # one analysis pass: the detectors read the cue parameters' tracks
         try:
             params = dsp.parameter_frames(dsp.read_wav(source), cfg)
@@ -183,22 +199,22 @@ def _segments_from_args(args, cfg):
         except (dsp.DspError, landmarks.LandmarkError) as e:
             raise CliError(f'{source}: {e}') from None
     # landmark CSV: broad-class evidence only
+    text = _read_text(args.landmarks, 'input')
     try:
-        seq = landmarks.parse_landmarks_csv(source.read_text('utf-8'))
-    except (landmarks.LandmarkError, UnicodeDecodeError) as e:
-        raise CliError(f'{source}: {e}') from None
+        seq = landmarks.parse_landmarks_csv(text)
+    except landmarks.LandmarkError as e:
+        raise CliError(f'{args.landmarks}: {e}') from None
     return access.cues_to_bundles(seq, cfg=cfg)
 
 
-def cmd_match(args) -> int:
+def cmd_match(args, cfg) -> int:
     from . import access
     if bool(args.wav) == bool(args.landmarks):
         raise CliError('need exactly one of --wav or --landmarks')
     if args.topk < 1:
         raise CliError('--topk must be positive')
-    cfg = _load_config(args)
     inv = _load_italian(args)
-    lex = _load_lexicon(args, inv)
+    lex = _load_lexicon(_lexicon_text(args), inv)
     doc = _read_word_doc(args)
     segments = _segments_from_args(args, cfg)
     try:
@@ -259,7 +275,7 @@ def _independent_recount(text: str):
     return counts
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, cfg) -> int:
     results = []
 
     def suite(name, fn):
@@ -270,6 +286,11 @@ def cmd_validate(args) -> int:
             results.append((name, False, str(e)))
 
     inv = _load_italian(args)
+    # every input is read before the suites run, so an unreadable file is
+    # an input error (exit 2), not a failed suite
+    lexicon_text = _lexicon_text(args)
+    corpus_text = _data_text(args.corpus, 'lamit_transcriptions.tsv')
+    reference_text = _data_text(None, 'reference_frequencies.tsv')
 
     def inventory_suite():
         singles = inv.singletons()
@@ -288,16 +309,13 @@ def cmd_validate(args) -> int:
         return f'{len(singles)} singletons distinct, partition 7/2/21'
 
     def lexicon_suite():
-        lex = _load_lexicon(args, inv)
+        lex = _load_lexicon(lexicon_text, inv)
         if len(lex) != 563:
             raise AssertionError(f'expected 563 entries, got {len(lex)}')
         for e in lex.entries.values():
             if sum(t.stressed for t in e.phonemes) > 1:
                 raise AssertionError(f'{e.orthography}: multiple stresses')
         return '563 entries resolve, stress is unique'
-
-    corpus_text = _data_file(args.corpus, 'lamit_transcriptions.tsv') \
-        .read_text('utf-8')
 
     @functools.cache
     def corpus_table():
@@ -319,9 +337,8 @@ def cmd_validate(args) -> int:
 
     def frequency_suite():
         table = corpus_table()
-        ref_path = _data_file(None, 'reference_frequencies.tsv')
         worst = (0.0, '')
-        for ln in ref_path.read_text('utf-8').splitlines():
+        for ln in reference_text.splitlines():
             if ln.startswith('#') or ln.startswith('phoneme') or not ln:
                 continue
             ipa, _, pct = ln.split('\t')
@@ -408,10 +425,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
     try:
+        # every command reads and checks its --config, used or not
+        cfg = _load_config(args)
         if args.show_config:
-            print(render_config(_load_config(args)), end='')
+            print(render_config(cfg), end='')
             return EXIT_OK
-        return args.fn(args)
+        return args.fn(args, cfg)
     except CliError as e:
         print(f'error: {e}', file=sys.stderr)
         return e.code

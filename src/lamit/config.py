@@ -59,10 +59,9 @@ _POSITIVE_FIELDS = {'frame_length', 'frame_step', 'ror_window',
                     'gate_min_duration'}
 
 
-def parse_config_file(text: str, base: AnalysisConfig | None = None
-                      ) -> AnalysisConfig:
-    """A copy of base (default: the defaults) with the file's values;
-    base itself is never changed, even when the file is refused."""
+def parse_config_values(text: str) -> dict:
+    """The values a config file sets, by name; each line is checked on
+    its own (known key, finite value, positive where it must be)."""
     known = {f.name for f in fields(AnalysisConfig)}
     changes = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -91,11 +90,23 @@ def parse_config_file(text: str, base: AnalysisConfig | None = None
             raise ConfigError(f'line {lineno}: {key} must be positive, '
                               f'got {val!r}')
         changes[key] = value
-    cfg = replace(base or AnalysisConfig(), **changes)
+    return changes
+
+
+def check_config(cfg: AnalysisConfig) -> AnalysisConfig:
+    """cfg, once the values that constrain each other agree."""
     if not cfg.f0_min < cfg.f0_max:
         raise ConfigError(f'f0_min ({cfg.f0_min:g}) must be below f0_max '
                           f'({cfg.f0_max:g})')
     return cfg
+
+
+def parse_config_file(text: str, base: AnalysisConfig | None = None
+                      ) -> AnalysisConfig:
+    """A copy of base (default: the defaults) with the file's values;
+    base itself is never changed, even when the file is refused."""
+    return check_config(replace(base or AnalysisConfig(),
+                                **parse_config_values(text)))
 
 
 def render_config(cfg: AnalysisConfig) -> str:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import collections
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -15,7 +16,10 @@ class TranscriptionError(ValueError):
 
 # longest match first so geminate affricates win over their halves
 _MULTI = ('tsts', 'dzdz', 'tʃtʃ', 'dʒdʒ', 'ts', 'dz', 'tʃ', 'dʒ')
-_VOWELS = 'aeiouɛɔ'
+# one alternation tried in that order, then any single character; a
+# pattern, not a compiled object: re compiles it at the first parse
+_UNIT = '(?s)' + '|'.join(_MULTI) + '|.'
+_NO_GEMINATE = 'aeiouɛɔjw'     # a doubled vowel or glide is two phonemes
 
 
 @dataclass(frozen=True)
@@ -39,54 +43,51 @@ class TranscribedSentence:
         return ''.join(w.ipa() for w in self.words)
 
 
-def _tokenize_ipa(word: str, inv: FeatureInventory, offset0: int):
+def _tokenize_ipa(word: str, inv: FeatureInventory, offset0: int,
+                  tokens: dict[str, PhonemeToken]):
     """IPA symbols -> phoneme list; apostrophes mark stress (last wins).
 
     Stress marks are transparent to symbol grouping, so geminates split
     by a mark ("bik'kjere", "ts'ts") still form one geminate phoneme.
+    `tokens` holds the tokens made so far, by symbol (stressed ones with
+    a trailing apostrophe); equal symbols get the same token.
     """
     letters = word.replace("'", '')
-    raw_pos = [i for i, c in enumerate(word) if c != "'"]
     stress_char = None
     if "'" in word:
         stress_char = len(word[:word.rfind("'")].replace("'", ''))
     symbols: list[str] = []
     starts: list[int] = []
     i = 0
-    while i < len(letters):
-        matched = None
-        for unit in _MULTI:
-            if letters.startswith(unit, i):
-                matched = unit
-                break
-        if matched:
-            symbols.append(matched)
-            starts.append(i)
-            i += len(matched)
+    for unit in re.findall(_UNIT, letters):
+        if len(unit) == 1 and symbols and symbols[-1] == unit \
+                and unit not in _NO_GEMINATE:
+            symbols[-1] = unit + unit     # doubled letter = geminate
         else:
-            c = letters[i]
-            if symbols and symbols[-1] == c and c not in _VOWELS + 'jw':
-                symbols[-1] = c + c     # doubled letter = geminate
-            else:
-                symbols.append(c)
-                starts.append(i)
-            i += 1
-    tokens = []
+            symbols.append(unit)
+            starts.append(i)
+        i += len(unit)
+    out = []
     stress_index = None
     for k, sym in enumerate(symbols):
-        if sym not in inv.by_ipa:
-            raise TranscriptionError(
-                f'unknown symbol {sym!r} at offset '
-                f'{offset0 + raw_pos[starts[k]]}')
-        p = inv.by_ipa[sym]
-        stressed = False
+        tok = tokens.get(sym)
+        if tok is None:
+            if sym not in inv.by_ipa:
+                raw_pos = [j for j, c in enumerate(word) if c != "'"]
+                raise TranscriptionError(
+                    f'unknown symbol {sym!r} at offset '
+                    f'{offset0 + raw_pos[starts[k]]}')
+            tok = tokens[sym] = PhonemeToken(inv.by_ipa[sym])
         if stress_char is not None and stress_index is None \
                 and starts[k] >= stress_char \
-                and p.major_class is MajorClass.VOWEL:
-            stressed = True
+                and tok.phoneme.major_class is MajorClass.VOWEL:
             stress_index = k
-        tokens.append(PhonemeToken(p, stressed))
-    return tokens, stress_index
+            key = sym + "'"
+            if key not in tokens:
+                tokens[key] = PhonemeToken(tok.phoneme, True)
+            tok = tokens[key]
+        out.append(tok)
+    return out, stress_index
 
 
 def parse_transcription(line: str, inv: FeatureInventory,
@@ -96,10 +97,16 @@ def parse_transcription(line: str, inv: FeatureInventory,
     Word-initial geminates are syntactic doubling: they stay attached to
     the word (as the geminate phoneme) and are recorded as events.
     """
+    return _parse_line(line, inv, sentence_id, {})
+
+
+def _parse_line(line: str, inv: FeatureInventory, sentence_id: int,
+                tokens: dict[str, PhonemeToken]) -> TranscribedSentence:
+    """`parse_transcription`, sharing `tokens` (see `_tokenize_ipa`)."""
     text = line.strip()
     if '\t' in text:
         head, _, rest = text.partition('\t')
-        if head.rstrip('.').isdigit():
+        if head.rstrip('.').isdecimal():     # the digits int() reads
             sentence_id = int(head.rstrip('.'))
             text = rest.strip()
     words = []
@@ -109,14 +116,14 @@ def parse_transcription(line: str, inv: FeatureInventory,
         if not raw:
             offset += 1
             continue
-        tokens, stress = _tokenize_ipa(raw, inv, offset)
-        if not tokens:
+        phonemes, stress = _tokenize_ipa(raw, inv, offset, tokens)
+        if not phonemes:
             offset += len(raw) + 1
             continue
-        doubled = tokens[0].phoneme.geminate
-        word = TranscribedWord(tuple(tokens), stress, doubled)
+        doubled = phonemes[0].phoneme.geminate
+        word = TranscribedWord(tuple(phonemes), stress, doubled)
         if doubled:
-            events.append((len(words), tokens[0].phoneme))
+            events.append((len(words), phonemes[0].phoneme))
         words.append(word)
         offset += len(raw) + 1
     return TranscribedSentence(sentence_id, tuple(words), tuple(events))
@@ -175,22 +182,26 @@ def phoneme_frequencies(sentences, inv: FeatureInventory,
     """Count every phoneme token once; lexical geminates count as one
     geminate token.  Word-initial syntactic doubling counts as the
     citation-form singleton by default (`doubling='geminate'` counts the
-    corpus exactly as transcribed instead).
+    corpus exactly as transcribed instead).  The sentences are parsed
+    against `inv`: the counts are keyed by its phonemes.
     """
     sentences = list(sentences)
     if not sentences:
         raise TranscriptionError('empty corpus')
-    counts: collections.Counter = collections.Counter()
+    # count IPA symbols, which hash cheaply, in the order first seen
+    ipas = []
     for sent in sentences:
         for word in sent.words:
-            for i, tok in enumerate(word.phonemes):
-                p = tok.phoneme
-                if i == 0 and word.doubled and doubling == 'singleton':
-                    p = singleton_of(inv, p)
-                counts[p] += 1
+            phonemes = word.phonemes
+            if word.doubled and doubling == 'singleton':
+                ipas.append(singleton_of(inv, phonemes[0].phoneme).ipa)
+                phonemes = phonemes[1:]
+            ipas += [t.phoneme.ipa for t in phonemes]
+    counts = {inv.by_ipa[ipa]: n
+              for ipa, n in collections.Counter(ipas).items()}
     total = sum(counts.values())
     pct = {p: 100.0 * n / total for p, n in counts.items()}
-    return FrequencyTable(dict(counts), total, pct)
+    return FrequencyTable(counts, total, pct)
 
 
 def word_frequencies(sentences, lex: Lexicon) -> dict[str, int]:
@@ -220,13 +231,16 @@ def load_lamit_corpus(inv: FeatureInventory) -> list[TranscribedSentence]:
 
 
 def parse_corpus(text: str, inv: FeatureInventory) -> list[TranscribedSentence]:
+    """The sentences of a transcription file; equal tokens are shared
+    across its lines."""
     out = []
+    tokens: dict[str, PhonemeToken] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith('#'):
             continue
         try:
-            out.append(parse_transcription(line, inv))
+            out.append(_parse_line(line, inv, 0, tokens))
         except TranscriptionError as e:
             raise TranscriptionError(f'line {lineno}: {e}') from None
     return out

@@ -201,7 +201,7 @@ def load_inventory(text: str) -> FeatureInventory:
             continue
         cells = line.split('\t')
         if header is None:
-            if cells[0] != 'phoneme' or cells[1] != 'arpabet':
+            if cells[:2] != ['phoneme', 'arpabet']:
                 raise ParseError(f'line {lineno}: malformed header')
             header = cells
             continue
@@ -220,15 +220,17 @@ def load_inventory(text: str) -> FeatureInventory:
         raise ParseError(f'duplicated feature column(s): {sorted(dupes)}')
     valmap = {v.value: v for v in FeatureValue}
 
-    phonemes: list[PhonemeId] = []
+    by_ipa: dict[str, PhonemeId] = {}
     bundles: dict[str, FeatureBundle] = {}
+    seen: set[str] = set()
     pending = []    # geminate rows, resolved after singletons
     for lineno, cells in rows:
         ipa, arp = cells[0], cells[1]
         base = cells[-1] if has_base else '.'
         vals = cells[2:-1] if has_base else cells[2:]
-        if any(p.ipa == ipa for p in phonemes) or ipa in (g for g, _, _ in pending):
+        if ipa in seen:
             raise InventoryError(f'line {lineno}: duplicate phoneme {arp!r}')
+        seen.add(ipa)
         if base != '.':
             pending.append((ipa, arp, base))
             continue
@@ -239,28 +241,33 @@ def load_inventory(text: str) -> FeatureInventory:
             if c != '.':
                 cells[f] = valmap[c]
         bundle = ReadOnlyBundle(cells)
-        cls = classify_major(bundle)
-        phonemes.append(PhonemeId(ipa, arp, cls))
+        by_ipa[ipa] = PhonemeId(ipa, arp, classify_major(bundle))
         bundles[ipa] = bundle
+    singletons = list(by_ipa.values())
 
     for ipa, arp, base in pending:
         if base not in bundles:
             raise InventoryError(
                 f'geminate {ipa!r} references unknown base {base!r}')
-        basep = next(p for p in phonemes if p.ipa == base)
-        phonemes.append(PhonemeId(ipa, arp, basep.major_class,
-                                  geminate=True, singleton_base=base))
+        by_ipa[ipa] = PhonemeId(ipa, arp, by_ipa[base].major_class,
+                                geminate=True, singleton_base=base)
         bundles[ipa] = bundles[base]
 
-    # every singleton bundle must be pairwise distinct
-    sing = [p for p in phonemes if not p.geminate]
-    for i, a in enumerate(sing):
-        for b in sing[i + 1:]:
-            if bundles[a.ipa].specified() == bundles[b.ipa].specified():
-                raise InventoryError(
-                    f'non-distinct bundles: {a.arpabet} vs {b.arpabet}')
+    # every singleton bundle must be distinct: group them by their
+    # specified values (a bundle holds no unspecified ones).  Groups keep
+    # the order of their first members, so the first group with twins
+    # holds the earliest phoneme that has a later twin.
+    twins: dict[frozenset, list[PhonemeId]] = {}
+    for p in singletons:
+        twins.setdefault(frozenset(bundles[p.ipa].items()), []).append(p)
+    clash = next((group for group in twins.values() if len(group) > 1),
+                 None)
+    if clash:
+        raise InventoryError(
+            f'non-distinct bundles: {clash[0].arpabet} vs {clash[1].arpabet}')
 
-    return FeatureInventory(language, phonemes, bundles, features)
+    return FeatureInventory(language, list(by_ipa.values()), bundles,
+                            features)
 
 
 def serialize_inventory(inv: FeatureInventory) -> str:

@@ -106,26 +106,33 @@ class Lexicon:
         return MappingProxyType(idx)
 
 
+def _token(tok: str, pos: int, inv: FeatureInventory) -> PhonemeToken:
+    """One ARPAbet label, checked; `pos` is its place in its line."""
+    stressed = tok.endswith('1')
+    label = tok[:-1] if stressed else tok
+    if label not in inv.by_arpabet:
+        raise LexiconParseError(f'unknown label {tok}, position {pos}')
+    p = inv.by_arpabet[label]
+    if stressed and p.major_class is not MajorClass.VOWEL:
+        raise LexiconParseError(
+            f'stress mark on non-vowel {tok}, position {pos}')
+    return PhonemeToken(p, stressed)
+
+
 def parse_arpabet(tokens: str, inv: FeatureInventory) -> list[PhonemeToken]:
     """Whitespace-separated ARPAbet labels, '1' suffix = primary stress."""
-    out = []
-    for pos, tok in enumerate(tokens.split(), 1):
-        stressed = tok.endswith('1')
-        label = tok[:-1] if stressed else tok
-        if label not in inv.by_arpabet:
-            raise LexiconParseError(
-                f'unknown label {tok}, position {pos}')
-        p = inv.by_arpabet[label]
-        if stressed and p.major_class is not MajorClass.VOWEL:
-            raise LexiconParseError(
-                f'stress mark on non-vowel {tok}, position {pos}')
-        out.append(PhonemeToken(p, stressed))
-    return out
+    return [_token(tok, pos, inv)
+            for pos, tok in enumerate(tokens.split(), 1)]
 
 
 def load_lexicon(text: str, inv: FeatureInventory) -> Lexicon:
-    """One entry per line: ORTHOGRAPHY<TAB or spaces>ARPABET TOKENS."""
+    """One entry per line: ORTHOGRAPHY<TAB or spaces>ARPABET TOKENS.
+
+    Each distinct label is checked and made into a token once; its
+    entries share that token.
+    """
     entries: dict[str, LexEntry] = {}
+    tokens: dict[str, PhonemeToken] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith('#'):
@@ -133,12 +140,17 @@ def load_lexicon(text: str, inv: FeatureInventory) -> Lexicon:
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise LexiconParseError(f'line {lineno}: no phoneme tokens')
-        orth, rest = parts[0].upper(), parts[1]
-        try:
-            phonemes = parse_arpabet(rest, inv)
-        except LexiconParseError as e:
-            raise LexiconParseError(f'{e}, line {lineno}') from None
-        stresses = sum(1 for t in phonemes if t.stressed)
+        orth = parts[0].upper()
+        phonemes = []
+        for pos, tok in enumerate(parts[1].split(), 1):
+            t = tokens.get(tok)
+            if t is None:
+                try:
+                    t = tokens[tok] = _token(tok, pos, inv)
+                except LexiconParseError as e:
+                    raise LexiconParseError(f'{e}, line {lineno}') from None
+            phonemes.append(t)
+        stresses = sum(t.stressed for t in phonemes)
         if stresses > 1:
             raise LexiconParseError(
                 f'line {lineno}: {stresses} primary stresses in {orth}')

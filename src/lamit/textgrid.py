@@ -117,9 +117,13 @@ class AnnotationDocument:
 
 
 def decode_textgrid_bytes(data: bytes) -> str:
-    if data[:2] in (b'\xff\xfe', b'\xfe\xff'):
-        return data.decode('utf-16')
-    return data.decode('utf-8-sig')
+    encoding = 'utf-16' if data[:2] in (b'\xff\xfe', b'\xfe\xff') \
+        else 'utf-8-sig'
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as e:
+        raise TextGridParseError(f'not {e.encoding.upper()} text '
+                                 f'({e.reason} at byte {e.start})') from None
 
 
 # patterns, not compiled objects: re compiles them at the first parse, so

@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from lamit import corpus as corpus_mod
 from lamit import features
 from lamit import lexicon as lexicon_mod
+
+# `--hypothesis-profile=ci`: the same examples on every run, and no
+# per-example deadline for a slow shared runner to trip
+settings.register_profile('ci', derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope='session')

@@ -612,3 +612,82 @@ def test_audio_commands_load_no_scipy(tmp_path):
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout.splitlines()
     assert out == ['[0, 0] True', '[]']
+
+
+# ------------------------------------------------------- input encoding
+
+NOT_UTF8 = b'\xff\xfe# not UTF-8\n'
+
+
+@pytest.mark.parametrize('kind', ['config', 'inventory', 'lexicon',
+                                  'corpus-stats', 'corpus-validate',
+                                  'transcription', 'landmark-csv'])
+def test_non_utf8_input_exits_2(tmp_path, capsys, kind):
+    bad = tmp_path / f'{kind}.bad'
+    bad.write_bytes(NOT_UTF8)
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    out = str(tmp_path / 'out')
+    argv = {
+        'config': ['stats', '--config', str(bad)],
+        'inventory': ['stats', '--inventory', str(bad)],
+        'lexicon': ['validate', '--lexicon', str(bad)],
+        'corpus-stats': ['stats', '--corpus', str(bad)],
+        'corpus-validate': ['validate', '--corpus', str(bad)],
+        'transcription': ['lexi', '--textgrid', str(tg), '--transcription',
+                          str(bad), '--out', out],
+        'landmark-csv': ['match', '--landmarks', str(bad), '--textgrid',
+                         str(tg), '--out', out],
+    }[kind]
+    assert run(*argv) == 2
+    assert_one_line_error(capsys, str(bad), 'UTF-8')
+
+
+@pytest.mark.parametrize('data', [b'\xff\xfe\x00\xd8', b'File \xff\xff'])
+def test_undecodable_textgrid_exits_2(tmp_path, capsys, data):
+    tg = tmp_path / 'bad.TextGrid'
+    tg.write_bytes(data)
+    assert run('lexi', '--textgrid', str(tg),
+               '--out', str(tmp_path / 'o.TextGrid')) == 2
+    assert_one_line_error(capsys, 'TextGrid', 'text')
+
+
+# ------------------------------------------------------ layered config
+
+def test_layered_config_checks_f0_limits_once(tmp_path, capsys):
+    low = tmp_path / 'a.cfg'
+    low.write_text('f0_min = 600\n', encoding='utf-8')
+    high = tmp_path / 'b.cfg'
+    high.write_text('f0_max = 1000\n', encoding='utf-8')
+    for first, second in ((low, high), (high, low)):
+        assert run('stats', '--config', str(first), '--config', str(second),
+                   '--show-config') == 0
+        out = capsys.readouterr().out
+        assert 'f0_min = 600\n' in out and 'f0_max = 1000\n' in out
+    # the final config is still checked
+    assert run('stats', '--config', str(low), '--show-config') == 2
+    assert_one_line_error(capsys, 'f0_min (600) must be below f0_max (500)')
+
+
+def test_config_line_error_names_its_file(tmp_path, capsys):
+    good = tmp_path / 'good.cfg'
+    good.write_text('w_bound = 0.5\n', encoding='utf-8')
+    bad = tmp_path / 'bad.cfg'
+    bad.write_text('# knobs\nw_free = nan\n', encoding='utf-8')
+    assert run('stats', '--config', str(good), '--config', str(bad),
+               '--show-config') == 2
+    assert_one_line_error(capsys, f'{bad}: line 2: w_free must be finite')
+
+
+@pytest.mark.parametrize('command', ['stats', 'lexi', 'validate'])
+@pytest.mark.parametrize('config', [None, 'no_such_knob = 1\n'])
+def test_every_command_reads_its_config(tmp_path, capsys, command, config):
+    cfg = tmp_path / 'x.cfg'
+    if config is not None:
+        cfg.write_text(config, encoding='utf-8')
+    argv = [command, '--config', str(cfg)]
+    if command == 'lexi':
+        argv += ['--textgrid', str(word_doc_path(tmp_path, ['MAMMA'])),
+                 '--out', str(tmp_path / 'o.TextGrid')]
+    assert run(*argv) == 2
+    assert_one_line_error(capsys, str(cfg))
+    assert not (tmp_path / 'o.TextGrid').exists()
