@@ -97,7 +97,7 @@ def _read_word_doc(args) -> AnnotationDocument:
     try:
         doc = parse_textgrid(path.read_bytes())
     except TextGridError as e:
-        raise CliError(f'TextGrid: {e}') from None
+        raise CliError(f'TextGrid {path}: {e}') from None
     if not doc.has_tier('Word'):
         raise CliError('input has no Word tier', EXIT_RESOLUTION)
     return doc
@@ -148,6 +148,8 @@ def _read_sentence(args, inv):
 def cmd_lexi(args, cfg) -> int:
     if not args.out:
         raise CliError('--out is required for lexi')
+    if args.sentence is not None and not args.transcription:
+        raise CliError('--sentence needs --transcription')
     inv = _load_italian(args)
     lex = _load_lexicon(_lexicon_text(args), inv)
     doc = _read_word_doc(args)
@@ -177,9 +179,8 @@ def cmd_landmarks(args, cfg) -> int:
     tg_path = out.with_suffix('.TextGrid')
     csv_path.write_text(landmarks.landmarks_csv(seq), encoding='utf-8')
     tier = annotation.landmark_tier_from(seq.items)
-    doc_dur = max(audio.duration, tier.t_end)
     tg_path.write_text(
-        serialize_textgrid(AnnotationDocument(doc_dur, [tier])),
+        serialize_textgrid(AnnotationDocument(audio.duration, [tier])),
         encoding='utf-8')
     print(f'wrote {csv_path} and {tg_path} ({len(seq.items)} landmarks)')
     return EXIT_OK
@@ -374,10 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
         description='Landmark-based lexical access toolkit for Italian')
     sub = parser.add_subparsers(dest='command', required=True)
 
-    def common(p):
-        p.add_argument('--inventory', help='feature inventory file')
-        p.add_argument('--lexicon', help='lexicon file')
-        p.add_argument('--out', help='output path')
+    helps = {'inventory': 'feature inventory file',
+             'lexicon': 'lexicon file', 'out': 'output path'}
+
+    def common(p, *files):
+        for name in files:
+            p.add_argument(f'--{name}', help=helps[name])
         p.add_argument('--config', action='append',
                        help='key = value analysis parameters and matcher '
                        'weights; repeatable, later files override earlier')
@@ -386,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser('stats', help='phoneme frequency statistics')
     p.add_argument('--corpus', help='transcription file')
-    common(p)
+    common(p, 'inventory', 'out')
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser('lexi', help='generate the predicted phoneme tier')
@@ -394,12 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--transcription', help='transcription file for '
                    'syntactic doubling')
     p.add_argument('--sentence', type=int, help='sentence id to use')
-    common(p)
+    common(p, 'inventory', 'lexicon', 'out')
     p.set_defaults(fn=cmd_lexi)
 
     p = sub.add_parser('landmarks', help='detect landmarks in a wav file')
     p.add_argument('--wav', required=True)
-    common(p)
+    common(p, 'out')
     p.set_defaults(fn=cmd_landmarks)
 
     p = sub.add_parser('match', help='rank word candidates per interval')
@@ -408,12 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
                    'evidence only)')
     p.add_argument('--textgrid', required=True, help='Word tier TextGrid')
     p.add_argument('--topk', type=int, default=10)
-    common(p)
+    common(p, 'inventory', 'lexicon', 'out')
     p.set_defaults(fn=cmd_match)
 
     p = sub.add_parser('validate', help='run the shipped-data checks')
     p.add_argument('--corpus', help='transcription file')
-    common(p)
+    common(p, 'inventory', 'lexicon')
     p.set_defaults(fn=cmd_validate)
     return parser
 

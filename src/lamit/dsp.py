@@ -120,17 +120,13 @@ def write_wav(path, audio: AudioBuffer):
 @dataclass
 class Spectrogram:
     frames: np.ndarray         # (n_frames, n_bins) log magnitude, dB
-    frame_step: float
-    frame_length: float
+    times: np.ndarray          # frame centres, s
+    frame_step: float          # the hop, s
     freq_resolution: float
-    t0: float                  # centre time of frame 0
 
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-    def times(self) -> np.ndarray:
-        return self.t0 + self.frame_step * np.arange(self.n_frames)
 
     @property
     def nyquist(self) -> float:
@@ -139,35 +135,38 @@ class Spectrogram:
 
 def _frame_spectra(audio: AudioBuffer, frame_length: float,
                    frame_step: float):
-    """Validate the framing; return the frame count, the window length in
+    """Frames of round(frame_length * sr) samples every round(frame_step *
+    sr) samples: their centre times, the hop (s), the window length in
     samples and a generator of (first frame, rfft of the Hann-windowed
     frames) over blocks of BLOCK_FRAMES frames."""
-    if not frame_length >= frame_step > 0:
-        raise DspError('need frame_length >= frame_step > 0')
+    sr = audio.sample_rate
+    nwin, step = np.rint(np.array([frame_length, frame_step]) * sr)
+    if not nwin >= step >= 1:
+        raise DspError(f'need frame_length >= frame_step >= one sample '
+                       f'({1 / sr:.3g} s at {sr} Hz)')
     if len(audio.samples) == 0:
         raise DspError('empty audio')
-    sr = audio.sample_rate
-    nwin = int(round(frame_length * sr))
-    step = int(round(frame_step * sr))
     if nwin > len(audio.samples):
         raise DspError('frame length exceeds signal duration')
+    nwin, step = int(nwin), int(step)
     frames = sliding_window_view(audio.samples, nwin)[::step]
+    times = nwin / sr / 2 + step / sr * np.arange(len(frames))
     window = np.hanning(nwin)
     blocks = ((b, np.fft.rfft(frames[b:b + BLOCK_FRAMES] * window, axis=1))
               for b in range(0, len(frames), BLOCK_FRAMES))
-    return len(frames), nwin, blocks
+    return times, step / sr, nwin, blocks
 
 
 def compute_spectrogram(audio: AudioBuffer, frame_length: float = 0.025,
                         frame_step: float = 0.005) -> Spectrogram:
     """Hann-windowed magnitude spectrogram in dB, floored at -120 dB."""
-    n_frames, nwin, blocks = _frame_spectra(audio, frame_length, frame_step)
+    times, hop, nwin, blocks = _frame_spectra(audio, frame_length,
+                                              frame_step)
     floor = 10 ** (DB_FLOOR / 20.0)
-    db = np.empty((n_frames, nwin // 2 + 1))
+    db = np.empty((len(times), nwin // 2 + 1))
     for b, spec in blocks:
         db[b:b + len(spec)] = 20.0 * np.log10(np.maximum(np.abs(spec), floor))
-    return Spectrogram(db, frame_step, frame_length,
-                       audio.sample_rate / nwin, t0=frame_length / 2)
+    return Spectrogram(db, times, hop, audio.sample_rate / nwin)
 
 
 @dataclass
@@ -206,8 +205,7 @@ def band_energies(spec: Spectrogram,
     bins = _band_bins(bands, spec.freq_resolution, spec.frames.shape[1])
     power = 10.0 ** (spec.frames / 10.0)
     energy = np.vstack([_power_to_db(power[:, b].sum(axis=1)) for b in bins])
-    return BandEnergyTracks(list(bands), energy, spec.times(),
-                            spec.frame_step)
+    return BandEnergyTracks(list(bands), energy, spec.times, spec.frame_step)
 
 
 def rate_of_rise(track: np.ndarray, window: float,
@@ -355,8 +353,8 @@ def standard_tracks(audio: AudioBuffer,
     ...))` gives them (bands clipped at Nyquist), but summed from each
     block's bin powers: no dB spectrogram is built."""
     cfg = cfg or AnalysisConfig()
-    n_frames, nwin, blocks = _frame_spectra(audio, cfg.frame_length,
-                                            cfg.frame_step)
+    times, hop, nwin, blocks = _frame_spectra(audio, cfg.frame_length,
+                                              cfg.frame_step)
     resolution = audio.sample_rate / nwin
     nyq = resolution * (nwin // 2)
     bands = []
@@ -364,15 +362,13 @@ def standard_tracks(audio: AudioBuffer,
         lo, hi = getattr(cfg, name)
         bands.append((lo, min(hi, nyq)))
     bins = _band_bins(bands, resolution, nwin // 2 + 1)
-    power = np.empty((len(bands), n_frames))
+    power = np.empty((len(bands), len(times)))
     for b, spec in blocks:
         bin_power = np.maximum(spec.real ** 2 + spec.imag ** 2,
                                10 ** (DB_FLOOR / 10.0))
         for row, band in zip(power, bins):
             row[b:b + len(spec)] = bin_power[:, band].sum(axis=1)
-    times = cfg.frame_length / 2 + cfg.frame_step * np.arange(n_frames)
-    return BandEnergyTracks(bands, _power_to_db(power), times,
-                            cfg.frame_step)
+    return BandEnergyTracks(bands, _power_to_db(power), times, hop)
 
 
 def parameter_frames(audio: AudioBuffer,

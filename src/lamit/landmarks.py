@@ -354,9 +354,12 @@ def detect_all(audio: AudioBuffer,
     return detect_landmarks(standard_tracks(audio, cfg), cfg)
 
 
+CSV_HEADER = 'time_s,kind,manner,strength_dB'
+
+
 def landmarks_csv(seq: LandmarkSequence) -> str:
     """CSV 'time_s,kind,manner,strength_dB'."""
-    lines = ['time_s,kind,manner,strength_dB']
+    lines = [CSV_HEADER]
     for lm in seq.items:
         manner = lm.manner.value if lm.manner else ''
         lines.append(f'{lm.time:.6f},{lm.kind.value},{manner},'
@@ -365,10 +368,15 @@ def landmarks_csv(seq: LandmarkSequence) -> str:
 
 
 def parse_landmarks_csv(text: str) -> LandmarkSequence:
-    """Inverse of `landmarks_csv`; errors name the offending line."""
+    """Inverse of `landmarks_csv`; errors name the offending line.  Line 1
+    is the header, unless the text is empty."""
+    lines = text.splitlines()
+    if lines and lines[0].strip() != CSV_HEADER:
+        raise LandmarkError(f'line 1: expected the header {CSV_HEADER}, '
+                            f'got {lines[0][:60]!r}')
     items = []
-    for lineno, ln in enumerate(text.splitlines(), 1):
-        if lineno == 1 or not ln.strip():
+    for lineno, ln in enumerate(lines[1:], 2):
+        if not ln.strip():
             continue
         fields = ln.split(',')
         if len(fields) != 4:

@@ -162,11 +162,19 @@ class _Scanner:
         return TextGridParseError(f'line {line}: {kind} expected, found '
                                   f'{tok}')
 
-    def next_number(self) -> float:
+    def next_number(self, ok=None, kind: str = '') -> float:
+        """The next number; one for which ok(number) is false is reported
+        as a value of the wrong kind, with kind as the kind expected."""
         at, tok = self._next('number')
         if not re.fullmatch(_NUMBER, tok):
             raise self._wrong_kind(at, tok, 'number')
+        if ok and not ok(float(tok)):
+            raise self._wrong_kind(at, tok, kind)
         return float(tok)
+
+    def next_count(self) -> int:
+        return int(self.next_number(lambda x: x >= 0 and x.is_integer(),
+                                    'non-negative whole number'))
 
     def next_string(self) -> str:
         at, tok = self._next('string')
@@ -197,15 +205,16 @@ def parse_textgrid(document: str | bytes) -> AnnotationDocument:
     if sc.next_string() != 'TextGrid':
         raise TextGridParseError('malformed header')
     xmin = sc.next_number()
-    xmax = sc.next_number()
-    ntiers = int(sc.next_number())
+    xmax = sc.next_number(lambda x: xmin < x < math.inf,
+                          'finite xmax above xmin')
+    ntiers = sc.next_count()
     tiers: list[Tier] = []
     for _ in range(ntiers):
         klass = sc.next_string()
         name = sc.next_string()
         sc.next_number()    # tier xmin
         sc.next_number()    # tier xmax
-        size = int(sc.next_number())
+        size = sc.next_count()
         if klass == 'IntervalTier':
             items = []
             for _ in range(size):

@@ -691,3 +691,75 @@ def test_every_command_reads_its_config(tmp_path, capsys, command, config):
     assert run(*argv) == 2
     assert_one_line_error(capsys, str(cfg))
     assert not (tmp_path / 'o.TextGrid').exists()
+
+
+# ------------------------------------------------- options per command
+
+@pytest.mark.parametrize('argv', [
+    ['landmarks', '--wav', 'x.wav', '--inventory', 'inv.tsv'],
+    ['landmarks', '--wav', 'x.wav', '--lexicon', 'lex.tsv'],
+    ['stats', '--lexicon', 'lex.tsv'],
+    ['validate', '--out', 'out.txt'],
+], ids=['landmarks-inventory', 'landmarks-lexicon', 'stats-lexicon',
+        'validate-out'])
+def test_option_a_command_does_not_read_is_a_usage_error(capsys, argv):
+    assert run(*argv) == 2
+    assert 'unrecognized arguments' in capsys.readouterr().err
+
+
+def test_lexi_sentence_needs_a_transcription(tmp_path, capsys):
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    out = tmp_path / 'o.TextGrid'
+    assert run('lexi', '--textgrid', str(tg), '--sentence', '36',
+               '--out', str(out)) == 2
+    assert_one_line_error(capsys, '--sentence', '--transcription')
+    assert not out.exists()
+
+
+# --------------------------------------------- TextGrid and CSV limits
+
+def test_textgrid_error_names_the_file(tmp_path, capsys):
+    tg = tmp_path / 'bad.TextGrid'
+    tg.write_bytes(b'\xff\xfe\x00\xd8')
+    assert run('lexi', '--textgrid', str(tg),
+               '--out', str(tmp_path / 'o.TextGrid')) == 2
+    assert_one_line_error(capsys, f'error: TextGrid {tg}: ')
+
+
+@pytest.mark.parametrize('old, new, message', [
+    ('size = 1\n', 'size = 1e400\n',
+     'line 7: non-negative whole number expected, found 1e400'),
+    ('size = 1\n', 'size = 1.7\n',
+     'line 7: non-negative whole number expected, found 1.7'),
+    ('intervals: size = 1\n', 'intervals: size = -1\n',
+     'line 14: non-negative whole number expected, found -1'),
+    ('xmax = 0.5\n', 'xmax = 1e400\n',
+     'line 5: finite xmax above xmin expected, found 1e400'),
+    ('xmax = 0.5\n', 'xmax = 0\n',
+     'line 5: finite xmax above xmin expected, found 0'),
+])
+@pytest.mark.parametrize('command', ['lexi', 'match'])
+def test_textgrid_counts_and_duration_exit_2(tmp_path, capsys, command,
+                                             old, new, message):
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    text = tg.read_text('utf-8')
+    assert old in text
+    tg.write_text(text.replace(old, new, 1), encoding='utf-8')
+    csv = tmp_path / 'lm.csv'
+    csv.write_text('time_s,kind,manner,strength_dB\n', encoding='utf-8')
+    out = tmp_path / 'o'
+    argv = {'lexi': ['lexi', '--textgrid', str(tg), '--out', str(out)],
+            'match': ['match', '--landmarks', str(csv), '--textgrid',
+                      str(tg), '--out', str(out)]}[command]
+    assert run(*argv) == 2
+    assert_one_line_error(capsys, str(tg), message)
+    assert not out.exists()
+
+
+def test_landmark_csv_without_header_exits_2(tmp_path, capsys):
+    csv = tmp_path / 'bare.csv'
+    csv.write_text('0.100000,Vowel,,10.00\n', encoding='utf-8')
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    assert run('match', '--landmarks', str(csv), '--textgrid', str(tg),
+               '--out', str(tmp_path / 'm.csv')) == 2
+    assert_one_line_error(capsys, str(csv), 'line 1', 'header')

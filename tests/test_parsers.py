@@ -6,9 +6,12 @@ inventory or the number of units tried.  The old versions are kept here,
 unchanged, as oracles: on the shipped files, on seeded mutations of them
 and on hypothesis-generated text, the new parsers must give `==` objects
 (in the same order, with the same warnings) or raise the same exception
-type with the same message.
+type with the same message.  The TextGrid, landmark CSV and config
+parsers, which have no oracle, are fuzzed for typed errors only.
 """
 import collections
+import dataclasses
+import math
 import random
 import warnings
 
@@ -17,12 +20,19 @@ import pytest
 from hypothesis import example, given, settings
 
 from lamit import corpus, features, lexicon
+from lamit.config import (AnalysisConfig, ConfigError, check_config,
+                          parse_config_values)
 from lamit.corpus import (TranscribedSentence, TranscribedWord,
                           TranscriptionError)
 from lamit.features import (FeatureInventory, FeatureValue, InventoryError,
                             MajorClass, ParseError, PhonemeId,
                             ReadOnlyBundle, classify_major)
+from lamit.landmarks import (LandmarkError, LandmarkKind, LandmarkSequence,
+                             Manner, parse_landmarks_csv)
 from lamit.lexicon import LexEntry, Lexicon, LexiconParseError, PhonemeToken
+from lamit.textgrid import (AnnotationDocument, Interval, IntervalTier,
+                            Point, PointTier, TextGridError, parse_textgrid,
+                            serialize_textgrid)
 
 
 # ------------------------------------------------------------ oracles
@@ -639,3 +649,201 @@ def test_untyped_oracle_errors_are_typed_now(italian, parse, old, text,
     assert not issubclass(outcome(old, *args)[1], typed)
     with pytest.raises(typed):
         parse(*args)
+
+
+# -------------------------------------------- typed errors, nothing else
+#
+# The TextGrid, landmark CSV and config parsers replaced no older parser,
+# so they have no oracle: on generated text each must return a valid
+# object or raise its module's typed error.
+
+def returned_or_typed(fn, typed, *args):
+    """fn(*args), or None when it raised `typed`; any other exception
+    fails the test."""
+    try:
+        return fn(*args)
+    except typed:
+        return None
+
+
+TG_VALUES = ['0', '1', '2', '0.5', '1.7', '-1', '+3', '5.', '.25', '2E1',
+             '1e300', '1e400', '-1e400', 'inf', 'nan', 'oops', '"1"',
+             '"IntervalTier"', '"TextTier"', '"Other"', 'x y', '']
+
+
+@st.composite
+def textgrid_texts(draw):
+    """Serialized documents with a few lines changed, dropped or
+    repeated, so that valid ones and each kind of fault occur."""
+    tiers = []
+    for k in range(draw(st.integers(0, 3))):
+        times = sorted(draw(st.sets(st.integers(1, 40), max_size=5)))
+        if draw(st.booleans()):
+            edges = [0] + times
+            tiers.append(IntervalTier(f'T{k}', [
+                Interval(a / 10, b / 10, draw(st.sampled_from(
+                    ['', 'a', 'x "y"'])))
+                for a, b in zip(edges, edges[1:])]))
+        else:
+            tiers.append(PointTier(f'P{k}', [Point(t / 10, 'V')
+                                             for t in times]))
+    duration = draw(st.sampled_from([4.0, 4.5, 100.0]))
+    lines = serialize_textgrid(AnnotationDocument(duration, tiers)) \
+        .split('\n')
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(['value', 'value', 'drop', 'repeat',
+                                   'insert']))
+        if op == 'value' and ' = ' in lines[i]:
+            key = lines[i].split(' = ', 1)[0]
+            lines[i] = f'{key} = {draw(st.sampled_from(TG_VALUES))}'
+        elif op == 'drop' and len(lines) > 1:
+            del lines[i]
+        elif op == 'repeat':
+            lines.insert(i, lines[i])
+        elif op == 'insert':
+            lines.insert(i, draw(st.text('="[]<> \t0.5aé', max_size=6)))
+    return '\n'.join(lines)
+
+
+def assert_valid_document(doc):
+    assert isinstance(doc, AnnotationDocument)
+    assert 0 < doc.duration < math.inf
+    for tier in doc.tiers:
+        assert isinstance(tier, (IntervalTier, PointTier))
+        assert tier.t_end <= doc.duration
+    # what lexi and landmarks write from it can be read back
+    again = parse_textgrid(serialize_textgrid(doc))
+    assert again.duration == doc.duration
+    assert [(t.name, t.items) for t in again.tiers] == \
+        [(t.name, t.items) for t in doc.tiers]
+
+
+def with_value(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+ONE_WORD = serialize_textgrid(AnnotationDocument(1.0, [IntervalTier(
+    'Word', [Interval(0.0, 1.0, 'MAMMA')])]))
+
+
+@settings(max_examples=300)
+@given(textgrid_texts())
+@example(with_value(ONE_WORD, 'size = 1\n', 'size = 1e400\n'))
+@example(with_value(ONE_WORD, 'size = 1\n', 'size = 1.7\n'))
+@example(with_value(ONE_WORD, 'xmax = 1\n', 'xmax = 1e400\n'))
+def test_fuzz_textgrid_text(text):
+    doc = returned_or_typed(parse_textgrid, TextGridError, text)
+    if doc is not None:
+        assert_valid_document(doc)
+
+
+@settings(max_examples=200)
+@given(textgrid_texts(),
+       st.sampled_from(['utf-8', 'utf-8-sig', 'utf-16', 'utf-16-le',
+                        'latin-1']),
+       st.binary(max_size=3), st.integers(0, 2000))
+@example(with_value(ONE_WORD, 'size = 1\n', 'size = 1e400\n'),
+         'utf-16', b'', 0)
+def test_fuzz_textgrid_bytes(text, encoding, junk, at):
+    data = text.encode(encoding, errors='replace')
+    data = data[:at] + junk + data[at:]
+    doc = returned_or_typed(parse_textgrid, TextGridError, data)
+    if doc is not None:
+        assert_valid_document(doc)
+
+
+CSV_HEADER = 'time_s,kind,manner,strength_dB'
+CONSONANT = (LandmarkKind.CLOSURE, LandmarkKind.RELEASE)
+
+
+@st.composite
+def landmark_csv_texts(draw):
+    """Rows of increasing times, most of them well formed, under the
+    header, a wrong header or none."""
+    lines = []
+    header = draw(st.sampled_from([CSV_HEADER] * 6 + [
+        ' ' + CSV_HEADER + ' ', 'time,kind', '', None]))
+    if header is not None:
+        lines.append(header)
+    for i in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(list(LandmarkKind)))
+        manner = draw(st.sampled_from(list(Manner))).value \
+            if kind in CONSONANT else ''
+        cells = [f'{0.05 * (i + 1):.6f}', kind.value, manner, '10.00']
+        if draw(st.integers(0, 4)) == 0:
+            cells[draw(st.integers(0, 3))] = draw(st.sampled_from([
+                '0.01', '-1', '1e400', 'nan', 'inf', 'x', '', 'Bogus',
+                'Vowel', 'sonorant', 'nasal']))
+        lines.append(','.join(cells))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(['', ' ', 'a,b', '1,2,3,4,5'])))
+    return '\n'.join(lines)
+
+
+@settings(max_examples=300)
+@given(landmark_csv_texts())
+@example('0.100000,Vowel,,10.00')                 # no header line
+def test_fuzz_landmark_csv(text):
+    seq = returned_or_typed(parse_landmarks_csv, LandmarkError, text)
+    if seq is None:
+        return
+    assert isinstance(seq, LandmarkSequence)
+    times = [lm.time for lm in seq.items]
+    assert all(math.isfinite(t) for t in times)
+    assert times == sorted(set(times))
+    assert all((lm.kind in CONSONANT) == (lm.manner is not None)
+               for lm in seq.items)
+    # every row but the header is a landmark
+    rows = text.splitlines()
+    if rows and rows[0].strip() == CSV_HEADER:
+        rows = rows[1:]
+    assert len(seq.items) == sum(1 for r in rows if r.strip())
+
+
+def test_landmark_csv_header_is_line_1():
+    assert parse_landmarks_csv('').items == []
+    assert parse_landmarks_csv(CSV_HEADER + '\n').items == []
+    with pytest.raises(LandmarkError, match='^line 1: '):
+        parse_landmarks_csv('0.100000,Vowel,,10.00\n')
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(AnalysisConfig)]
+
+
+@st.composite
+def config_texts(draw):
+    """key = value lines, most of them well formed."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        key = draw(st.sampled_from(CONFIG_KEYS))
+        value = '100, 300' if key.endswith('_band') else '0.5'
+        if draw(st.integers(0, 3)) == 0:
+            value = draw(st.sampled_from([
+                '0', '-2', '1e400', 'nan', 'inf', '100 200', '1 2 3', 'x',
+                '', '1_0', '0.5 # note', '0.5=1']))
+        line = f'{key} = {value}'
+        if draw(st.integers(0, 5)) == 0:
+            line = draw(st.sampled_from([
+                f'{key} {value}', f' {key}={value} ', f'bogus = {value}',
+                f'# {line}', '', draw(st.text('=#, \t0.5a_é', max_size=8))]))
+        lines.append(line)
+    return '\n'.join(lines)
+
+
+@settings(max_examples=300)
+@given(config_texts())
+def test_fuzz_config_values(text):
+    values = returned_or_typed(parse_config_values, ConfigError, text)
+    if values is None:
+        return
+    assert set(values) <= set(CONFIG_KEYS)
+    for key, value in values.items():
+        numbers = value if isinstance(value, tuple) else (value,)
+        assert all(isinstance(x, float) and math.isfinite(x)
+                   for x in numbers)
+        assert len(numbers) == (2 if key.endswith('_band') else 1)
+    cfg = returned_or_typed(check_config, ConfigError,
+                            dataclasses.replace(AnalysisConfig(), **values))
+    assert cfg is None or isinstance(cfg, AnalysisConfig)
