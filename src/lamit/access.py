@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +22,7 @@ class MatchError(ValueError):
     pass
 
 
-@dataclass
-class EstimatedSegment:
+class EstimatedSegment(NamedTuple):
     window: tuple[float, float]
     bundle: FeatureBundle
     source_landmarks: tuple[int, ...] = ()
@@ -32,28 +32,37 @@ class EstimatedSegment:
         return 0.5 * (self.window[0] + self.window[1])
 
 
-@dataclass(frozen=True)
-class DistanceWeights:
-    w_free: float = AnalysisConfig.w_free
-    w_bound: float = AnalysisConfig.w_bound
-    unspecified_cost: float = AnalysisConfig.unspecified_cost
+_DEFAULT = AnalysisConfig._field_defaults
 
-    def __post_init__(self):
-        if not all(math.isfinite(x) for x in
-                   (self.w_free, self.w_bound, self.unspecified_cost)):
+
+class _DistanceWeights(NamedTuple):
+    w_free: float = _DEFAULT['w_free']
+    w_bound: float = _DEFAULT['w_bound']
+    unspecified_cost: float = _DEFAULT['unspecified_cost']
+
+
+class DistanceWeights(_DistanceWeights):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(math.isfinite(x) for x in self):
             raise MatchError('weights must be finite')
         if not self.w_free >= self.w_bound > 0:
             raise MatchError('need w_free >= w_bound > 0')
         if self.unspecified_cost < 0:
             raise MatchError('unspecified_cost must be non-negative')
+        return self
+
+    # _replace builds through _make: check its result too
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def from_config(cls, cfg: AnalysisConfig) -> 'DistanceWeights':
         return cls(cfg.w_free, cfg.w_bound, cfg.unspecified_cost)
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     word: str
     score: float
     cohort_rank: int
@@ -191,6 +200,7 @@ def feature_distance(est: FeatureBundle, lexical: FeatureBundle,
         if name not in inv.features:
             raise MatchError(f'feature {name!r} not in this inventory')
     total = 0.0
+    unspecified_cost = w.unspecified_cost   # read once, not per feature
     for f in inv.features:
         e, l = est.value(f), lexical.value(f)
         if e is l:
@@ -198,7 +208,7 @@ def feature_distance(est: FeatureBundle, lexical: FeatureBundle,
         if l is PLUSMINUS and e in (PLUS, MINUS):
             continue        # the lexical ± accepts either polarity
         if e is UNSPECIFIED:
-            total += w.unspecified_cost
+            total += unspecified_cost
         elif l is UNSPECIFIED:
             continue        # lexicon requires nothing here
         else:
@@ -306,11 +316,10 @@ def _top_k(cost: list[np.ndarray], table: PhonemeIndex, w: DistanceWeights,
     return results
 
 
-@dataclass
-class WordMatch:
+class WordMatch(NamedTuple):
     interval_index: int
     word_label: str
-    results: list[MatchResult] = field(default_factory=list)
+    results: Sequence[MatchResult] = ()
     no_evidence: bool = False
 
 

@@ -1,7 +1,7 @@
 """Annotation tiers: automatic LEXI generation, edits, landmark tiers."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import TranscribedSentence
 from .features import FeatureInventory, LookupError_, MajorClass
@@ -68,14 +68,12 @@ def generate_lexi_tier(word_tier: IntervalTier, lex: Lexicon,
     return IntervalTier(name, out)
 
 
-@dataclass(frozen=True)
-class LabelEdit:
+class LabelEdit(NamedTuple):
     index: int
     label: str
 
 
-@dataclass(frozen=True)
-class BoundaryEdit:
+class BoundaryEdit(NamedTuple):
     """Move the boundary between interval `index` and `index + 1`."""
     index: int
     time: float

@@ -44,10 +44,11 @@ def _existing(path, what) -> Path:
 
 
 def _read_text(path, what) -> str:
-    """The text of an input file, which must be UTF-8."""
+    """The text of an input file, which must be UTF-8; a leading byte
+    order mark is dropped."""
     path = _existing(path, what)
     try:
-        return path.read_text('utf-8')
+        return path.read_text('utf-8-sig')
     except UnicodeDecodeError as e:
         raise CliError(f'{what} {path} is not UTF-8 text '
                        f'({e.reason} at byte {e.start})') from None

@@ -2,15 +2,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     # front-end framing
     frame_length: float = 0.025
     frame_step: float = 0.005
@@ -62,7 +61,7 @@ _POSITIVE_FIELDS = {'frame_length', 'frame_step', 'ror_window',
 def parse_config_values(text: str) -> dict:
     """The values a config file sets, by name; each line is checked on
     its own (known key, finite value, positive where it must be)."""
-    known = {f.name for f in fields(AnalysisConfig)}
+    known = set(AnalysisConfig._fields)
     changes = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split('#', 1)[0].strip()
@@ -105,17 +104,16 @@ def parse_config_file(text: str, base: AnalysisConfig | None = None
                       ) -> AnalysisConfig:
     """A copy of base (default: the defaults) with the file's values;
     base itself is never changed, even when the file is refused."""
-    return check_config(replace(base or AnalysisConfig(),
-                                **parse_config_values(text)))
+    return check_config((base or AnalysisConfig())._replace(
+        **parse_config_values(text)))
 
 
 def render_config(cfg: AnalysisConfig) -> str:
     lines = []
-    for f in fields(AnalysisConfig):
-        v = getattr(cfg, f.name)
+    for name, v in zip(cfg._fields, cfg):
         if isinstance(v, tuple):
             v = f'{v[0]:g} {v[1]:g}'
         else:
             v = f'{v:g}'
-        lines.append(f'{f.name} = {v}')
+        lines.append(f'{name} = {v}')
     return '\n'.join(lines) + '\n'

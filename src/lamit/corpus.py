@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import collections
 import re
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .features import FeatureInventory, MajorClass, PhonemeId
 from .lexicon import Lexicon, PhonemeToken, singleton_of
@@ -22,8 +22,7 @@ _UNIT = '(?s)' + '|'.join(_MULTI) + '|.'
 _NO_GEMINATE = 'aeiouɛɔjw'     # a doubled vowel or glide is two phonemes
 
 
-@dataclass(frozen=True)
-class TranscribedWord:
+class TranscribedWord(NamedTuple):
     phonemes: tuple[PhonemeToken, ...]
     stress_position: int | None = None
     doubled: bool = False           # word-initial syntactic gemination
@@ -32,8 +31,7 @@ class TranscribedWord:
         return ''.join(t.phoneme.ipa for t in self.phonemes)
 
 
-@dataclass(frozen=True)
-class TranscribedSentence:
+class TranscribedSentence(NamedTuple):
     id: int
     words: tuple[TranscribedWord, ...]
     # (word index, geminate phoneme) for each word-initial doubling
@@ -162,8 +160,7 @@ def _citation_entry(word: TranscribedWord, lex: Lexicon):
     return lex.by_ipa_sequence.get(_citation_ipa(word))
 
 
-@dataclass
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     counts: dict[PhonemeId, int]
     total: int
     percentages: dict[PhonemeId, float]

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,18 +21,16 @@ class DspError(ValueError):
     pass
 
 
-@dataclass
 class AudioBuffer:
-    samples: np.ndarray        # float, nominally within [-1, 1]
-    sample_rate: int
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+    def __init__(self, samples, sample_rate: int):
+        # float, nominally within [-1, 1]
+        self.samples: np.ndarray = np.asarray(samples, dtype=np.float64)
+        self.sample_rate = sample_rate
         if self.samples.ndim != 1:
             raise DspError('audio must be mono')
-        if self.sample_rate < 16000:
+        if sample_rate < 16000:
             raise DspError(
-                f'sample rate {self.sample_rate} Hz below the 16 kHz minimum')
+                f'sample rate {sample_rate} Hz below the 16 kHz minimum')
         if not np.all(np.isfinite(self.samples)):
             raise DspError('audio contains non-finite samples')
 
@@ -117,8 +115,7 @@ def write_wav(path, audio: AudioBuffer):
     Path(path).write_bytes(header + data.tobytes())
 
 
-@dataclass
-class Spectrogram:
+class Spectrogram(NamedTuple):
     frames: np.ndarray         # (n_frames, n_bins) log magnitude, dB
     times: np.ndarray          # frame centres, s
     frame_step: float          # the hop, s
@@ -169,8 +166,7 @@ def compute_spectrogram(audio: AudioBuffer, frame_length: float = 0.025,
     return Spectrogram(db, times, hop, audio.sample_rate / nwin)
 
 
-@dataclass
-class BandEnergyTracks:
+class BandEnergyTracks(NamedTuple):
     bands: list[tuple[float, float]]
     energy: np.ndarray         # (n_bands, n_frames) dB
     times: np.ndarray
@@ -212,8 +208,10 @@ def rate_of_rise(track: np.ndarray, window: float,
                  frame_step: float) -> np.ndarray:
     """Centered difference of the smoothed track, in dB/s.
 
-    `window` is the moving-average smoothing span; edges are zero-padded
-    so the output length equals the input length.
+    `window` is the moving-average smoothing span; edges are padded with
+    the end values so the output length equals the input length.  A
+    window under two frame steps, or over twice the track (so that one
+    edge's padding would outgrow it), is a DspError.
     """
     track = np.asarray(track, dtype=np.float64)
     n = int(round(window / frame_step))
@@ -223,6 +221,9 @@ def rate_of_rise(track: np.ndarray, window: float,
         n += 1
     if len(track) < 3:
         return np.zeros_like(track)
+    if n // 2 > len(track):     # checked before the kernel is allocated
+        raise DspError(f'rate-of-rise window {window:g}s longer than twice '
+                       f'the track ({len(track)} frames)')
     kernel = np.ones(n) / n
     pad = np.pad(track, n // 2, mode='edge')
     smooth = np.convolve(pad, kernel, mode='valid')
@@ -314,8 +315,7 @@ def spectral_tilt(tracks: BandEnergyTracks,
     return (x @ (y - y.mean(axis=0))) / float(x @ x)
 
 
-@dataclass
-class ParameterTrack:
+class ParameterTrack(NamedTuple):
     """Cue parameters as arrays, one value per band-track frame, and the
     audio they were measured on, for the cues computed only on demand."""
     tracks: BandEnergyTracks   # the standard bands: low, f1, mid, high

@@ -3,9 +3,9 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
+from typing import NamedTuple
 
 
 class FeatureValue(enum.Enum):
@@ -35,8 +35,7 @@ ARTICULATOR_GROUP = {
 }
 
 
-@dataclass(frozen=True)
-class FeatureName:
+class FeatureName(NamedTuple):
     name: str
 
     @property
@@ -55,8 +54,7 @@ class MajorClass(enum.Enum):
     CONSONANT = 'consonant'
 
 
-@dataclass(frozen=True)
-class PhonemeId:
+class PhonemeId(NamedTuple):
     ipa: str
     arpabet: str
     major_class: MajorClass
@@ -104,26 +102,44 @@ class LookupError_(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class FeatureInventory:
+class Frozen:
+    """A record whose attributes are bound once, in its __init__ (through
+    `object.__setattr__`), and never rebound or deleted."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f'cannot assign to field {name!r}')
+
+    def __delattr__(self, name):
+        raise AttributeError(f'cannot delete field {name!r}')
+
+
+class FeatureInventory(Frozen):
     """Immutable: the lists are stored as tuples and the dicts behind
     read-only mapping proxies."""
     language_tag: str
     phonemes: tuple[PhonemeId, ...]
     bundles: Mapping[str, FeatureBundle]   # keyed by ipa
     features: tuple[str, ...]
-    by_ipa: Mapping[str, PhonemeId] = field(init=False)
-    by_arpabet: Mapping[str, PhonemeId] = field(init=False)
+    by_ipa: Mapping[str, PhonemeId]
+    by_arpabet: Mapping[str, PhonemeId]
 
-    def __post_init__(self):
+    def __init__(self, language_tag: str, phonemes, bundles, features):
+        phonemes = tuple(phonemes)
         assign = object.__setattr__
-        assign(self, 'phonemes', tuple(self.phonemes))
-        assign(self, 'bundles', MappingProxyType(dict(self.bundles)))
-        assign(self, 'features', tuple(self.features))
-        assign(self, 'by_ipa',
-               MappingProxyType({p.ipa: p for p in self.phonemes}))
+        assign(self, 'language_tag', language_tag)
+        assign(self, 'phonemes', phonemes)
+        assign(self, 'bundles', MappingProxyType(dict(bundles)))
+        assign(self, 'features', tuple(features))
+        assign(self, 'by_ipa', MappingProxyType({p.ipa: p for p in phonemes}))
         assign(self, 'by_arpabet',
-               MappingProxyType({p.arpabet: p for p in self.phonemes}))
+               MappingProxyType({p.arpabet: p for p in phonemes}))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.language_tag, self.phonemes, self.bundles,
+                self.features) == (other.language_tag, other.phonemes,
+                                   other.bundles, other.features)
 
     # -- basic lookups ----------------------------------------------------
     def phoneme(self, key) -> PhonemeId:
@@ -223,6 +239,7 @@ def load_inventory(text: str) -> FeatureInventory:
     by_ipa: dict[str, PhonemeId] = {}
     bundles: dict[str, FeatureBundle] = {}
     seen: set[str] = set()
+    seen_arpabet: set[str] = set()
     pending = []    # geminate rows, resolved after singletons
     for lineno, cells in rows:
         ipa, arp = cells[0], cells[1]
@@ -230,7 +247,11 @@ def load_inventory(text: str) -> FeatureInventory:
         vals = cells[2:-1] if has_base else cells[2:]
         if ipa in seen:
             raise InventoryError(f'line {lineno}: duplicate phoneme {arp!r}')
+        if arp in seen_arpabet:
+            raise InventoryError(
+                f'line {lineno}: duplicate ARPAbet label {arp!r}')
         seen.add(ipa)
+        seen_arpabet.add(arp)
         if base != '.':
             pending.append((ipa, arp, base))
             continue

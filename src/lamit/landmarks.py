@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,33 +29,44 @@ class Manner(enum.Enum):
     NONCONTINUANT = 'noncontinuant'
 
 
-@dataclass(frozen=True)
-class Landmark:
+class _Landmark(NamedTuple):
     time: float
     kind: LandmarkKind
     manner: Manner | None = None
     strength: float = 0.0      # dB prominence or peak |rate of rise|
 
-    def __post_init__(self):
+
+class Landmark(_Landmark):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         is_consonant = self.kind in (LandmarkKind.CLOSURE,
                                      LandmarkKind.RELEASE)
         if is_consonant != (self.manner is not None):
             raise LandmarkError(
                 'manner is set exactly on consonant landmarks')
+        return self
+
+    # _replace builds through _make: check its result too
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 _BROAD = {LandmarkKind.VOWEL: 'V', LandmarkKind.GLIDE: 'G',
           LandmarkKind.CLOSURE: 'Ccl', LandmarkKind.RELEASE: 'Crel'}
 
 
-@dataclass
 class LandmarkSequence:
-    items: list[Landmark] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, items=()):
+        self.items: list[Landmark] = list(items)
         times = [lm.time for lm in self.items]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise LandmarkError('landmark times must strictly increase')
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.items == other.items
 
     @property
     def broad_class_string(self) -> list[str]:

@@ -3,14 +3,13 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
-from .features import (FeatureBundle, FeatureInventory, LookupError_,
-                       MajorClass, PhonemeId, features_of)
+from .features import (FeatureBundle, FeatureInventory, Frozen,
+                       LookupError_, MajorClass, PhonemeId, features_of)
 
 if TYPE_CHECKING:       # numpy is imported only where the arrays are built
     import numpy as np
@@ -20,8 +19,7 @@ class LexiconParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PhonemeToken:
+class PhonemeToken(NamedTuple):
     phoneme: PhonemeId
     stressed: bool = False
 
@@ -30,8 +28,7 @@ class PhonemeToken:
         return self.phoneme.arpabet + ('1' if self.stressed else '')
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(NamedTuple):
     orthography: str
     phonemes: tuple[PhonemeToken, ...]
 
@@ -50,15 +47,21 @@ class PhonemeIndex(NamedTuple):
     orth_rank: np.ndarray     # each orthography's place in sorted() order
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(Frozen):
     """Immutable: the entries sit behind a read-only mapping proxy."""
     entries: Mapping[str, LexEntry]
     inventory: FeatureInventory
 
-    def __post_init__(self):
-        object.__setattr__(self, 'entries',
-                           MappingProxyType(dict(self.entries)))
+    def __init__(self, entries: Mapping[str, LexEntry],
+                 inventory: FeatureInventory):
+        object.__setattr__(self, 'entries', MappingProxyType(dict(entries)))
+        object.__setattr__(self, 'inventory', inventory)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.entries, self.inventory) == (other.entries,
+                                                  other.inventory)
 
     def __len__(self):
         return len(self.entries)

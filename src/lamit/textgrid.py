@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class TextGridError(ValueError):
@@ -25,44 +25,62 @@ def _check_time(t: float):
         raise TextGridError(f'bad time {t!r}')
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Interval(NamedTuple):
     t_start: float
     t_end: float
     label: str = ''
 
-    def __post_init__(self):
+
+class Interval(_Interval):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_time(self.t_start)
         _check_time(self.t_end)
         if self.t_start >= self.t_end:
             raise TextGridError(
                 f'empty interval [{self.t_start}, {self.t_end}]')
+        return self
+
+    # _replace builds through _make: check its result too
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.t_start + self.t_end)
 
 
-@dataclass(frozen=True)
-class Point:
+class _Point(NamedTuple):
     time: float
     label: str = ''
 
-    def __post_init__(self):
+
+class Point(_Point):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_time(self.time)
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass
 class IntervalTier:
-    name: str
-    items: list[Interval] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, name: str, items=()):
+        self.name = name
+        self.items: list[Interval] = list(items)
         for a, b in zip(self.items, self.items[1:]):
             if b.t_start < a.t_end:
                 raise TextGridError(
-                    f'tier {self.name!r}: overlapping intervals at '
+                    f'tier {name!r}: overlapping intervals at '
                     f'{a.t_end}/{b.t_start}')
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.items) == (other.name, other.items)
 
     @property
     def t_end(self) -> float:
@@ -72,16 +90,19 @@ class IntervalTier:
         return [iv for iv in self.items if iv.label]
 
 
-@dataclass
 class PointTier:
-    name: str
-    items: list[Point] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, name: str, items=()):
+        self.name = name
+        self.items: list[Point] = list(items)
         for a, b in zip(self.items, self.items[1:]):
             if b.time <= a.time:
                 raise TextGridError(
-                    f'tier {self.name!r}: points not strictly increasing')
+                    f'tier {name!r}: points not strictly increasing')
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.items) == (other.name, other.items)
 
     @property
     def t_end(self) -> float:
@@ -91,17 +112,20 @@ class PointTier:
 Tier = IntervalTier | PointTier
 
 
-@dataclass
 class AnnotationDocument:
-    duration: float
-    tiers: list[Tier] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, duration: float, tiers=()):
+        self.duration = duration
+        self.tiers: list[Tier] = list(tiers)
         for tier in self.tiers:
-            if tier.t_end > self.duration + 1e-12:
+            if tier.t_end > duration + 1e-12:
                 raise TextGridError(
                     f'tier {tier.name!r} extends past document end '
-                    f'({tier.t_end} > {self.duration})')
+                    f'({tier.t_end} > {duration})')
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.duration, self.tiers) == (other.duration, other.tiers)
 
     def tier(self, name: str) -> Tier:
         for t in self.tiers:

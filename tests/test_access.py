@@ -110,6 +110,13 @@ def test_weights_validation():
         DistanceWeights(unspecified_cost=-1)
 
 
+def test_weights_defaults_and_replace_are_checked():
+    assert DistanceWeights() == DistanceWeights.from_config(AnalysisConfig())
+    assert DistanceWeights()._replace(w_free=3.0) == DistanceWeights(3.0)
+    with pytest.raises(MatchError):
+        DistanceWeights()._replace(w_bound=3.0)
+
+
 @pytest.mark.parametrize('bad', [
     {'unspecified_cost': float('nan')}, {'unspecified_cost': float('inf')},
     {'w_free': float('inf')}, {'w_free': float('nan')},

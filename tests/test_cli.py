@@ -1,3 +1,4 @@
+import codecs
 import os
 import subprocess
 import sys
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from lamit.cli import main
+from lamit.cli import data_dir, main
 from lamit.config import AnalysisConfig, ConfigError, parse_config_file
 from lamit.dsp import write_wav
+from lamit.landmarks import CSV_HEADER
 from lamit.textgrid import (AnnotationDocument, Interval, IntervalTier,
                             parse_textgrid, serialize_textgrid)
 
@@ -571,21 +573,42 @@ def test_data_dir_env_override(tmp_path, monkeypatch, capsys):
 
 # ------------------------------------------------------------ imports
 
+def run_probe(probe, *args):
+    """The stdout lines of `python -c probe args...` in a fresh
+    interpreter that imports lamit from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / 'src')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get('PYTHONPATH')])))
+    return subprocess.run([sys.executable, '-c', probe, *args], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True).stdout.splitlines()
+
+
 def test_text_commands_load_neither_scipy_nor_numpy():
     probe = (
         'import io, sys, contextlib\n'
         'import lamit.cli\n'
         'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))\n'
+        'print("dataclasses" in sys.modules, "numpy" in sys.modules)\n'
         'with contextlib.redirect_stdout(io.StringIO()):\n'
         '    code = lamit.cli.main(["validate"])\n'
         'print(code, "numpy" in sys.modules)\n')
-    src = str(Path(__file__).resolve().parents[1] / 'src')
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get('PYTHONPATH')])))
-    out = subprocess.run([sys.executable, '-c', probe], env=env,
-                         capture_output=True, text=True, timeout=120,
-                         check=True).stdout.splitlines()
-    assert out == ['[]', '0 False']
+    assert run_probe(probe) == ['[]', 'False False', '0 False']
+
+
+def test_no_lamit_module_loads_dataclasses():
+    probe = (
+        'import importlib, pkgutil, sys\n'
+        'import lamit\n'
+        'for m in pkgutil.iter_modules(lamit.__path__, "lamit."):\n'
+        '    importlib.import_module(m.name)\n'
+        'print(" ".join(sorted(m for m in sys.modules\n'
+        '                      if m.startswith("lamit."))))\n'
+        'print("dataclasses" in sys.modules)\n')
+    names, loaded = run_probe(probe)
+    assert {'lamit.access', 'lamit.cli', 'lamit.dsp',
+            'lamit.landmarks'} <= set(names.split())
+    assert loaded == 'False'
 
 
 def test_audio_commands_load_no_scipy(tmp_path):
@@ -604,13 +627,7 @@ def test_audio_commands_load_no_scipy(tmp_path):
         '                             tg, "--out", out + ".csv"])]\n'
         'print(codes, "numpy" in sys.modules)\n'
         'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))\n')
-    src = str(Path(__file__).resolve().parents[1] / 'src')
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get('PYTHONPATH')])))
-    out = subprocess.run([sys.executable, '-c', probe, str(wav), str(tg),
-                          str(tmp_path / 'out')], env=env,
-                         capture_output=True, text=True, timeout=120,
-                         check=True).stdout.splitlines()
+    out = run_probe(probe, str(wav), str(tg), str(tmp_path / 'out'))
     assert out == ['[0, 0] True', '[]']
 
 
@@ -642,6 +659,41 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, kind):
     assert_one_line_error(capsys, str(bad), 'UTF-8')
 
 
+@pytest.mark.parametrize('kind', ['config', 'inventory', 'lexicon',
+                                  'corpus', 'transcription', 'landmark-csv'])
+def test_utf8_bom_input_reads_as_without(tmp_path, capsys, kind):
+    """Each text input gives the same exit code, console output and
+    output file with and without a UTF-8 byte order mark."""
+    src, out = tmp_path / 'input.txt', tmp_path / 'out'
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    shipped = data_dir()
+    argv, text = {
+        'config': (['stats', '--show-config', '--config', src],
+                   'w_free = 3\n'),
+        'inventory': (['stats', '--inventory', src, '--out', out],
+                      (shipped / 'italian_features.tsv').read_text('utf-8')),
+        'lexicon': (['lexi', '--textgrid', tg, '--lexicon', src,
+                     '--out', out],
+                    (shipped / 'lamit_lexicon.tsv').read_text('utf-8')),
+        'corpus': (['stats', '--corpus', src, '--out', out],
+                   (shipped / 'lamit_transcriptions.tsv').read_text('utf-8')),
+        'transcription': (['lexi', '--textgrid', tg, '--transcription', src,
+                           '--out', out], "1\tmam'ma\n"),
+        'landmark-csv': (['match', '--landmarks', src, '--textgrid', tg,
+                          '--out', out],
+                         f'{CSV_HEADER}\n0.100000,Vowel,,10.00\n'),
+    }[kind]
+    results = []
+    for bom in (b'', codecs.BOM_UTF8):
+        src.write_bytes(bom + text.encode('utf-8'))
+        code = run(*map(str, argv))
+        results.append((code, capsys.readouterr(),
+                        out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
 @pytest.mark.parametrize('data', [b'\xff\xfe\x00\xd8', b'File \xff\xff'])
 def test_undecodable_textgrid_exits_2(tmp_path, capsys, data):
     tg = tmp_path / 'bad.TextGrid'
@@ -666,6 +718,24 @@ def test_layered_config_checks_f0_limits_once(tmp_path, capsys):
     # the final config is still checked
     assert run('stats', '--config', str(low), '--show-config') == 2
     assert_one_line_error(capsys, 'f0_min (600) must be below f0_max (500)')
+
+
+@pytest.mark.parametrize('command', ['landmarks', 'match'])
+def test_huge_ror_window_is_one_line_error(tmp_path, capsys, command):
+    """A rate-of-rise window far longer than the audio is refused before
+    its smoothing kernel is allocated."""
+    audio, _ = synth.fricative_vcv()
+    wav = tmp_path / 'fvcv.wav'
+    write_wav(wav, audio)
+    cfg = tmp_path / 'ror.cfg'
+    cfg.write_text('ror_window = 1e9\n', encoding='utf-8')
+    argv = [command, '--wav', str(wav), '--config', str(cfg),
+            '--out', str(tmp_path / 'o')]
+    if command == 'match':
+        argv += ['--textgrid', str(word_doc_path(tmp_path, ['BASSO'],
+                                                 dur=audio.duration))]
+    assert run(*argv) == 2
+    assert_one_line_error(capsys, str(wav), 'rate-of-rise window 1e+09s')
 
 
 def test_config_line_error_names_its_file(tmp_path, capsys):

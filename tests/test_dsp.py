@@ -109,6 +109,14 @@ def test_rate_of_rise_window_too_small():
         rate_of_rise(np.zeros(50), 0.004, 0.005)
 
 
+def test_rate_of_rise_window_over_twice_the_track():
+    # edge padding of n // 2 frames may equal the track, not exceed it
+    assert not rate_of_rise(np.zeros(3), 0.02, 0.005).any()
+    assert not rate_of_rise(np.zeros(50), 0.5, 0.005).any()
+    with pytest.raises(DspError, match='longer than twice the track'):
+        rate_of_rise(np.zeros(50), 0.51, 0.005)
+
+
 def test_f0_pulse_train():
     audio = synth.buf(synth.pulse_train(0.5, f0=120.0))
     times = np.arange(0.05, 0.45, 0.01)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -120,7 +119,7 @@ def test_inventory_fields_cannot_be_rebound():
     inv = load_italian()
     for name in ('language_tag', 'phonemes', 'bundles', 'features',
                  'by_ipa', 'by_arpabet'):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(inv, name, None)
 
 
@@ -206,6 +205,17 @@ def test_load_duplicate_phoneme(italian):
     brow = next(ln for ln in lines if ln.startswith('b\t'))
     lines.insert(lines.index(brow) + 1, brow)
     with pytest.raises(InventoryError, match='B'):
+        load_inventory('\n'.join(lines))
+
+
+def test_load_duplicate_arpabet_label(italian):
+    # a second row labelled AA, under another symbol
+    lines = serialize_inventory(italian).splitlines()
+    arow = next(ln for ln in lines if ln.startswith('a\t'))
+    lines.append('ä' + arow[1:])
+    with pytest.raises(InventoryError,
+                       match=f"^line {len(lines)}: duplicate ARPAbet "
+                             "label 'AA'$"):
         load_inventory('\n'.join(lines))
 
 

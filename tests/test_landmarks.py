@@ -179,6 +179,13 @@ def test_manner_only_on_consonants():
         Landmark(0.1, LandmarkKind.CLOSURE)
 
 
+def test_replace_keeps_manner_on_consonants_only():
+    vowel = Landmark(0.1, LandmarkKind.VOWEL)
+    with pytest.raises(LandmarkError):
+        vowel._replace(manner=Manner.SONORANT)
+    assert vowel._replace(time=0.2) == Landmark(0.2, LandmarkKind.VOWEL)
+
+
 def test_cv_full_pipeline():
     audio, release_t, _ = synth.cv_syllable()
     seq = detect_all(audio)

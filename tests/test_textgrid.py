@@ -161,6 +161,14 @@ def test_interval_needs_positive_span():
         Interval(-0.1, 0.5, 'x')
 
 
+def test_replace_checks_intervals_and_points():
+    assert Interval(0, 1, 'a')._replace(t_end=2) == Interval(0, 2, 'a')
+    with pytest.raises(TextGridError):
+        Interval(0, 1, 'a')._replace(t_end=0)
+    with pytest.raises(TextGridError):
+        Point(0.5, 'a')._replace(time=float('nan'))
+
+
 def test_points_strictly_increasing():
     with pytest.raises(TextGridError):
         PointTier('L', [Point(0.5, 'a'), Point(0.5, 'b')])
