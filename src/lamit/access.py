@@ -1,19 +1,17 @@
 """Lexical access: estimated feature bundles matched against the lexicon."""
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import AnalysisConfig
-from .dsp import ParameterTrack
+from .config import AnalysisConfig, weight_problem
+from .dsp import F1, HIGH, LOW, ParameterTrack
 from .features import (FeatureBundle, FeatureInventory, MINUS, PLUS,
                        PLUSMINUS, UNSPECIFIED, FeatureName)
-from .landmarks import F1, HIGH, LOW, LandmarkKind, LandmarkSequence, \
-    Manner
+from .landmarks import LandmarkKind, LandmarkSequence, Manner
 from .lexicon import Lexicon, PhonemeIndex
 from .textgrid import AnnotationDocument
 
@@ -46,12 +44,9 @@ class DistanceWeights(_DistanceWeights):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not all(math.isfinite(x) for x in self):
-            raise MatchError('weights must be finite')
-        if not self.w_free >= self.w_bound > 0:
-            raise MatchError('need w_free >= w_bound > 0')
-        if self.unspecified_cost < 0:
-            raise MatchError('unspecified_cost must be non-negative')
+        problem = weight_problem(*self)
+        if problem:
+            raise MatchError(problem)
         return self
 
     # _replace builds through _make: check its result too
@@ -70,8 +65,8 @@ class MatchResult(NamedTuple):
 
 # ------------------------------------------------------------------ cues
 
-def _vowel_rules(params: ParameterTrack, i: int, bundle: FeatureBundle,
-                 cfg: AnalysisConfig):
+def _vowel_rules(params: ParameterTrack, i: int, bundle: FeatureBundle):
+    cfg = params.cfg
     energy = params.tracks.energy
     openness = energy[F1, i] - energy[LOW, i]
     if openness >= cfg.open_vowel_db:
@@ -86,18 +81,18 @@ def _vowel_rules(params: ParameterTrack, i: int, bundle: FeatureBundle,
 
 
 def cues_to_bundles(seq: LandmarkSequence,
-                    params: ParameterTrack | None = None,
-                    cfg: AnalysisConfig | None = None
+                    params: ParameterTrack | None = None
                     ) -> list[EstimatedSegment]:
     """One estimated segment per vowel/glide landmark and per
     closure-release pair; articulator-bound features only where a
     parameter rule fires, everything else unspecified.  Without params
-    (landmarks alone) the segments carry the broad features only.
+    (landmarks alone) the segments carry the broad features only; with
+    them, every threshold is read from `params.cfg`, the config the
+    track was measured with.
 
     The voicing rule reads only the frames inside non-sonorant
     closure-release windows; they are collected first and voiced by one
     `ParameterTrack.voiced` call."""
-    cfg = cfg or AnalysisConfig()
     out: list[EstimatedSegment] = []
     voicing: list[tuple[FeatureBundle, slice]] = []
     items = seq.items
@@ -107,7 +102,7 @@ def cues_to_bundles(seq: LandmarkSequence,
         if lm.kind is LandmarkKind.VOWEL:
             bundle = FeatureBundle({'vowel': PLUS})
             if params is not None:
-                _vowel_rules(params, params.at(lm.time), bundle, cfg)
+                _vowel_rules(params, params.at(lm.time), bundle)
             out.append(EstimatedSegment((lm.time - 0.05, lm.time + 0.05),
                                         bundle, (i,)))
             i += 1
@@ -117,8 +112,7 @@ def cues_to_bundles(seq: LandmarkSequence,
             i += 1
         elif lm.kind is LandmarkKind.CLOSURE and i + 1 < len(items) \
                 and items[i + 1].kind is LandmarkKind.RELEASE:
-            out.append(_consonant_segment(items, i, i + 1, params, cfg,
-                                          voicing))
+            out.append(_consonant_segment(items, i, i + 1, params, voicing))
             i += 2
         else:
             # unpaired consonant landmark: only the broad features
@@ -144,8 +138,7 @@ def _manner_features(manner: Manner | None, bundle: FeatureBundle):
 
 
 def _consonant_segment(items, i_cl, i_rel, params: ParameterTrack | None,
-                       cfg: AnalysisConfig, voicing: list
-                       ) -> EstimatedSegment:
+                       voicing: list) -> EstimatedSegment:
     """The segment of one closure-release pair; a non-sonorant pair with
     frames between its landmarks is appended to `voicing` with them."""
     closure, release = items[i_cl], items[i_rel]
@@ -166,7 +159,8 @@ def _consonant_segment(items, i_cl, i_rel, params: ParameterTrack | None,
         if neighbours.size:
             bundle['strid'] = (PLUS if float(np.median(high_in)) >
                                float(np.median(neighbours))
-                               + cfg.strident_margin_db else MINUS)
+                               + params.cfg.strident_margin_db
+                               else MINUS)
     if manner is not Manner.SONORANT and high_in.size:
         voicing.append((bundle, inside))
     return segment

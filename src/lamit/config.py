@@ -92,11 +92,29 @@ def parse_config_values(text: str) -> dict:
     return changes
 
 
+def weight_problem(w_free: float, w_bound: float,
+                   unspecified_cost: float) -> str | None:
+    """What is wrong with these matcher weights, or None if nothing:
+    they must be finite, with w_free >= w_bound > 0 and
+    unspecified_cost >= 0."""
+    if not all(math.isfinite(x) for x in (w_free, w_bound,
+                                          unspecified_cost)):
+        return 'weights must be finite'
+    if not w_free >= w_bound > 0:
+        return 'need w_free >= w_bound > 0'
+    if unspecified_cost < 0:
+        return 'unspecified_cost must be non-negative'
+    return None
+
+
 def check_config(cfg: AnalysisConfig) -> AnalysisConfig:
     """cfg, once the values that constrain each other agree."""
     if not cfg.f0_min < cfg.f0_max:
         raise ConfigError(f'f0_min ({cfg.f0_min:g}) must be below f0_max '
                           f'({cfg.f0_max:g})')
+    problem = weight_problem(cfg.w_free, cfg.w_bound, cfg.unspecified_cost)
+    if problem:
+        raise ConfigError(problem)
     return cfg
 
 

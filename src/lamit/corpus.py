@@ -3,10 +3,9 @@ from __future__ import annotations
 
 import collections
 import re
-from importlib import resources
 from typing import NamedTuple
 
-from .features import FeatureInventory, MajorClass, PhonemeId
+from .features import FeatureInventory, MajorClass, PhonemeId, _read_data
 from .lexicon import Lexicon, PhonemeToken, singleton_of
 
 
@@ -222,9 +221,7 @@ def frequency_csv(table: FrequencyTable) -> str:
 
 
 def load_lamit_corpus(inv: FeatureInventory) -> list[TranscribedSentence]:
-    text = (resources.files('lamit') / 'data' / 'lamit_transcriptions.tsv') \
-        .read_text('utf-8')
-    return parse_corpus(text, inv)
+    return parse_corpus(_read_data('lamit_transcriptions.tsv'), inv)
 
 
 def parse_corpus(text: str, inv: FeatureInventory) -> list[TranscribedSentence]:

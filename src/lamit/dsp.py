@@ -304,14 +304,20 @@ def _f0_from_autocorrelation(seg: np.ndarray, e0: np.ndarray, lag_min: int,
     return np.where(voiced, f0, np.nan)
 
 
-def spectral_tilt(tracks: BandEnergyTracks,
-                  band_idx: tuple[int, ...] = (1, 2, 3)) -> np.ndarray:
-    """Least-squares spectral slope in dB/octave over the given bands."""
+# the standard band stack, and each band's row in it
+STANDARD_BANDS = ('low_band', 'f1_band', 'mid_band', 'high_band')
+LOW, F1, MID, HIGH = range(4)
+
+
+def spectral_tilt(tracks: BandEnergyTracks) -> np.ndarray:
+    """Least-squares spectral slope in dB/octave over the standard
+    stack's f1, mid and high bands."""
+    rows = [F1, MID, HIGH]
     centers = np.array([0.5 * (tracks.bands[i][0] + tracks.bands[i][1])
-                        for i in band_idx])
+                        for i in rows])
     x = np.log2(centers)
     x = x - x.mean()
-    y = tracks.energy[list(band_idx), :]
+    y = tracks.energy[rows, :]
     return (x @ (y - y.mean(axis=0))) / float(x @ x)
 
 
@@ -342,9 +348,6 @@ class ParameterTrack(NamedTuple):
         `estimate_f0` call on those frames' times only."""
         times = self.tracks.times[np.asarray(frames, dtype=np.intp)]
         return ~np.isnan(estimate_f0(self.audio, times, self.cfg))
-
-
-STANDARD_BANDS = ('low_band', 'f1_band', 'mid_band', 'high_band')
 
 
 def standard_tracks(audio: AudioBuffer,

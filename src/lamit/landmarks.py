@@ -9,7 +9,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import AnalysisConfig
-from .dsp import AudioBuffer, BandEnergyTracks, rate_of_rise, standard_tracks
+from .dsp import HIGH, LOW, MID, AudioBuffer, BandEnergyTracks, \
+    rate_of_rise, standard_tracks
 
 
 class LandmarkError(ValueError):
@@ -71,10 +72,6 @@ class LandmarkSequence:
     @property
     def broad_class_string(self) -> list[str]:
         return [_BROAD[lm.kind] for lm in self.items]
-
-
-# indices into the standard band stack
-LOW, F1, MID, HIGH = range(4)
 
 # an utterance exists only when the low band rises above this level;
 # below it the whole buffer is treated as silence

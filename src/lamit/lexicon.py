@@ -4,12 +4,12 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from functools import cached_property
-from importlib import resources
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 from .features import (FeatureBundle, FeatureInventory, Frozen,
-                       LookupError_, MajorClass, PhonemeId, features_of)
+                       LookupError_, MajorClass, PhonemeId, _read_data,
+                       features_of)
 
 if TYPE_CHECKING:       # numpy is imported only where the arrays are built
     import numpy as np
@@ -197,6 +197,4 @@ def singleton_of(inv: FeatureInventory, phoneme) -> PhonemeId:
 
 
 def load_lamit_lexicon(inv: FeatureInventory) -> Lexicon:
-    text = (resources.files('lamit') / 'data' / 'lamit_lexicon.tsv') \
-        .read_text('utf-8')
-    return load_lexicon(text, inv)
+    return load_lexicon(_read_data('lamit_lexicon.tsv'), inv)

@@ -279,7 +279,7 @@ def test_open_vowel_cue():
                                           formants=(700., 1200., 2600.))
     cfg = AnalysisConfig()
     seq = detect_all(audio, cfg)
-    segments = cues_to_bundles(seq, parameter_frames(audio, cfg), cfg)
+    segments = cues_to_bundles(seq, parameter_frames(audio, cfg))
     vowel = next(s for s in segments if s.bundle.value('vowel') is PLUS)
     assert vowel.bundle.value('low') is PLUS
 
@@ -288,7 +288,7 @@ def test_close_vowel_cue():
     audio, _ = synth.vowel_rise_fall(0.3, formants=(280., 2300., 3000.))
     cfg = AnalysisConfig()
     seq = detect_all(audio, cfg)
-    segments = cues_to_bundles(seq, parameter_frames(audio, cfg), cfg)
+    segments = cues_to_bundles(seq, parameter_frames(audio, cfg))
     vowel = next(s for s in segments if s.bundle.value('vowel') is PLUS)
     assert vowel.bundle.value('high') is PLUS
 
@@ -297,7 +297,7 @@ def test_back_vowel_cue():
     audio, _ = synth.vowel_rise_fall(0.3, formants=(300., 700., 2200.))
     cfg = AnalysisConfig()
     seq = detect_all(audio, cfg)
-    segments = cues_to_bundles(seq, parameter_frames(audio, cfg), cfg)
+    segments = cues_to_bundles(seq, parameter_frames(audio, cfg))
     vowel = next(s for s in segments if s.bundle.value('vowel') is PLUS)
     assert vowel.bundle.value('back') is PLUS
     assert vowel.bundle.value('round') is PLUS
@@ -307,7 +307,7 @@ def test_strident_continuant_cue():
     audio, _ = synth.fricative_vcv()
     cfg = AnalysisConfig()
     seq = detect_all(audio, cfg)
-    segments = cues_to_bundles(seq, parameter_frames(audio, cfg), cfg)
+    segments = cues_to_bundles(seq, parameter_frames(audio, cfg))
     fric = next(s for s in segments if s.bundle.value('cons') is PLUS)
     assert fric.bundle.value('cont') is PLUS
     assert fric.bundle.value('strid') is PLUS
@@ -318,12 +318,29 @@ def test_stop_segment_default_underspecified():
     audio, _ = synth.vcv_stop()
     cfg = AnalysisConfig()
     seq = detect_all(audio, cfg)
-    segments = cues_to_bundles(seq, parameter_frames(audio, cfg), cfg)
+    segments = cues_to_bundles(seq, parameter_frames(audio, cfg))
     stop = next(s for s in segments if s.bundle.value('cons') is PLUS)
     assert stop.bundle.value('cont') is MINUS
     # no place evidence: articulator features left unspecified
     for f in ('lips', 'blade', 'body', 'ant'):
         assert stop.bundle.value(f) is UNSPECIFIED
+
+
+def test_cue_thresholds_come_from_the_tracks_config():
+    """Every cue rule reads its threshold from the config its track was
+    measured with; thresholds no frame can meet set no feature."""
+    audio = synth.utterances()['concatenated']
+    strict = AnalysisConfig(open_vowel_db=100.0, close_vowel_db=-100.0,
+                            back_tilt_db=-100.0, strident_margin_db=1000.0)
+    for cfg, fired in ((AnalysisConfig(), True), (strict, False)):
+        seq = detect_all(audio, cfg)
+        segments = cues_to_bundles(seq, parameter_frames(audio, cfg))
+        values = [s.bundle.value(f) for s in segments
+                  for f in ('low', 'high', 'back')]
+        assert any(v is not UNSPECIFIED for v in values) is fired
+        strid = [s.bundle.value('strid') for s in segments]
+        assert (PLUS in strid) is fired
+        assert MINUS in strid
 
 
 def test_empty_landmark_sequence_gives_no_segments():

@@ -9,11 +9,13 @@ import pytest
 import scipy.io.wavfile
 
 from lamit.cli import data_dir, main
-from lamit.config import AnalysisConfig, ConfigError, parse_config_file
+from lamit.config import AnalysisConfig, ConfigError, check_config, \
+    parse_config_file
 from lamit.dsp import write_wav
 from lamit.landmarks import CSV_HEADER
 from lamit.textgrid import (AnnotationDocument, Interval, IntervalTier,
-                            parse_textgrid, serialize_textgrid)
+                            Point, PointTier, parse_textgrid,
+                            serialize_textgrid)
 
 import synth
 
@@ -120,6 +122,31 @@ def test_lexi_without_word_tier_exits_3(tmp_path):
     code = run('lexi', '--textgrid', str(tg),
                '--out', str(tmp_path / 'o.TextGrid'))
     assert code == 3
+
+
+@pytest.mark.parametrize('source', [[], ['--landmarks'], ['--wav']],
+                         ids=['lexi', 'match-landmarks', 'match-wav'])
+def test_point_word_tier_exits_3(tmp_path, capsys, monkeypatch, source):
+    """A Word tier must hold intervals; a point tier of that name is
+    refused in one line before any audio is read."""
+    from lamit import dsp
+    doc = AnnotationDocument(1.0, [PointTier('Word',
+                                             [Point(0.5, 'MAMMA')])])
+    tg = tmp_path / 'points.TextGrid'
+    tg.write_text(serialize_textgrid(doc), encoding='utf-8')
+    if source == ['--landmarks']:
+        given = tmp_path / 'lm.csv'
+        given.write_text(CSV_HEADER + '\n', encoding='utf-8')
+    elif source == ['--wav']:
+        given = tmp_path / 'vcv.wav'
+        write_wav(given, synth.vcv_stop()[0])
+    argv = ['match', *source, str(given)] if source else ['lexi']
+    reads = count_calls(monkeypatch, dsp, 'read_wav')
+    out = tmp_path / 'o.out'
+    assert run(*argv, '--textgrid', str(tg), '--out', str(out)) == 3
+    assert_one_line_error(capsys, 'Word tier is not an interval tier')
+    assert reads == []
+    assert not out.exists()
 
 
 def test_lexi_unknown_word_exits_3(tmp_path):
@@ -425,6 +452,31 @@ def test_validate_duplicated_inventory_column(tmp_path):
     bad = tmp_path / 'inv.tsv'
     bad.write_text('\n'.join(lines), encoding='utf-8')
     assert run('validate', '--inventory', str(bad)) == 1
+
+
+def test_validate_inventory_with_twin_singletons_exits_1(tmp_path, capsys):
+    rows = (data_dir() / 'italian_features.tsv').read_text(
+        'utf-8').splitlines()
+    b = next(i for i, ln in enumerate(rows) if ln.startswith('b\t'))
+    p = next(i for i, ln in enumerate(rows) if ln.startswith('p\t'))
+    cells = rows[b].split('\t')
+    rows[b] = '\t'.join(cells[:2] + rows[p].split('\t')[2:])
+    bad = tmp_path / 'inv.tsv'
+    bad.write_text('\n'.join(rows) + '\n', encoding='utf-8')
+    assert run('validate', '--inventory', str(bad)) == 1
+    assert_one_line_error(capsys, 'non-distinct bundles: P vs B')
+
+
+def test_validate_doubly_stressed_entry_fails(tmp_path, capsys):
+    text = (data_dir() / 'lamit_lexicon.tsv').read_text('utf-8')
+    assert 'MAMMA\tM AA1 MM AA\n' in text
+    bad = tmp_path / 'lex.tsv'
+    bad.write_text(text.replace('MAMMA\tM AA1 MM AA\n',
+                                'MAMMA\tM AA1 MM AA1\n'), encoding='utf-8')
+    assert run('validate', '--lexicon', str(bad)) == 1
+    out = capsys.readouterr().out
+    assert 'lexicon-resolution: FAIL' in out
+    assert '2 primary stresses in MAMMA' in out
 
 
 # ------------------------------------------------------------- config
@@ -761,6 +813,63 @@ def test_every_command_reads_its_config(tmp_path, capsys, command, config):
     assert run(*argv) == 2
     assert_one_line_error(capsys, str(cfg))
     assert not (tmp_path / 'o.TextGrid').exists()
+
+
+BAD_WEIGHTS = [('w_bound = 5\n', 'need w_free >= w_bound > 0'),
+               ('unspecified_cost = -1\n',
+                'unspecified_cost must be non-negative')]
+
+
+@pytest.mark.parametrize('values, message', [
+    ({'w_bound': 5.0}, 'need w_free >= w_bound > 0'),
+    ({'w_bound': 0.0}, 'need w_free >= w_bound > 0'),
+    ({'w_free': 0.5}, 'need w_free >= w_bound > 0'),
+    ({'unspecified_cost': -1.0}, 'unspecified_cost must be non-negative'),
+    ({'w_free': float('inf'), 'w_bound': float('inf')},
+     'weights must be finite')],
+    ids=['w_bound_above_w_free', 'zero_w_bound', 'w_free_below_w_bound',
+         'negative_unspecified_cost', 'infinite'])
+def test_check_config_owns_the_weight_rule(values, message):
+    with pytest.raises(ConfigError, match=f'^{message}$'):
+        check_config(AnalysisConfig(**values))
+
+
+def test_check_config_accepts_equal_weights_and_free_unspecified():
+    cfg = AnalysisConfig(w_free=1.0, w_bound=1.0, unspecified_cost=0.0)
+    assert check_config(cfg) is cfg
+
+
+@pytest.mark.parametrize('config, message', BAD_WEIGHTS,
+                         ids=['w_bound', 'unspecified_cost'])
+@pytest.mark.parametrize('command', ['stats', 'lexi', 'validate',
+                                     'landmarks', 'match', 'show-config'])
+def test_every_command_refuses_bad_weights(tmp_path, capsys, monkeypatch,
+                                           command, config, message):
+    """The matcher weights are checked with the rest of the config, so
+    every command refuses them in one line before it reads any input."""
+    from lamit import dsp
+    audio, _ = synth.vcv_stop()
+    wav = tmp_path / 'vcv.wav'
+    write_wav(wav, audio)
+    tg = word_doc_path(tmp_path, ['PAPÀ'], dur=audio.duration)
+    out = tmp_path / 'o.out'
+    cfg = tmp_path / 'w.cfg'
+    cfg.write_text(config, encoding='utf-8')
+    argv = {'stats': ['stats', '--out', str(out)],
+            'lexi': ['lexi', '--textgrid', str(tg), '--out', str(out)],
+            'validate': ['validate'],
+            'landmarks': ['landmarks', '--wav', str(wav), '--out',
+                          str(out)],
+            'match': ['match', '--wav', str(wav), '--textgrid', str(tg),
+                      '--out', str(out)],
+            'show-config': ['stats', '--show-config']}[command]
+    reads = count_calls(monkeypatch, dsp, 'read_wav')
+    assert run(*argv, '--config', str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == f'error: bad config: {message}\n'
+    assert reads == []
+    assert list(tmp_path.glob('o.*')) == []
 
 
 # ------------------------------------------------- options per command
