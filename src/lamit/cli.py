@@ -5,7 +5,6 @@ import argparse
 import functools
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 # the audio modules (access, dsp, landmarks) need numpy; they are imported
@@ -29,10 +28,9 @@ class CliError(Exception):
 
 
 def data_dir() -> Path:
+    """The shipped data, or the directory `LAMIT_DATA_DIR` names."""
     override = os.environ.get('LAMIT_DATA_DIR')
-    if override:
-        return Path(override)
-    return Path(str(resources.files('lamit') / 'data'))
+    return Path(override) if override else features.DATA_DIR
 
 
 def _existing(path, what) -> Path:
@@ -199,7 +197,7 @@ def _segments_from_args(args, cfg):
         # one analysis pass: the detectors read the cue parameters' tracks
         try:
             params = dsp.parameter_frames(dsp.read_wav(source), cfg)
-            seq = landmarks.detect_landmarks(params.tracks, cfg)
+            seq = landmarks.detect_landmarks(params.tracks)
             return access.cues_to_bundles(seq, params)
         except (dsp.DspError, landmarks.LandmarkError) as e:
             raise CliError(f'{source}: {e}') from None

@@ -154,8 +154,13 @@ def _frame_spectra(audio: AudioBuffer, frame_length: float,
     return times, step / sr, nwin, blocks
 
 
-def compute_spectrogram(audio: AudioBuffer, frame_length: float = 0.025,
-                        frame_step: float = 0.005) -> Spectrogram:
+_DEFAULT = AnalysisConfig._field_defaults
+
+
+def compute_spectrogram(audio: AudioBuffer,
+                        frame_length: float = _DEFAULT['frame_length'],
+                        frame_step: float = _DEFAULT['frame_step']
+                        ) -> Spectrogram:
     """Hann-windowed magnitude spectrogram in dB, floored at -120 dB."""
     times, hop, nwin, blocks = _frame_spectra(audio, frame_length,
                                               frame_step)
@@ -171,6 +176,8 @@ class BandEnergyTracks(NamedTuple):
     energy: np.ndarray         # (n_bands, n_frames) dB
     times: np.ndarray
     frame_step: float
+    # the config the tracks were measured with; the detectors read it
+    cfg: AnalysisConfig = AnalysisConfig()
 
 
 def _band_bins(bands, freq_resolution: float, n_bins: int) -> list[slice]:
@@ -327,7 +334,11 @@ class ParameterTrack(NamedTuple):
     tracks: BandEnergyTracks   # the standard bands: low, f1, mid, high
     tilt: np.ndarray           # dB/octave over the f1, mid and high bands
     audio: AudioBuffer
-    cfg: AnalysisConfig
+
+    @property
+    def cfg(self) -> AnalysisConfig:
+        """The config the tracks were measured with."""
+        return self.tracks.cfg
 
     def at(self, t: float) -> int:
         """Index of the frame nearest to t."""
@@ -354,7 +365,8 @@ def standard_tracks(audio: AudioBuffer,
                     cfg: AnalysisConfig | None = None) -> BandEnergyTracks:
     """The standard band energies, as `band_energies(compute_spectrogram(
     ...))` gives them (bands clipped at Nyquist), but summed from each
-    block's bin powers: no dB spectrogram is built."""
+    block's bin powers: no dB spectrogram is built.  The tracks keep
+    `cfg`, so that the landmark detectors apply its thresholds."""
     cfg = cfg or AnalysisConfig()
     times, hop, nwin, blocks = _frame_spectra(audio, cfg.frame_length,
                                               cfg.frame_step)
@@ -371,7 +383,7 @@ def standard_tracks(audio: AudioBuffer,
                                10 ** (DB_FLOOR / 10.0))
         for row, band in zip(power, bins):
             row[b:b + len(spec)] = bin_power[:, band].sum(axis=1)
-    return BandEnergyTracks(bands, _power_to_db(power), times, hop)
+    return BandEnergyTracks(bands, _power_to_db(power), times, hop, cfg)
 
 
 def parameter_frames(audio: AudioBuffer,
@@ -383,4 +395,4 @@ def parameter_frames(audio: AudioBuffer,
     cfg = cfg or AnalysisConfig()
     _f0_lags(audio.sample_rate, cfg)
     tracks = standard_tracks(audio, cfg)
-    return ParameterTrack(tracks, spectral_tilt(tracks), audio, cfg)
+    return ParameterTrack(tracks, spectral_tilt(tracks), audio)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from importlib import resources
+from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -238,7 +238,7 @@ def load_inventory(text: str) -> FeatureInventory:
 
     by_ipa: dict[str, PhonemeId] = {}
     bundles: dict[str, FeatureBundle] = {}
-    seen: set[str] = set()
+    seen: dict[str, tuple[int, str]] = {}      # ipa -> (line, arpabet)
     seen_arpabet: set[str] = set()
     pending = []    # geminate rows, resolved after singletons
     for lineno, cells in rows:
@@ -246,11 +246,13 @@ def load_inventory(text: str) -> FeatureInventory:
         base = cells[-1] if has_base else '.'
         vals = cells[2:-1] if has_base else cells[2:]
         if ipa in seen:
-            raise InventoryError(f'line {lineno}: duplicate phoneme {arp!r}')
+            first, label = seen[ipa]
+            raise InventoryError(f'line {lineno}: duplicate phoneme {ipa!r}, '
+                                 f'already on line {first} as {label}')
         if arp in seen_arpabet:
             raise InventoryError(
                 f'line {lineno}: duplicate ARPAbet label {arp!r}')
-        seen.add(ipa)
+        seen[ipa] = (lineno, arp)
         seen_arpabet.add(arp)
         if base != '.':
             pending.append((ipa, arp, base))
@@ -305,8 +307,12 @@ def serialize_inventory(inv: FeatureInventory) -> str:
     return '\n'.join(lines) + '\n'
 
 
+# the data files shipped with the package
+DATA_DIR = Path(__file__).with_name('data')
+
+
 def _read_data(name: str) -> str:
-    return (resources.files('lamit') / 'data' / name).read_text('utf-8')
+    return (DATA_DIR / name).read_text('utf-8')
 
 
 def load_italian() -> FeatureInventory:

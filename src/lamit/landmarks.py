@@ -180,10 +180,16 @@ def _find_peaks(x, prominence: float, distance: int = 1):
                          'right_bases': right[keep]}
 
 
-def detect_vowel_landmarks(tracks: BandEnergyTracks,
-                           cfg: AnalysisConfig | None = None) -> list[Landmark]:
-    """Local maxima of the low-band energy with sufficient prominence."""
-    cfg = cfg or AnalysisConfig()
+def _landmarks(kind: LandmarkKind, times: np.ndarray,
+               strengths: np.ndarray) -> list[Landmark]:
+    return [Landmark(t, kind, strength=s)
+            for t, s in zip(times.tolist(), strengths.tolist())]
+
+
+def detect_vowel_landmarks(tracks: BandEnergyTracks) -> list[Landmark]:
+    """Local maxima of the low-band energy with sufficient prominence,
+    inside the utterance gate; thresholds from `tracks.cfg`."""
+    cfg = tracks.cfg
     _require_bands(tracks, 1)
     rel = _relative(tracks, cfg)
     span = _gate(tracks, cfg, rel)
@@ -191,20 +197,17 @@ def detect_vowel_landmarks(tracks: BandEnergyTracks,
         return []
     dist = max(1, int(round(cfg.vowel_min_separation / tracks.frame_step)))
     peaks, props = _find_peaks(rel[LOW], cfg.vowel_prominence_db, dist)
-    out = []
-    for p, prom in zip(peaks, props['prominences']):
-        t = float(tracks.times[p])
-        if span[0] <= t <= span[1]:
-            out.append(Landmark(t, LandmarkKind.VOWEL,
-                                strength=float(prom)))
-    return out
+    t = tracks.times[peaks]
+    keep = (span[0] <= t) & (t <= span[1])
+    return _landmarks(LandmarkKind.VOWEL, t[keep],
+                      props['prominences'][keep])
 
 
 def detect_glide_landmarks(tracks: BandEnergyTracks,
-                           vowels: list[Landmark],
-                           cfg: AnalysisConfig | None = None) -> list[Landmark]:
-    """Smooth low-band dips adjacent to vowel landmarks."""
-    cfg = cfg or AnalysisConfig()
+                           vowels: list[Landmark]) -> list[Landmark]:
+    """Smooth low-band dips near vowel landmarks; thresholds from
+    `tracks.cfg`."""
+    cfg = tracks.cfg
     _require_bands(tracks, 1)
     if not vowels:
         return []
@@ -212,25 +215,26 @@ def detect_glide_landmarks(tracks: BandEnergyTracks,
     low = rel[LOW]
     ror = rate_of_rise(low, cfg.ror_window, tracks.frame_step)
     dips, props = _find_peaks(-low, cfg.glide_dip_db)
-    vtimes = np.array([v.time for v in vowels])
-    out = []
-    for d, prom, lo, hi in zip(dips, props['prominences'],
-                               props['left_bases'], props['right_bases']):
-        t = float(tracks.times[d])
-        if not np.any(np.abs(vtimes - t) <= cfg.glide_window):
-            continue
-        # the whole dip must be free of abrupt edges, else it is a consonant
-        if np.max(np.abs(ror[lo:hi + 1])) >= cfg.ror_threshold:
-            continue
-        out.append(Landmark(t, LandmarkKind.GLIDE, strength=float(prom)))
-    return out
+    t = tracks.times[dips]
+    # the nearest vowel is one of the two on either side of each dip
+    vtimes = np.sort([v.time for v in vowels])
+    i = np.searchsorted(vtimes, t)
+    gap = np.minimum(np.abs(vtimes[np.maximum(i - 1, 0)] - t),
+                     np.abs(vtimes[np.minimum(i, len(vtimes) - 1)] - t))
+    # the whole dip [lo, hi] must be free of abrupt frames, else it is
+    # a consonant
+    abrupt = np.concatenate(
+        ([0], np.cumsum(np.abs(ror) >= cfg.ror_threshold)))
+    smooth = abrupt[props['right_bases'] + 1] == abrupt[props['left_bases']]
+    keep = (gap <= cfg.glide_window) & smooth
+    return _landmarks(LandmarkKind.GLIDE, t[keep],
+                      props['prominences'][keep])
 
 
-def detect_consonant_landmarks(tracks: BandEnergyTracks,
-                               cfg: AnalysisConfig | None = None
-                               ) -> list[Landmark]:
-    """Abrupt multi-band discontinuities, split into closures/releases."""
-    cfg = cfg or AnalysisConfig()
+def detect_consonant_landmarks(tracks: BandEnergyTracks) -> list[Landmark]:
+    """Abrupt multi-band discontinuities, split into closures/releases;
+    thresholds from `tracks.cfg`."""
+    cfg = tracks.cfg
     _require_bands(tracks, 4)
     rel = _relative(tracks, cfg)
     span = _gate(tracks, cfg, rel)
@@ -345,21 +349,19 @@ def landmark_sequence(vowels, glides, consonants,
     return LandmarkSequence(kept)
 
 
-def detect_landmarks(tracks: BandEnergyTracks,
-                     cfg: AnalysisConfig | None = None) -> LandmarkSequence:
-    """All three detectors over the standard band tracks, merged."""
-    cfg = cfg or AnalysisConfig()
-    vowels = detect_vowel_landmarks(tracks, cfg)
-    glides = detect_glide_landmarks(tracks, vowels, cfg)
-    consonants = detect_consonant_landmarks(tracks, cfg)
-    return landmark_sequence(vowels, glides, consonants, cfg)
+def detect_landmarks(tracks: BandEnergyTracks) -> LandmarkSequence:
+    """All three detectors over the standard band tracks, merged, with
+    the config the tracks were measured with (`tracks.cfg`)."""
+    vowels = detect_vowel_landmarks(tracks)
+    glides = detect_glide_landmarks(tracks, vowels)
+    consonants = detect_consonant_landmarks(tracks)
+    return landmark_sequence(vowels, glides, consonants, tracks.cfg)
 
 
 def detect_all(audio: AudioBuffer,
                cfg: AnalysisConfig | None = None) -> LandmarkSequence:
     """Full detection pipeline over one utterance."""
-    cfg = cfg or AnalysisConfig()
-    return detect_landmarks(standard_tracks(audio, cfg), cfg)
+    return detect_landmarks(standard_tracks(audio, cfg))
 
 
 CSV_HEADER = 'time_s,kind,manner,strength_dB'

@@ -219,6 +219,22 @@ def test_load_duplicate_arpabet_label(italian):
         load_inventory('\n'.join(lines))
 
 
+@pytest.mark.parametrize('symbol, label', [('b', 'B'), ('bb', 'BB')])
+def test_load_duplicate_phoneme_names_symbol_and_first_row(italian, symbol,
+                                                          label):
+    # the repeat carries a fresh label, so only its symbol repeats
+    lines = serialize_inventory(italian).splitlines()
+    row = next(ln for ln in lines if ln.startswith(f'{symbol}\t'))
+    first = lines.index(row) + 1
+    assert row.split('\t')[1] == label
+    lines.insert(first, f'{symbol}\tZZ\t' + row.split('\t', 2)[2])
+    with pytest.raises(InventoryError,
+                       match=f"^line {first + 1}: duplicate phoneme "
+                             f"'{symbol}', already on line {first} as "
+                             f"{label}$"):
+        load_inventory('\n'.join(lines))
+
+
 def test_load_colliding_bundles(italian):
     # overwrite the p row with the b row's cells: bundles collide
     text = serialize_inventory(italian)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from lamit.config import AnalysisConfig
-from lamit.dsp import AudioBuffer, BandEnergyTracks, standard_tracks
+from lamit.dsp import AudioBuffer, BandEnergyTracks, rate_of_rise, \
+    standard_tracks
 from lamit.landmarks import (HIGH, LOW, SILENCE_DB, Landmark, LandmarkError,
                              LandmarkKind, LandmarkSequence, Manner,
-                             _classify_manner, _frication, _gate, _relative,
-                             _runs, detect_all,
+                             _classify_manner, _find_peaks, _frication,
+                             _gate, _relative, _runs, detect_all,
                              detect_consonant_landmarks,
                              detect_glide_landmarks, detect_vowel_landmarks,
                              landmark_sequence, landmarks_csv,
@@ -400,3 +401,99 @@ def test_vectorised_manner_covers_every_manner():
                     AnalysisConfig(noise_min_duration=0.004)):
             seen |= assert_manners_match(tracks, cfg)
     assert seen == set(Manner)
+
+
+def vowels_loop(tracks, cfg):
+    """Reference vowel detector: one gate test per candidate peak."""
+    rel = _relative(tracks, cfg)
+    span = _gate(tracks, cfg, rel)
+    if span is None:
+        return []
+    dist = max(1, int(round(cfg.vowel_min_separation / tracks.frame_step)))
+    peaks, props = _find_peaks(rel[LOW], cfg.vowel_prominence_db, dist)
+    out = []
+    for p, prom in zip(peaks, props['prominences']):
+        t = float(tracks.times[p])
+        if span[0] <= t <= span[1]:
+            out.append(Landmark(t, LandmarkKind.VOWEL, strength=float(prom)))
+    return out
+
+
+def glides_loop(tracks, vowels, cfg):
+    """Reference glide detector: every vowel and every dip frame read per
+    candidate dip."""
+    if not vowels:
+        return []
+    low = _relative(tracks, cfg)[LOW]
+    ror = rate_of_rise(low, cfg.ror_window, tracks.frame_step)
+    dips, props = _find_peaks(-low, cfg.glide_dip_db)
+    vtimes = np.array([v.time for v in vowels])
+    out = []
+    for d, prom, lo, hi in zip(dips, props['prominences'],
+                               props['left_bases'], props['right_bases']):
+        t = float(tracks.times[d])
+        if not np.any(np.abs(vtimes - t) <= cfg.glide_window):
+            continue
+        if np.max(np.abs(ror[lo:hi + 1])) >= cfg.ror_threshold:
+            continue
+        out.append(Landmark(t, LandmarkKind.GLIDE, strength=float(prom)))
+    return out
+
+
+def assert_vowels_and_glides_match(tracks, vowels=None):
+    got = detect_vowel_landmarks(tracks)
+    assert got == vowels_loop(tracks, tracks.cfg)
+    vowels = got if vowels is None else vowels
+    assert detect_glide_landmarks(tracks, vowels) == \
+        glides_loop(tracks, vowels, tracks.cfg)
+    return got
+
+
+@pytest.mark.parametrize('name', manner_fixtures().keys())
+def test_masked_vowels_and_glides_equal_per_candidate(name):
+    audio = manner_fixtures()[name]
+    for cfg in (AnalysisConfig(), AnalysisConfig(glide_dip_db=1.0),
+                AnalysisConfig(vowel_prominence_db=2.0, glide_window=0.05,
+                               ror_threshold=100.0)):
+        assert_vowels_and_glides_match(standard_tracks(audio, cfg))
+
+
+@pytest.mark.parametrize('seed', range(30))
+def test_masked_vowels_and_glides_equal_per_candidate_on_random_tracks(
+        seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 400))
+    step = float(rng.choice([0.002, 0.005, 0.01]))
+    # a random walk, coarsely quantised so that peaks and bases tie
+    scale = float(rng.choice([0.5, 1.5, 3.0]))
+    low = np.round(np.cumsum(rng.normal(0.0, scale, n)) / 2.0) * 2.0
+    energy = np.vstack([low, rng.uniform(-80.0, 0.0, (3, n))])
+    cfg = AnalysisConfig(
+        vowel_prominence_db=float(rng.choice([2.0, 6.0, 9.0])),
+        vowel_min_separation=float(rng.choice([0.01, 0.06])),
+        glide_dip_db=float(rng.choice([1.0, 4.0, 6.0])),
+        glide_window=float(rng.choice([0.0, 0.03, 0.15, 10.0])),
+        ror_threshold=float(rng.choice([50.0, 300.0, 1000.0, 3000.0])),
+        ror_window=max(0.02, 2 * step),
+        gate_db=float(rng.choice([20.0, 60.0])),
+        gate_min_duration=float(rng.choice([0.01, 0.1])))
+    tracks = BandEnergyTracks(
+        [(0.0, 400.0), (300.0, 900.0), (800.0, 2500.0), (2500.0, 8000.0)],
+        energy, step / 2 + step * np.arange(n), step, cfg)
+    vowels = assert_vowels_and_glides_match(tracks)
+    # vowels anywhere, on frame times or between them, in any order
+    times = rng.choice(tracks.times, int(rng.integers(1, 6)))
+    times = times + rng.choice([0.0, step / 3], len(times))
+    others = [Landmark(float(t), LandmarkKind.VOWEL) for t in times]
+    assert_vowels_and_glides_match(tracks, others)
+    assert_vowels_and_glides_match(tracks, [*vowels, *others])
+    # thresholds equal to the |rate of rise| at a dip's base frame, so a
+    # dip's two edges decide whether it is smooth
+    low = _relative(tracks, cfg)[LOW]
+    size = np.abs(rate_of_rise(low, cfg.ror_window, step))
+    _, props = _find_peaks(-low, cfg.glide_dip_db)
+    bases = np.concatenate([props['left_bases'], props['right_bases']])
+    for k in rng.choice(bases, min(len(bases), 8)).tolist():
+        edged = tracks._replace(cfg=cfg._replace(glide_window=10.0,
+                                                 ror_threshold=size[k]))
+        assert_vowels_and_glides_match(edged, others)

@@ -76,7 +76,10 @@ def old_load_inventory(text):
         vals = cells[2:-1] if has_base else cells[2:]
         if any(p.ipa == ipa for p in phonemes) or \
                 ipa in (g for g, _, _ in pending):
-            raise InventoryError(f'line {lineno}: duplicate phoneme {arp!r}')
+            raise InventoryError(
+                'line {}: duplicate phoneme {!r}, already on line {} as {}'
+                .format(lineno, ipa, *next((n, c[1]) for n, c in rows
+                                           if c[0] == ipa)))
         if base != '.':
             pending.append((ipa, arp, base))
             continue
