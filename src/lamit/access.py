@@ -9,8 +9,8 @@ import numpy as np
 
 from .config import AnalysisConfig, weight_problem
 from .dsp import F1, HIGH, LOW, ParameterTrack
-from .features import (FeatureBundle, FeatureInventory, MINUS, PLUS,
-                       PLUSMINUS, UNSPECIFIED, FeatureName)
+from .features import (ARTICULATOR_FREE, FeatureBundle, FeatureInventory,
+                       MINUS, PLUS, PLUSMINUS, UNSPECIFIED)
 from .landmarks import LandmarkKind, LandmarkSequence, Manner
 from .lexicon import Lexicon, PhonemeIndex
 from .textgrid import AnnotationDocument
@@ -206,8 +206,7 @@ def feature_distance(est: FeatureBundle, lexical: FeatureBundle,
         elif l is UNSPECIFIED:
             continue        # lexicon requires nothing here
         else:
-            total += (w.w_free if FeatureName(f).kind == 'articulator-free'
-                      else w.w_bound)
+            total += w.w_free if f in ARTICULATOR_FREE else w.w_bound
     return total
 
 

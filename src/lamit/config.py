@@ -51,11 +51,12 @@ class AnalysisConfig(NamedTuple):
 
 _TUPLE_FIELDS = {'low_band', 'f1_band', 'mid_band', 'high_band'}
 
-# durations turned into frame counts and F0 limits used as divisors
+# durations turned into frame counts, F0 limits used as divisors, and
+# the merge window, which keeps two landmarks off one frame
 _POSITIVE_FIELDS = {'frame_length', 'frame_step', 'ror_window',
                     'f0_frame_length', 'f0_min', 'f0_max',
                     'vowel_min_separation', 'noise_min_duration',
-                    'gate_min_duration'}
+                    'gate_min_duration', 'merge_window'}
 
 
 def parse_config_values(text: str) -> dict:
@@ -116,14 +117,6 @@ def check_config(cfg: AnalysisConfig) -> AnalysisConfig:
     if problem:
         raise ConfigError(problem)
     return cfg
-
-
-def parse_config_file(text: str, base: AnalysisConfig | None = None
-                      ) -> AnalysisConfig:
-    """A copy of base (default: the defaults) with the file's values;
-    base itself is never changed, even when the file is refused."""
-    return check_config((base or AnalysisConfig())._replace(
-        **parse_config_values(text)))
 
 
 def render_config(cfg: AnalysisConfig) -> str:

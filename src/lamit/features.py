@@ -35,19 +35,6 @@ ARTICULATOR_GROUP = {
 }
 
 
-class FeatureName(NamedTuple):
-    name: str
-
-    @property
-    def kind(self) -> str:
-        return ('articulator-free' if self.name in ARTICULATOR_FREE
-                else 'articulator-bound')
-
-    @property
-    def articulator_group(self) -> str:
-        return ARTICULATOR_GROUP.get(self.name, 'none')
-
-
 class MajorClass(enum.Enum):
     VOWEL = 'vowel'
     GLIDE = 'glide'

@@ -89,13 +89,18 @@ def _relative(tracks: BandEnergyTracks, cfg: AnalysisConfig) -> np.ndarray:
     return np.maximum(e - float(e.max()), -cfg.gate_db)
 
 
-def _gate(tracks: BandEnergyTracks, cfg: AnalysisConfig, rel=None):
-    """Active utterance span, padded by the rate-of-rise window."""
+def _frames(seconds: float, step: float) -> int:
+    """A duration as a whole number of frames, at least one."""
+    return max(1, int(round(seconds / step)))
+
+
+def _gate(tracks: BandEnergyTracks, cfg: AnalysisConfig, rel: np.ndarray):
+    """Active utterance span, padded by the rate-of-rise window; rel is
+    `_relative(tracks, cfg)`."""
     if float(tracks.energy[LOW].max()) <= SILENCE_DB:
         return None
-    rel = _relative(tracks, cfg) if rel is None else rel
     starts, stops = _runs(rel[LOW] > -cfg.gate_db)
-    min_run = max(1, int(round(cfg.gate_min_duration / tracks.frame_step)))
+    min_run = _frames(cfg.gate_min_duration, tracks.frame_step)
     long = stops - starts >= min_run
     if not long.any():
         return None
@@ -195,7 +200,7 @@ def detect_vowel_landmarks(tracks: BandEnergyTracks) -> list[Landmark]:
     span = _gate(tracks, cfg, rel)
     if span is None:
         return []
-    dist = max(1, int(round(cfg.vowel_min_separation / tracks.frame_step)))
+    dist = _frames(cfg.vowel_min_separation, tracks.frame_step)
     peaks, props = _find_peaks(rel[LOW], cfg.vowel_prominence_db, dist)
     t = tracks.times[peaks]
     keep = (span[0] <= t) & (t <= span[1])
@@ -308,12 +313,12 @@ def _classify_manner(rel: np.ndarray, ks: np.ndarray, step: float,
     low band is about as strong on both sides, continuant with sustained
     high-band noise on either side, else noncontinuant."""
     low = rel[LOW]
-    d = max(1, int(round(0.030 / step)))
+    d = _frames(0.030, step)
     before = low[np.maximum(ks - d, 0)]
     after = low[np.minimum(ks + d, len(low) - 1)]
     sonorant = np.abs(after - before) <= cfg.sonorant_window_db
-    n = max(1, int(round(cfg.noise_min_duration / step)))
-    off = max(1, int(round(0.005 / step)))
+    n = _frames(cfg.noise_min_duration, step)
+    off = _frames(0.005, step)
     fricated = _frication(rel, np.concatenate([ks + off, ks - off - n]),
                           n, cfg).reshape(2, -1).any(axis=0)
     return [Manner.SONORANT if s else
@@ -333,9 +338,10 @@ _PRIORITY = {LandmarkKind.CLOSURE: 2, LandmarkKind.RELEASE: 2,
 
 
 def landmark_sequence(vowels, glides, consonants,
-                      cfg: AnalysisConfig | None = None) -> LandmarkSequence:
-    """Merge detector outputs; collisions collapse by priority C > V > G."""
-    cfg = cfg or AnalysisConfig()
+                      cfg: AnalysisConfig) -> LandmarkSequence:
+    """Merge detector outputs; landmarks closer than `cfg.merge_window`
+    collapse by priority C > V > G.  Pass the config of the tracks the
+    detectors ran on (`tracks.cfg`), as `detect_landmarks` does."""
     pool = sorted([*vowels, *glides, *consonants], key=lambda lm: lm.time)
     kept: list[Landmark] = []
     for lm in pool:

@@ -46,10 +46,6 @@ class Interval(_Interval):
     # _replace builds through _make: check its result too
     _make = classmethod(lambda cls, values: cls(*values))
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.t_start + self.t_end)
-
 
 class _Point(NamedTuple):
     time: float

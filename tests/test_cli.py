@@ -1,5 +1,6 @@
 import codecs
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import scipy.io.wavfile
 
 from lamit.cli import data_dir, main
 from lamit.config import AnalysisConfig, ConfigError, check_config, \
-    parse_config_file
+    parse_config_values
 from lamit.dsp import write_wav
 from lamit.landmarks import CSV_HEADER
 from lamit.textgrid import (AnnotationDocument, Interval, IntervalTier,
@@ -523,14 +524,18 @@ def test_weights_option_is_gone(tmp_path, capsys):
     ('w_bound = 0.5\nno_such_knob = 1\n', False),
     ('w_bound = 0.5\nf0_min = 60\n', True)])
 def test_parse_config_leaves_base_unchanged(text, ok):
-    base = AnalysisConfig()
+    """A file's values over the defaults, checked once, as `--config`
+    reads them; the defaults themselves never change."""
+    def load():
+        return check_config(AnalysisConfig(**parse_config_values(text)))
     if ok:
-        cfg = parse_config_file(text, base)
+        cfg = load()
         assert (cfg.w_bound, cfg.f0_min) == (0.5, 60.0)
     else:
         with pytest.raises(ConfigError):
-            parse_config_file(text, base)
-    assert base == AnalysisConfig()
+            load()
+    defaults = AnalysisConfig()
+    assert (defaults.w_bound, defaults.f0_min) == (1.0, 50.0)
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -546,6 +551,7 @@ def test_bad_config_exits_2(tmp_path):
     'vowel_min_separation = 0', 'gate_min_duration = -1',
     'gate_db = inf', 'ror_threshold = -inf', 'w_free = nan',
     'high_band = 2500 inf', 'low_band = nan 400',
+    'merge_window = 0', 'merge_window = -0.01',
 ])
 def test_non_finite_or_non_positive_config_exits_2(tmp_path, capsys, line):
     audio, _ = synth.vcv_stop()
@@ -565,7 +571,7 @@ def test_non_finite_or_non_positive_config_exits_2(tmp_path, capsys, line):
     'f0_min = 400\nf0_max = 100\n', 'f0_min = 500\n', 'f0_max = 50\n'])
 def test_f0_limits_out_of_order_exit_2(tmp_path, capsys, text):
     with pytest.raises(ConfigError, match='f0_min .* f0_max'):
-        parse_config_file(text)
+        check_config(AnalysisConfig(**parse_config_values(text)))
     audio, _ = synth.vcv_stop()
     wav = tmp_path / 'vcv.wav'
     write_wav(wav, audio)
@@ -942,3 +948,83 @@ def test_landmark_csv_without_header_exits_2(tmp_path, capsys):
     assert run('match', '--landmarks', str(csv), '--textgrid', str(tg),
                '--out', str(tmp_path / 'm.csv')) == 2
     assert_one_line_error(capsys, str(csv), 'line 1', 'header')
+
+
+# ------------------------------------------- error paths, one line each
+
+def test_wav_with_a_nan_sample_exits_2(tmp_path, capsys):
+    samples = np.zeros(16000, dtype=np.float32)
+    samples[100] = np.nan
+    wav = tmp_path / 'nan.wav'
+    scipy.io.wavfile.write(wav, 16000, samples)
+    assert run('landmarks', '--wav', str(wav),
+               '--out', str(tmp_path / 'o')) == 2
+    assert_one_line_error(capsys, str(wav),
+                          'audio contains non-finite samples')
+
+
+def test_wav_block_align_off_its_bits_exits_2(tmp_path, capsys):
+    # 32-bit float mono samples in 8-byte blocks
+    fmt = struct.pack('<HHIIHH', 3, 1, 16000, 16000 * 8, 8, 32)
+    data = np.zeros(16000, dtype='<f4').tobytes()
+    body = (b'WAVE' + b'fmt ' + struct.pack('<I', len(fmt)) + fmt
+            + b'data' + struct.pack('<I', len(data)) + data)
+    wav = tmp_path / 'align.wav'
+    wav.write_bytes(b'RIFF' + struct.pack('<I', len(body)) + body)
+    assert run('landmarks', '--wav', str(wav),
+               '--out', str(tmp_path / 'o')) == 2
+    assert_one_line_error(capsys, str(wav), 'block align 8 does not match '
+                          '32-bit mono samples')
+
+
+def test_output_in_a_missing_directory_exits_2(tmp_path, capsys):
+    audio, _, _ = synth.cv_syllable()
+    wav = tmp_path / 'cv.wav'
+    write_wav(wav, audio)
+    missing = tmp_path / 'no-such-dir'
+    assert run('landmarks', '--wav', str(wav),
+               '--out', str(missing / 'o')) == 2
+    assert_one_line_error(capsys, str(missing))
+    assert run('stats', '--out', str(missing / 'freq.csv')) == 2
+    assert_one_line_error(capsys, str(missing))
+
+
+def test_config_naming_a_directory_exits_2(tmp_path, capsys):
+    assert run('stats', '--config', str(tmp_path), '--show-config') == 2
+    assert_one_line_error(capsys, str(tmp_path))
+
+
+@pytest.mark.parametrize('inputs', ['neither', 'both'])
+def test_match_needs_exactly_one_input(tmp_path, capsys, inputs):
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    csv = tmp_path / 'lm.csv'
+    csv.write_text(f'{CSV_HEADER}\n', encoding='utf-8')
+    argv = ['match', '--textgrid', str(tg), '--out', str(tmp_path / 'm')]
+    if inputs == 'both':
+        argv += ['--wav', str(tmp_path / 'cv.wav'), '--landmarks', str(csv)]
+    assert run(*argv) == 2
+    assert_one_line_error(capsys, 'need exactly one of --wav or --landmarks')
+
+
+def test_match_with_a_comment_only_lexicon_exits_2(tmp_path, capsys):
+    lex = tmp_path / 'lex.tsv'
+    lex.write_text('# no entries\n', encoding='utf-8')
+    csv = tmp_path / 'lm.csv'
+    csv.write_text(f'{CSV_HEADER}\n0.250000,Vowel,,10.00\n',
+                   encoding='utf-8')
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    assert run('match', '--landmarks', str(csv), '--textgrid', str(tg),
+               '--lexicon', str(lex), '--out', str(tmp_path / 'm.csv')) == 2
+    assert_one_line_error(capsys, 'error: empty lexicon')
+    assert not (tmp_path / 'm.csv').exists()
+
+
+def test_textgrid_with_an_unknown_tier_class_exits_2(tmp_path, capsys):
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    text = tg.read_text('utf-8')
+    assert '"IntervalTier"' in text
+    tg.write_text(text.replace('"IntervalTier"', '"FooTier"'),
+                  encoding='utf-8')
+    assert run('lexi', '--textgrid', str(tg),
+               '--out', str(tmp_path / 'o.TextGrid')) == 2
+    assert_one_line_error(capsys, str(tg), "unknown tier class 'FooTier'")

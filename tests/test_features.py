@@ -255,10 +255,9 @@ def test_english_inventory_loads(english):
 
 
 def test_feature_kind_taxonomy(italian):
-    from lamit.features import FeatureName
-    free = {f for f in italian.features
-            if FeatureName(f).kind == 'articulator-free'}
+    from lamit.features import ARTICULATOR_FREE, ARTICULATOR_GROUP
+    free = {f for f in italian.features if f in ARTICULATOR_FREE}
     assert free == {'vowel', 'glide', 'cons', 'cont', 'son', 'strid'}
-    assert FeatureName('nasal').articulator_group == 'soft-palate'
-    assert FeatureName('stiff').articulator_group == 'vocal-folds'
-    assert FeatureName('cons').articulator_group == 'none'
+    assert ARTICULATOR_GROUP['nasal'] == 'soft-palate'
+    assert ARTICULATOR_GROUP['stiff'] == 'vocal-folds'
+    assert 'cons' not in ARTICULATOR_GROUP

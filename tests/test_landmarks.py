@@ -153,17 +153,18 @@ def test_sequence_merge_and_priority():
     v = Landmark(0.2, LandmarkKind.VOWEL, strength=10)
     c1 = Landmark(0.05, LandmarkKind.RELEASE, Manner.NONCONTINUANT, 5)
     c2 = Landmark(0.35, LandmarkKind.CLOSURE, Manner.NONCONTINUANT, 5)
-    seq = landmark_sequence([v], [], [c1, c2])
+    seq = landmark_sequence([v], [], [c1, c2], AnalysisConfig())
     assert seq.broad_class_string == ['Crel', 'V', 'Ccl']
     # collision: consonant wins over vowel within the merge window
     g = Landmark(0.201, LandmarkKind.GLIDE, strength=1)
-    seq2 = landmark_sequence([v], [g], [])
+    seq2 = landmark_sequence([v], [g], [], AnalysisConfig())
     assert seq2.broad_class_string == ['V']
 
 
 def test_empty_sequence():
-    assert landmark_sequence([], [], []).items == []
-    assert landmark_sequence([], [], []).broad_class_string == []
+    cfg = AnalysisConfig()
+    assert landmark_sequence([], [], [], cfg).items == []
+    assert landmark_sequence([], [], [], cfg).broad_class_string == []
 
 
 def test_sequence_requires_increasing_times():
@@ -333,7 +334,8 @@ def test_gate_equals_while_loop_on_random_masks():
             energy, 0.0125 + 0.005 * np.arange(len(mask)), 0.005)
         cfg = AnalysisConfig(
             gate_min_duration=float(rng.choice([0.001, 0.01, 0.02, 0.1])))
-        assert _gate(tracks, cfg) == gate_loop(tracks, cfg)
+        assert _gate(tracks, cfg, _relative(tracks, cfg)) == \
+            gate_loop(tracks, cfg)
 
 
 def assert_manners_match(tracks, cfg):

@@ -230,3 +230,24 @@ def test_word_plus_lexi_fixture_parses():
     assert [t.name for t in doc.tiers] == ['Word', 'LEXI']
     assert len(doc.tier('Word').labelled()) == 6
     assert len(doc.tier('LEXI').labelled()) == 21
+
+
+def test_equality_is_field_wise():
+    assert sample_doc() == sample_doc()
+    assert sample_doc().tiers[0] == sample_doc().tiers[0]
+    assert sample_doc().tiers[1] == sample_doc().tiers[1]
+    assert sample_doc() != AnnotationDocument(2.0, sample_doc().tiers)
+    assert IntervalTier('Word') != IntervalTier('Other')
+    assert PointTier('Marks', [Point(0.1)]) != PointTier('Marks')
+
+
+def test_tiers_of_different_classes_are_not_equal():
+    assert IntervalTier('Word') != PointTier('Word')
+    assert PointTier('Word') != IntervalTier('Word')
+
+
+def test_tier_is_not_equal_to_a_tuple():
+    tier = IntervalTier('Word', [Interval(0.0, 0.5, 'MAMMA')])
+    assert tier != ('Word', tier.items)
+    assert PointTier('Marks') != ('Marks', [])
+    assert sample_doc() != (1.0, sample_doc().tiers)

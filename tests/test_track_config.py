@@ -8,7 +8,9 @@ from lamit import landmarks
 from lamit.config import AnalysisConfig
 from lamit.dsp import BandEnergyTracks, band_energies, compute_spectrogram, \
     parameter_frames, standard_tracks
-from lamit.landmarks import LandmarkKind, detect_all, detect_landmarks
+from lamit.landmarks import LandmarkKind, detect_all, \
+    detect_consonant_landmarks, detect_glide_landmarks, detect_landmarks, \
+    detect_vowel_landmarks, landmark_sequence
 
 import synth
 
@@ -39,6 +41,18 @@ def test_raised_vowel_prominence_keeps_five_vowels(joined):
     assert kinds.count(LandmarkKind.VOWEL) == 5
     assert [lm.kind for lm in detect_all(joined).items].count(
         LandmarkKind.VOWEL) == 15
+
+
+def test_hand_made_merge_needs_the_tracks_config(joined):
+    tracks = standard_tracks(joined, AnalysisConfig(merge_window=0.2))
+    vowels = detect_vowel_landmarks(tracks)
+    glides = detect_glide_landmarks(tracks, vowels)
+    consonants = detect_consonant_landmarks(tracks)
+    seq = landmark_sequence(vowels, glides, consonants, tracks.cfg)
+    assert seq == detect_landmarks(tracks)
+    assert len(seq.items) == 16
+    with pytest.raises(TypeError):
+        landmark_sequence(vowels, glides, consonants)
 
 
 def test_tracks_keep_the_config_object(joined):
