@@ -1,6 +1,7 @@
 """Lexical access: estimated feature bundles matched against the lexicon."""
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -219,7 +220,7 @@ def score_candidate(segments, bundles, w: DistanceWeights,
     total = sum(feature_distance(segments[i].bundle, bundles[i], w, inv)
                 for i in range(n))
     total += w.w_free * abs(len(segments) - len(bundles))
-    return total
+    return _finite(total)
 
 
 def cohort_match(segments, lex: Lexicon, w: DistanceWeights | None = None,
@@ -239,7 +240,8 @@ def cohort_match(segments, lex: Lexicon, w: DistanceWeights | None = None,
         raise MatchError('no segments to match')
     cost = _cost_rows(segments, lex.inventory, w, {})
     table = lex.phoneme_index
-    return _top_k(cost, table, w, k, _neg_freq(table, word_freq))
+    with np.errstate(over='ignore'):    # see _finite
+        return _top_k(cost, table, w, k, _neg_freq(table, word_freq))
 
 
 def _check_query(lex: Lexicon, k: int):
@@ -294,6 +296,7 @@ def _top_k(cost: list[np.ndarray], table: PhonemeIndex, w: DistanceWeights,
     for row, column in zip(cost, table.index.T):
         scores += row[column]
     scores += w.w_free * np.abs(table.lengths - n)
+    _finite(scores.max())
     best = np.lexsort((table.orth_rank, neg_freq, scores))[:k]
     # competition ranking: candidates with equal scores (homophones)
     # share a rank
@@ -307,6 +310,20 @@ def _top_k(cost: list[np.ndarray], table: PhonemeIndex, w: DistanceWeights,
             prev_score = score
         results.append(MatchResult(table.orthographies[e], score, rank))
     return results
+
+
+def _finite(score: float) -> float:
+    """The score, or MatchError if it overflowed to inf.
+
+    Costs and weights are finite and >= 0, so a sum can only overflow to
+    inf.  The callers of `_top_k` run its array sums under
+    `np.errstate(over='ignore')`, entered once per call, so numpy warns
+    of nothing and the overflow is this one error.
+    """
+    if not math.isfinite(score):
+        raise MatchError('a candidate score overflows: the matcher '
+                         'weights are too large')
+    return score
 
 
 class WordMatch(NamedTuple):
@@ -348,13 +365,14 @@ def match_in_word_intervals(doc: AnnotationDocument, segments, lex: Lexicon,
         table = lex.phoneme_index
         neg_freq = _neg_freq(table, word_freq)
     matches = []
-    for (i, iv), segs in zip(labelled, per_word):
-        if not segs:
-            matches.append(WordMatch(i, iv.label, [], no_evidence=True))
-            continue
-        cost = _cost_rows(segs, lex.inventory, w, rows)
-        matches.append(WordMatch(i, iv.label,
-                                 _top_k(cost, table, w, k, neg_freq)))
+    with np.errstate(over='ignore'):    # see _finite
+        for (i, iv), segs in zip(labelled, per_word):
+            if not segs:
+                matches.append(WordMatch(i, iv.label, [], no_evidence=True))
+                continue
+            cost = _cost_rows(segs, lex.inventory, w, rows)
+            matches.append(WordMatch(i, iv.label,
+                                     _top_k(cost, table, w, k, neg_freq)))
     return matches, orphans
 
 

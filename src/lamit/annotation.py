@@ -1,12 +1,14 @@
 """Annotation tiers: automatic LEXI generation, edits, landmark tiers."""
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .corpus import TranscribedSentence
 from .features import FeatureInventory, LookupError_, MajorClass
 from .lexicon import Lexicon
 from .textgrid import Interval, IntervalTier, Point, PointTier, TextGridError
+
+if TYPE_CHECKING:       # a transcription is only read, never built, here
+    from .corpus import TranscribedSentence
 
 
 class AnnotationError(ValueError):

@@ -6,14 +6,20 @@ import functools
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-# the audio modules (access, dsp, landmarks) need numpy; they are imported
-# inside the commands that use them, so text commands start without it
-from . import annotation, corpus, features, lexicon
+# every command reads its config and the inventory, and most read the
+# lexicon; every other module is imported inside the commands that use
+# it, so a command loads only what it runs: access, dsp and landmarks
+# (which need numpy) in the audio commands, corpus in stats, validate
+# and lexi, textgrid where a TextGrid is read or written, and annotation
+# in lexi and landmarks
+from . import features, lexicon
 from .config import AnalysisConfig, ConfigError, check_config, \
     parse_config_values, render_config
-from .textgrid import AnnotationDocument, IntervalTier, TextGridError, \
-    parse_textgrid, serialize_textgrid
+
+if TYPE_CHECKING:
+    from .textgrid import AnnotationDocument
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -92,6 +98,7 @@ def _load_lexicon(text, inv):
 
 def _read_word_doc(args) -> AnnotationDocument:
     """The --textgrid document, which must have a Word interval tier."""
+    from .textgrid import IntervalTier, TextGridError, parse_textgrid
     path = _existing(args.textgrid, 'TextGrid')
     try:
         doc = parse_textgrid(path.read_bytes())
@@ -115,6 +122,7 @@ def _write_output(args, text):
 # ---------------------------------------------------------------- stats
 
 def cmd_stats(args, cfg) -> int:
+    from . import corpus
     inv = _load_italian(args)
     text = _data_text(args.corpus, 'lamit_transcriptions.tsv')
     try:
@@ -136,6 +144,7 @@ def cmd_stats(args, cfg) -> int:
 
 def _read_sentence(args, inv):
     """The --sentence of the --transcription file (default: its first)."""
+    from . import corpus
     text = _read_text(args.transcription, 'transcription')
     try:
         sentences = corpus.parse_corpus(text, inv)
@@ -148,6 +157,8 @@ def _read_sentence(args, inv):
 
 
 def cmd_lexi(args, cfg) -> int:
+    from . import annotation
+    from .textgrid import serialize_textgrid
     if not args.out:
         raise CliError('--out is required for lexi')
     if args.sentence is not None and not args.transcription:
@@ -169,7 +180,8 @@ def cmd_lexi(args, cfg) -> int:
 # ------------------------------------------------------------ landmarks
 
 def cmd_landmarks(args, cfg) -> int:
-    from . import dsp, landmarks
+    from . import annotation, dsp, landmarks
+    from .textgrid import AnnotationDocument, serialize_textgrid
     path = _existing(args.wav, 'wav')
     try:
         audio = dsp.read_wav(path)
@@ -279,6 +291,7 @@ def _independent_recount(text: str):
 
 
 def cmd_validate(args, cfg) -> int:
+    from . import corpus
     results = []
 
     def suite(name, fn):
@@ -415,6 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The parse errors of the data files, which end a command with
+    exit 1.  An except clause evaluates this only when an exception
+    reaches it, so no command imports corpus or textgrid for them."""
+    from .corpus import TranscriptionError
+    from .textgrid import TextGridError
+    return (features.InventoryError, lexicon.LexiconParseError,
+            TranscriptionError, TextGridError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -431,8 +454,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f'error: {e}', file=sys.stderr)
         return e.code
-    except (features.InventoryError, lexicon.LexiconParseError,
-            corpus.TranscriptionError, TextGridError) as e:
+    except _input_errors() as e:
         print(f'error: {e}', file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:

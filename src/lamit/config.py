@@ -51,12 +51,13 @@ class AnalysisConfig(NamedTuple):
 
 _TUPLE_FIELDS = {'low_band', 'f1_band', 'mid_band', 'high_band'}
 
-# durations turned into frame counts, F0 limits used as divisors, and
-# the merge window, which keeps two landmarks off one frame
+# durations turned into frame counts, F0 limits used as divisors, the
+# merge window, which keeps two landmarks off one frame, and the gate's
+# depth below the peak, within which no frame would be active at <= 0
 _POSITIVE_FIELDS = {'frame_length', 'frame_step', 'ror_window',
                     'f0_frame_length', 'f0_min', 'f0_max',
                     'vowel_min_separation', 'noise_min_duration',
-                    'gate_min_duration', 'merge_window'}
+                    'gate_min_duration', 'merge_window', 'gate_db'}
 
 
 def parse_config_values(text: str) -> dict:

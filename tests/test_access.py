@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -169,6 +170,26 @@ def test_cohort_errors(lamit_lexicon, italian):
     empty = Lexicon({}, italian)
     with pytest.raises(MatchError):
         cohort_match(segs_for(lamit_lexicon, 'CASA'), empty, W, k=5)
+
+
+def test_overflowing_scores_raise_without_warnings(lamit_lexicon, italian):
+    """Weights so large that a score overflows to inf are an error, with
+    no numpy warning, even when the k best scores are finite."""
+    huge = DistanceWeights(w_free=1e308, w_bound=1e308)
+    casa = segs_for(lamit_lexicon, 'CASA')
+    doc, words = make_word_doc(lamit_lexicon, ['CASA'])
+    mamma = [italian.bundles[t.phoneme.ipa]
+             for t in lamit_lexicon.entries['MAMMA'].phonemes]
+    assert cohort_match(casa, lamit_lexicon, DistanceWeights(
+        w_free=1e307, w_bound=1e307), k=1)[0].score == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter('error')
+        with pytest.raises(MatchError, match='overflows'):
+            cohort_match(casa, lamit_lexicon, huge, k=1)
+        with pytest.raises(MatchError, match='overflows'):
+            match_in_word_intervals(doc, words, lamit_lexicon, huge, k=1)
+        with pytest.raises(MatchError, match='overflows'):
+            score_candidate(casa, mamma, huge, italian)
 
 
 def _random_segments(rng, lex, max_len=6):

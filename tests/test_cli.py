@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -552,6 +553,7 @@ def test_bad_config_exits_2(tmp_path):
     'gate_db = inf', 'ror_threshold = -inf', 'w_free = nan',
     'high_band = 2500 inf', 'low_band = nan 400',
     'merge_window = 0', 'merge_window = -0.01',
+    'gate_db = 0', 'gate_db = -10',
 ])
 def test_non_finite_or_non_positive_config_exits_2(tmp_path, capsys, line):
     audio, _ = synth.vcv_stop()
@@ -648,10 +650,12 @@ def test_text_commands_load_neither_scipy_nor_numpy():
         'import lamit.cli\n'
         'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))\n'
         'print("dataclasses" in sys.modules, "numpy" in sys.modules)\n'
+        'print(sorted({"lamit.annotation", "lamit.corpus", "lamit.textgrid"}\n'
+        '             & set(sys.modules)))\n'
         'with contextlib.redirect_stdout(io.StringIO()):\n'
         '    code = lamit.cli.main(["validate"])\n'
         'print(code, "numpy" in sys.modules)\n')
-    assert run_probe(probe) == ['[]', 'False False', '0 False']
+    assert run_probe(probe) == ['[]', 'False False', '[]', '0 False']
 
 
 def test_no_lamit_module_loads_dataclasses():
@@ -679,14 +683,34 @@ def test_audio_commands_load_no_scipy(tmp_path):
         'import lamit.cli\n'
         'wav, tg, out = sys.argv[1:]\n'
         'with contextlib.redirect_stdout(io.StringIO()):\n'
-        '    codes = [lamit.cli.main(["landmarks", "--wav", wav,\n'
-        '                             "--out", out]),\n'
-        '             lamit.cli.main(["match", "--wav", wav, "--textgrid",\n'
+        '    codes = [lamit.cli.main(["match", "--wav", wav, "--textgrid",\n'
         '                             tg, "--out", out + ".csv"])]\n'
-        'print(codes, "numpy" in sys.modules)\n'
+        '    annotation = "lamit.annotation" in sys.modules\n'
+        '    codes.append(lamit.cli.main(["landmarks", "--wav", wav,\n'
+        '                                 "--out", out]))\n'
+        'print(codes, "numpy" in sys.modules, annotation)\n'
         'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))\n')
     out = run_probe(probe, str(wav), str(tg), str(tmp_path / 'out'))
-    assert out == ['[0, 0] True', '[]']
+    assert out == ['[0, 0] True False', '[]']
+
+
+@pytest.mark.parametrize('error', ['inventory', 'lexicon', 'transcription',
+                                   'TextGrid'])
+def test_parse_errors_reaching_main_exit_1(monkeypatch, capsys, error):
+    """main() maps a data-file parse error that no command turned into a
+    usage error to one line and exit 1."""
+    import lamit.cli
+    from lamit import corpus, features, lexicon, textgrid
+    exc = {'inventory': features.InventoryError,
+           'lexicon': lexicon.LexiconParseError,
+           'transcription': corpus.TranscriptionError,
+           'TextGrid': textgrid.TextGridError}[error]
+
+    def cmd_stats(args, cfg):
+        raise exc(f'line 3: broken {error}')
+    monkeypatch.setattr(lamit.cli, 'cmd_stats', cmd_stats)
+    assert run('stats') == 1
+    assert_one_line_error(capsys, f'line 3: broken {error}')
 
 
 # ------------------------------------------------------- input encoding
@@ -838,6 +862,27 @@ BAD_WEIGHTS = [('w_bound = 5\n', 'need w_free >= w_bound > 0'),
 def test_check_config_owns_the_weight_rule(values, message):
     with pytest.raises(ConfigError, match=f'^{message}$'):
         check_config(AnalysisConfig(**values))
+
+
+@pytest.mark.parametrize('weights', ['w_free = 1e308\n',
+                                     'w_free = 1e308\nw_bound = 1e308\n'])
+def test_overflowing_weights_exit_2_without_warnings(tmp_path, capsys,
+                                                     weights):
+    csv = tmp_path / 'lm.csv'
+    csv.write_text(f'{CSV_HEADER}\n0.100000,Vowel,,10.00\n'
+                   '0.300000,ConsonantClosure,noncontinuant,10.00\n'
+                   '0.350000,ConsonantRelease,noncontinuant,10.00\n'
+                   '0.400000,Vowel,,10.00\n', encoding='utf-8')
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    cfg = tmp_path / 'w.cfg'
+    cfg.write_text(weights, encoding='utf-8')
+    out = tmp_path / 'm.csv'
+    with warnings.catch_warnings():
+        warnings.simplefilter('error')
+        assert run('match', '--landmarks', str(csv), '--textgrid', str(tg),
+                   '--config', str(cfg), '--out', str(out)) == 2
+    assert_one_line_error(capsys, 'overflows', 'weights')
+    assert not out.exists()
 
 
 def test_check_config_accepts_equal_weights_and_free_unspecified():
