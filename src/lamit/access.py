@@ -24,7 +24,6 @@ class MatchError(ValueError):
 class EstimatedSegment(NamedTuple):
     window: tuple[float, float]
     bundle: FeatureBundle
-    source_landmarks: tuple[int, ...] = ()
 
     @property
     def midpoint(self) -> float:
@@ -105,22 +104,22 @@ def cues_to_bundles(seq: LandmarkSequence,
             if params is not None:
                 _vowel_rules(params, params.at(lm.time), bundle)
             out.append(EstimatedSegment((lm.time - 0.05, lm.time + 0.05),
-                                        bundle, (i,)))
+                                        bundle))
             i += 1
         elif lm.kind is LandmarkKind.GLIDE:
             out.append(EstimatedSegment((lm.time - 0.05, lm.time + 0.05),
-                                        FeatureBundle({'glide': PLUS}), (i,)))
+                                        FeatureBundle({'glide': PLUS})))
             i += 1
         elif lm.kind is LandmarkKind.CLOSURE and i + 1 < len(items) \
                 and items[i + 1].kind is LandmarkKind.RELEASE:
-            out.append(_consonant_segment(items, i, i + 1, params, voicing))
+            out.append(_consonant_segment(lm, items[i + 1], params, voicing))
             i += 2
         else:
             # unpaired consonant landmark: only the broad features
             bundle = FeatureBundle({'cons': PLUS})
             _manner_features(lm.manner, bundle)
             out.append(EstimatedSegment((lm.time - 0.05, lm.time + 0.08),
-                                        bundle, (i,)))
+                                        bundle))
             i += 1
     if params is not None:
         _voicing_rule(params, voicing)
@@ -138,16 +137,15 @@ def _manner_features(manner: Manner | None, bundle: FeatureBundle):
         bundle['cont'] = MINUS
 
 
-def _consonant_segment(items, i_cl, i_rel, params: ParameterTrack | None,
+def _consonant_segment(closure, release, params: ParameterTrack | None,
                        voicing: list) -> EstimatedSegment:
     """The segment of one closure-release pair; a non-sonorant pair with
     frames between its landmarks is appended to `voicing` with them."""
-    closure, release = items[i_cl], items[i_rel]
     bundle = FeatureBundle({'cons': PLUS})
     manner = release.manner if release.manner is not None else closure.manner
     _manner_features(manner, bundle)
     segment = EstimatedSegment((closure.time - 0.05, release.time + 0.08),
-                               bundle, (i_cl, i_rel))
+                               bundle)
     if params is None:
         return segment
     high = params.tracks.energy[HIGH]
@@ -224,8 +222,7 @@ def score_candidate(segments, bundles, w: DistanceWeights,
 
 
 def cohort_match(segments, lex: Lexicon, w: DistanceWeights | None = None,
-                 k: int = 10, word_freq: dict[str, int] | None = None
-                 ) -> list[MatchResult]:
+                 k: int = 10) -> list[MatchResult]:
     """Top-k candidates by cohort scoring over the whole lexicon.
 
     Each segment is scored against every inventory phoneme once, and
@@ -241,7 +238,7 @@ def cohort_match(segments, lex: Lexicon, w: DistanceWeights | None = None,
     cost = _cost_rows(segments, lex.inventory, w, {})
     table = lex.phoneme_index
     with np.errstate(over='ignore'):    # see _finite
-        return _top_k(cost, table, w, k, _neg_freq(table, word_freq))
+        return _top_k(cost, table, w, k)
 
 
 def _check_query(lex: Lexicon, k: int):
@@ -249,13 +246,6 @@ def _check_query(lex: Lexicon, k: int):
         raise MatchError('empty lexicon')
     if k < 1:
         raise MatchError('k must be positive')
-
-
-def _neg_freq(table: PhonemeIndex, freq: dict[str, int] | None
-              ) -> np.ndarray:
-    if not freq:
-        return np.zeros(len(table.orthographies), dtype=np.intp)
-    return np.array([-freq.get(orth, 0) for orth in table.orthographies])
 
 
 def _cost_rows(segments, inv: FeatureInventory, w: DistanceWeights,
@@ -282,9 +272,8 @@ def _cost_rows(segments, inv: FeatureInventory, w: DistanceWeights,
 
 
 def _top_k(cost: list[np.ndarray], table: PhonemeIndex, w: DistanceWeights,
-           k: int, neg_freq: np.ndarray) -> list[MatchResult]:
-    """Every entry scored, then the k best by score, corpus frequency
-    (higher first) and orthography.
+           k: int) -> list[MatchResult]:
+    """Every entry scored, then the k best by score and orthography.
 
     Column i of the index matrix holds each entry's i-th phoneme, or the
     pad past its end, so one gather of cost row i adds position i to all
@@ -297,7 +286,7 @@ def _top_k(cost: list[np.ndarray], table: PhonemeIndex, w: DistanceWeights,
         scores += row[column]
     scores += w.w_free * np.abs(table.lengths - n)
     _finite(scores.max())
-    best = np.lexsort((table.orth_rank, neg_freq, scores))[:k]
+    best = np.lexsort((table.orth_rank, scores))[:k]
     # competition ranking: candidates with equal scores (homophones)
     # share a rank
     results = []
@@ -334,8 +323,7 @@ class WordMatch(NamedTuple):
 
 
 def match_in_word_intervals(doc: AnnotationDocument, segments, lex: Lexicon,
-                            w: DistanceWeights | None = None, k: int = 10,
-                            word_freq: dict[str, int] | None = None):
+                            w: DistanceWeights | None = None, k: int = 10):
     """Per-word cohort matching; segments are assigned to the word
     interval containing their midpoint (the earlier one on a shared
     boundary).  Returns (matches, orphans).
@@ -363,7 +351,6 @@ def match_in_word_intervals(doc: AnnotationDocument, segments, lex: Lexicon,
     if any(per_word):
         _check_query(lex, k)
         table = lex.phoneme_index
-        neg_freq = _neg_freq(table, word_freq)
     matches = []
     with np.errstate(over='ignore'):    # see _finite
         for (i, iv), segs in zip(labelled, per_word):
@@ -372,7 +359,7 @@ def match_in_word_intervals(doc: AnnotationDocument, segments, lex: Lexicon,
                 continue
             cost = _cost_rows(segs, lex.inventory, w, rows)
             matches.append(WordMatch(i, iv.label,
-                                     _top_k(cost, table, w, k, neg_freq)))
+                                     _top_k(cost, table, w, k)))
     return matches, orphans
 
 

@@ -188,9 +188,8 @@ def cmd_landmarks(args, cfg) -> int:
         seq = landmarks.detect_all(audio, cfg)
     except (dsp.DspError, landmarks.LandmarkError) as e:
         raise CliError(f'{path}: {e}') from None
-    out = Path(args.out) if args.out else path.with_suffix('')
-    csv_path = out.with_suffix('.csv')
-    tg_path = out.with_suffix('.TextGrid')
+    out = args.out or path.with_suffix('')
+    csv_path, tg_path = Path(f'{out}.csv'), Path(f'{out}.TextGrid')
     csv_path.write_text(landmarks.landmarks_csv(seq), encoding='utf-8')
     tier = annotation.landmark_tier_from(seq.items)
     tg_path.write_text(

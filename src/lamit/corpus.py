@@ -26,18 +26,12 @@ class TranscribedWord(NamedTuple):
     stress_position: int | None = None
     doubled: bool = False           # word-initial syntactic gemination
 
-    def ipa(self) -> str:
-        return ''.join(t.phoneme.ipa for t in self.phonemes)
-
 
 class TranscribedSentence(NamedTuple):
     id: int
     words: tuple[TranscribedWord, ...]
     # (word index, geminate phoneme) for each word-initial doubling
     doubling_events: tuple[tuple[int, PhonemeId], ...] = ()
-
-    def phoneme_string(self) -> str:
-        return ''.join(w.ipa() for w in self.words)
 
 
 def _tokenize_ipa(word: str, inv: FeatureInventory, offset0: int,
@@ -198,18 +192,6 @@ def phoneme_frequencies(sentences, inv: FeatureInventory,
     total = sum(counts.values())
     pct = {p: 100.0 * n / total for p, n in counts.items()}
     return FrequencyTable(counts, total, pct)
-
-
-def word_frequencies(sentences, lex: Lexicon) -> dict[str, int]:
-    """Occurrences of each lexicon entry across the corpus (doubling
-    stripped); words with no matching entry are skipped."""
-    out: collections.Counter = collections.Counter()
-    for sent in sentences:
-        for word in sent.words:
-            entry = _citation_entry(word, lex)
-            if entry is not None:
-                out[entry.orthography] += 1
-    return dict(out)
 
 
 def frequency_csv(table: FrequencyTable) -> str:

@@ -125,10 +125,6 @@ class Spectrogram(NamedTuple):
     def n_frames(self) -> int:
         return self.frames.shape[0]
 
-    @property
-    def nyquist(self) -> float:
-        return self.freq_resolution * (self.frames.shape[1] - 1)
-
 
 def _frame_spectra(audio: AudioBuffer, frame_length: float,
                    frame_step: float):
@@ -137,7 +133,8 @@ def _frame_spectra(audio: AudioBuffer, frame_length: float,
     samples and a generator of (first frame, rfft of the Hann-windowed
     frames) over blocks of BLOCK_FRAMES frames."""
     sr = audio.sample_rate
-    nwin, step = np.rint(np.array([frame_length, frame_step]) * sr)
+    with np.errstate(over='ignore'):    # a huge length reads as inf
+        nwin, step = np.rint(np.array([frame_length, frame_step]) * sr)
     if not nwin >= step >= 1:
         raise DspError(f'need frame_length >= frame_step >= one sample '
                        f'({1 / sr:.3g} s at {sr} Hz)')
@@ -221,7 +218,8 @@ def rate_of_rise(track: np.ndarray, window: float,
     edge's padding would outgrow it), is a DspError.
     """
     track = np.asarray(track, dtype=np.float64)
-    n = int(round(window / frame_step))
+    # a window of 2 * len(track) + 3 steps acts below as any longer one
+    n = int(round(min(window / frame_step, 2 * len(track) + 3)))
     if n < 2:
         raise DspError(f'window {window}s shorter than two frame steps')
     if n % 2 == 0:
@@ -239,13 +237,15 @@ def rate_of_rise(track: np.ndarray, window: float,
     return out
 
 
-def _f0_lags(sr: int, cfg: AnalysisConfig) -> tuple[int, int, int]:
+def _f0_lags(sr: int, cfg: AnalysisConfig) -> tuple[float, float, float]:
     """(frame samples, shortest lag, longest lag) of the F0 search at
-    sample rate sr; DspError when fewer than three lags are left."""
-    nwin = int(round(cfg.f0_frame_length * sr))
-    lag_min = int(sr / cfg.f0_max)
-    lag_max = min(int(np.ceil(sr / cfg.f0_min)), nwin - 2)
-    if lag_max - lag_min < 2:
+    sample rate sr, as whole floats, inf where a huge frame length or a
+    tiny F0 limit overflows; DspError when fewer than three lags are
+    left.  No lag is shorter than one sample, whatever f0_max is."""
+    nwin = np.rint(cfg.f0_frame_length * sr)
+    lag_min = max(1.0, np.floor(sr / cfg.f0_max))
+    lag_max = min(np.ceil(sr / cfg.f0_min), nwin - 2)
+    if not lag_max - lag_min >= 2:
         raise DspError(
             f'no F0 lag range at {sr} Hz: f0_min {cfg.f0_min:g} Hz, '
             f'f0_max {cfg.f0_max:g} Hz, f0_frame_length '
@@ -273,6 +273,8 @@ def estimate_f0(audio: AudioBuffer, times: np.ndarray,
     out = np.full(len(times), np.nan)
     if len(x) < nwin:
         return out
+    # the frame fits the audio, so all three are finite
+    nwin, lag_min, lag_max = int(nwin), int(lag_min), int(lag_max)
     starts = np.clip(np.rint(times * sr).astype(np.intp) - nwin // 2,
                      0, len(x) - nwin)
     frames = sliding_window_view(x, nwin)
@@ -318,10 +320,14 @@ LOW, F1, MID, HIGH = range(4)
 
 def spectral_tilt(tracks: BandEnergyTracks) -> np.ndarray:
     """Least-squares spectral slope in dB/octave over the standard
-    stack's f1, mid and high bands."""
+    stack's f1, mid and high bands; DspError unless their centres are
+    above 0 Hz and not all equal."""
     rows = [F1, MID, HIGH]
     centers = np.array([0.5 * (tracks.bands[i][0] + tracks.bands[i][1])
                         for i in rows])
+    if not 0 < centers.min() < centers.max():
+        raise DspError('no spectral tilt: the f1, mid and high bands need '
+                       'centres above 0 Hz, not all equal')
     x = np.log2(centers)
     x = x - x.mean()
     y = tracks.energy[rows, :]

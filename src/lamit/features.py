@@ -58,9 +58,6 @@ class FeatureBundle(dict):
     def value(self, feature: str) -> FeatureValue:
         return self.get(feature, UNSPECIFIED)
 
-    def specified(self):
-        return {f: v for f, v in self.items() if v is not UNSPECIFIED}
-
 
 class ReadOnlyBundle(FeatureBundle):
     """An inventory's bundle: geminates share their singleton's, so no

@@ -89,9 +89,11 @@ def _relative(tracks: BandEnergyTracks, cfg: AnalysisConfig) -> np.ndarray:
     return np.maximum(e - float(e.max()), -cfg.gate_db)
 
 
-def _frames(seconds: float, step: float) -> int:
-    """A duration as a whole number of frames, at least one."""
-    return max(1, int(round(seconds / step)))
+def _frames(seconds: float, step: float, n: int) -> int:
+    """A duration as a whole number of frames, at least one.  On a
+    track of n frames every caller treats n + 1 frames as it treats any
+    longer span, so a longer duration, inf included, counts as n + 1."""
+    return max(1, int(round(min(seconds / step, n + 1))))
 
 
 def _gate(tracks: BandEnergyTracks, cfg: AnalysisConfig, rel: np.ndarray):
@@ -100,7 +102,8 @@ def _gate(tracks: BandEnergyTracks, cfg: AnalysisConfig, rel: np.ndarray):
     if float(tracks.energy[LOW].max()) <= SILENCE_DB:
         return None
     starts, stops = _runs(rel[LOW] > -cfg.gate_db)
-    min_run = _frames(cfg.gate_min_duration, tracks.frame_step)
+    min_run = _frames(cfg.gate_min_duration, tracks.frame_step,
+                      len(tracks.times))
     long = stops - starts >= min_run
     if not long.any():
         return None
@@ -200,7 +203,8 @@ def detect_vowel_landmarks(tracks: BandEnergyTracks) -> list[Landmark]:
     span = _gate(tracks, cfg, rel)
     if span is None:
         return []
-    dist = _frames(cfg.vowel_min_separation, tracks.frame_step)
+    dist = _frames(cfg.vowel_min_separation, tracks.frame_step,
+                   len(tracks.times))
     peaks, props = _find_peaks(rel[LOW], cfg.vowel_prominence_db, dist)
     t = tracks.times[peaks]
     keep = (span[0] <= t) & (t <= span[1])
@@ -313,12 +317,12 @@ def _classify_manner(rel: np.ndarray, ks: np.ndarray, step: float,
     low band is about as strong on both sides, continuant with sustained
     high-band noise on either side, else noncontinuant."""
     low = rel[LOW]
-    d = _frames(0.030, step)
+    d = _frames(0.030, step, len(low))
     before = low[np.maximum(ks - d, 0)]
     after = low[np.minimum(ks + d, len(low) - 1)]
     sonorant = np.abs(after - before) <= cfg.sonorant_window_db
-    n = _frames(cfg.noise_min_duration, step)
-    off = _frames(0.005, step)
+    n = _frames(cfg.noise_min_duration, step, len(low))
+    off = _frames(0.005, step, len(low))
     fricated = _frication(rel, np.concatenate([ks + off, ks - off - n]),
                           n, cfg).reshape(2, -1).any(axis=0)
     return [Manner.SONORANT if s else

@@ -122,14 +122,11 @@ def _token(tok: str, pos: int, inv: FeatureInventory) -> PhonemeToken:
     return PhonemeToken(p, stressed)
 
 
-def parse_arpabet(tokens: str, inv: FeatureInventory) -> list[PhonemeToken]:
-    """Whitespace-separated ARPAbet labels, '1' suffix = primary stress."""
-    return [_token(tok, pos, inv)
-            for pos, tok in enumerate(tokens.split(), 1)]
-
-
 def load_lexicon(text: str, inv: FeatureInventory) -> Lexicon:
-    """One entry per line: ORTHOGRAPHY<TAB or spaces>ARPABET TOKENS.
+    """One entry per line: ORTHOGRAPHY<TAB or spaces>ARPABET TOKENS,
+    whitespace-separated ARPAbet labels with a '1' suffix for primary
+    stress.  An orthography holds no comma or double quote, since
+    `matches.csv` writes it unquoted.
 
     Each distinct label is checked and made into a token once; its
     entries share that token.
@@ -144,6 +141,9 @@ def load_lexicon(text: str, inv: FeatureInventory) -> Lexicon:
         if len(parts) != 2:
             raise LexiconParseError(f'line {lineno}: no phoneme tokens')
         orth = parts[0].upper()
+        if ',' in orth or '"' in orth:
+            raise LexiconParseError(f'line {lineno}: comma or double quote '
+                                    f'in orthography {parts[0]!r}')
         phonemes = []
         for pos, tok in enumerate(parts[1].split(), 1):
             t = tokens.get(tok)
@@ -175,17 +175,6 @@ def expand_word(lex: Lexicon, orthography: str) -> list[FeatureBundle]:
     """Feature-bundle sequence for a lexical entry, one bundle per token."""
     entry = lex.entry(orthography)
     return [features_of(lex.inventory, t.phoneme) for t in entry.phonemes]
-
-
-def geminate_of(inv: FeatureInventory, phoneme) -> PhonemeId | None:
-    """The geminate counterpart, when the inventory defines one."""
-    p = inv.phoneme(phoneme)
-    if p.geminate:
-        return p
-    for g in inv.geminates():
-        if g.singleton_base == p.ipa:
-            return g
-    return None
 
 
 def singleton_of(inv: FeatureInventory, phoneme) -> PhonemeId:

@@ -87,7 +87,7 @@ def test_distance_unspecified_estimate_costs(italian):
     est = FeatureBundle({'cons': PLUS})
     lexical = features_of(italian, 't')
     d = feature_distance(est, lexical, W, italian)
-    specified = len(lexical.specified()) - 1    # cons matches
+    specified = len(lexical) - 1    # cons matches
     assert d == pytest.approx(specified * W.unspecified_cost)
 
 
@@ -281,18 +281,6 @@ def test_ranking_invariant_under_weight_scaling(lamit_lexicon):
         assert y.score == pytest.approx(3 * x.score)
 
 
-def test_tie_break_by_corpus_frequency(lamit_lexicon, lamit_corpus):
-    from lamit.corpus import word_frequencies
-    freq = word_frequencies(lamit_corpus, lamit_lexicon)
-    segments = segs_for(lamit_lexicon, 'CASA')
-    segments[-1] = seg(FeatureBundle({'vowel': PLUS}),
-                       *segments[-1].window)
-    results = cohort_match(segments, lamit_lexicon, W, k=5, word_freq=freq)
-    tied = [r for r in results if r.score == results[0].score]
-    counts = [freq.get(r.word, 0) for r in tied]
-    assert counts == sorted(counts, reverse=True)
-
-
 # ------------------------------------------------------------ cue rules
 
 def test_open_vowel_cue():
@@ -441,7 +429,7 @@ def test_matches_csv(lamit_lexicon):
 W_ODD = DistanceWeights(w_free=2.0, w_bound=0.1, unspecified_cost=0.3)
 
 
-def per_word_reference(doc, segments, lex, w, k=10, word_freq=None):
+def per_word_reference(doc, segments, lex, w, k=10):
     """Segments assigned by a linear scan over the labelled intervals,
     then one independent cohort_match call per word."""
     labelled = [(i, iv) for i, iv in enumerate(doc.tier('Word').items)
@@ -453,18 +441,16 @@ def per_word_reference(doc, segments, lex, w, k=10, word_freq=None):
                      if iv.t_start <= s.midpoint <= iv.t_end), None)
         (orphans if home is None else per_word[home]).append(s)
     matches = [WordMatch(i, iv.label,
-                         cohort_match(per_word[i], lex, w, k, word_freq)
+                         cohort_match(per_word[i], lex, w, k)
                          if per_word[i] else [],
                          no_evidence=not per_word[i])
                for i, iv in labelled]
     return matches, orphans
 
 
-def assert_same_as_per_word(doc, segments, lex, w, k=10, word_freq=None):
-    matches, orphans = match_in_word_intervals(doc, segments, lex, w, k,
-                                               word_freq)
-    want, want_orphans = per_word_reference(doc, segments, lex, w, k,
-                                            word_freq)
+def assert_same_as_per_word(doc, segments, lex, w, k=10):
+    matches, orphans = match_in_word_intervals(doc, segments, lex, w, k)
+    want, want_orphans = per_word_reference(doc, segments, lex, w, k)
     assert matches == want
     assert [id(s) for s in orphans] == [id(s) for s in want_orphans]
     return matches
@@ -521,10 +507,9 @@ def test_word_match_equals_per_word_random(lamit_lexicon, italian, w):
              if ln]
     for trial in range(25):
         sub = load_lexicon('\n'.join(rng.sample(lines, 80)), italian)
-        freq = {orth: rng.randint(0, 3) for orth in sub.entries}
         doc, segments = random_word_doc(rng, bundle_pool(rng, sub))
         assert_same_as_per_word(doc, segments, sub, w,
-                                k=rng.choice([1, 3, 10]), word_freq=freq)
+                                k=rng.choice([1, 3, 10]))
 
 
 def test_midpoint_on_shared_boundary_goes_to_earlier_word(lamit_lexicon):
@@ -606,7 +591,7 @@ def old_phones(lex):
             for orth, entry in lex.entries.items()}
 
 
-def old_rank(cost, phones, w, k, freq):
+def old_rank(cost, phones, w, k):
     """The seeded-bound, prefix-pruned ranking the array ranking
     replaced, kept as an oracle: one dict of distances per segment."""
     n = len(cost)
@@ -635,12 +620,12 @@ def old_rank(cost, phones, w, k, freq):
     finals = []
     for orth, prefix in alive.items():
         score = prefix + w.w_free * abs(len(phones[orth]) - n)
-        finals.append((score, -freq.get(orth, 0), orth))
+        finals.append((score, orth))
     finals.sort()
     results = []
     rank = 0
     prev_score = None
-    for pos, (score, negfreq, orth) in enumerate(finals[:k], 1):
+    for pos, (score, orth) in enumerate(finals[:k], 1):
         if prev_score is None or score > prev_score:
             rank = pos
             prev_score = score
@@ -654,9 +639,8 @@ def old_cost(segments, lex, w):
              for ipa, bundle in inv.bundles.items()} for s in segments]
 
 
-def old_cohort_match(segments, lex, w, k, word_freq=None):
-    return old_rank(old_cost(segments, lex, w), old_phones(lex), w, k,
-                    word_freq or {})
+def old_cohort_match(segments, lex, w, k):
+    return old_rank(old_cost(segments, lex, w), old_phones(lex), w, k)
 
 
 BROAD_FEATURES = ('vowel', 'glide', 'cons', 'son', 'cont')
@@ -688,10 +672,8 @@ def test_array_ranking_equals_old_rank(lamit_lexicon, w):
     for trial in range(120):
         segments = random_query(rng, lamit_lexicon)
         k = rng.choice([1, 3, 10, n_entries, n_entries + 7])
-        freq = rng.choice([None, {orth: rng.randint(0, 2)
-                                  for orth in lamit_lexicon.entries}])
-        mine = cohort_match(segments, lamit_lexicon, w, k, freq)
-        assert mine == old_cohort_match(segments, lamit_lexicon, w, k, freq)
+        mine = cohort_match(segments, lamit_lexicon, w, k)
+        assert mine == old_cohort_match(segments, lamit_lexicon, w, k)
         assert len(mine) == min(k, n_entries)
         seen_long += len(segments) > longest
         ranks = [r.cohort_rank for r in mine]
@@ -699,16 +681,11 @@ def test_array_ranking_equals_old_rank(lamit_lexicon, w):
     assert seen_long and seen_shared_rank
 
 
-def test_array_ranking_homophones_and_frequency_ties(lamit_lexicon):
+def test_array_ranking_homophones(lamit_lexicon):
     segments = segs_for(lamit_lexicon, 'A')
-    n_entries = len(lamit_lexicon)
-    for freq in (None, {'HA': 5}, {'A': 5}, {'A': 3, 'HA': 3}):
-        for k in (1, 2, 10, n_entries):
-            mine = cohort_match(segments, lamit_lexicon, W, k, freq)
-            assert mine == old_cohort_match(segments, lamit_lexicon, W, k,
-                                            freq)
-    top = cohort_match(segments, lamit_lexicon, W, 2, {'HA': 5})
-    assert [(r.word, r.cohort_rank) for r in top] == [('HA', 1), ('A', 1)]
+    for k in (1, 2, 10, len(lamit_lexicon)):
+        mine = cohort_match(segments, lamit_lexicon, W, k)
+        assert mine == old_cohort_match(segments, lamit_lexicon, W, k)
     top = cohort_match(segments, lamit_lexicon, W, 2)
     assert [(r.word, r.cohort_rank) for r in top] == [('A', 1), ('HA', 1)]
 
@@ -724,12 +701,11 @@ def test_array_ranking_on_small_lexicons(lamit_lexicon, italian):
         sub = load_lexicon('\n'.join(rng.sample(lines, rng.randint(1, 12))),
                            italian)
         segments = random_query(rng, sub)
-        freq = {orth: rng.randint(0, 1) for orth in sub.entries}
         for w in (W, W_ODD):
             cost = old_cost(segments, sub, w)
             for k in (1, 5, 20):
-                assert cohort_match(segments, sub, w, k, freq) == \
-                    old_rank(cost, old_phones(sub), w, k, freq)
+                assert cohort_match(segments, sub, w, k) == \
+                    old_rank(cost, old_phones(sub), w, k)
 
 
 def test_empty_lexicon_raises_before_index_is_built(lamit_lexicon, italian):

@@ -236,11 +236,14 @@ def test_landmarks_deterministic(tmp_path):
     wav = tmp_path / 'cv.wav'
     write_wav(wav, audio)
     outs = []
-    for name in ('a', 'b'):
+    # a dotted prefix is kept whole: two takes write four files
+    for name in ('a', 'b', 'utt.take1', 'utt.take2'):
         out = tmp_path / name
         assert run('landmarks', '--wav', str(wav), '--out', str(out)) == 0
         outs.append((tmp_path / f'{name}.csv').read_text('utf-8'))
-    assert outs[0] == outs[1]
+        assert (tmp_path / f'{name}.TextGrid').is_file()
+    assert len(set(outs)) == 1
+    assert not (tmp_path / 'utt.csv').exists()
 
 
 # ---------------------------------------------------------------- match
@@ -1061,6 +1064,21 @@ def test_match_with_a_comment_only_lexicon_exits_2(tmp_path, capsys):
     assert run('match', '--landmarks', str(csv), '--textgrid', str(tg),
                '--lexicon', str(lex), '--out', str(tmp_path / 'm.csv')) == 2
     assert_one_line_error(capsys, 'error: empty lexicon')
+    assert not (tmp_path / 'm.csv').exists()
+
+
+def test_match_with_a_comma_in_a_lexicon_orthography_exits_1(tmp_path,
+                                                              capsys):
+    lex = tmp_path / 'lex.tsv'
+    lex.write_text('MAMMA\tM AA1 MM AA\nCASA,\tK AA1 S AA\n',
+                   encoding='utf-8')
+    csv = tmp_path / 'lm.csv'
+    csv.write_text(f'{CSV_HEADER}\n0.250000,Vowel,,10.00\n',
+                   encoding='utf-8')
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    assert run('match', '--landmarks', str(csv), '--textgrid', str(tg),
+               '--lexicon', str(lex), '--out', str(tmp_path / 'm.csv')) == 1
+    assert_one_line_error(capsys, 'line 2: comma or double quote')
     assert not (tmp_path / 'm.csv').exists()
 
 

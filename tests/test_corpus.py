@@ -5,7 +5,7 @@ import pytest
 
 from lamit.corpus import (TranscriptionError, detect_syntactic_doubling,
                           frequency_csv, parse_transcription,
-                          phoneme_frequencies, word_frequencies)
+                          phoneme_frequencies)
 
 SENTENCE_36 = "'mamma 'e ppa'pa 'tti 'vɔʎʎono 'bene"
 
@@ -48,7 +48,8 @@ def brute_count(lines, doubling_as_singleton=True):
 def test_parse_sentence_36(italian):
     sent = parse_transcription(SENTENCE_36, italian, sentence_id=36)
     assert len(sent.words) == 6
-    assert [w.ipa() for w in sent.words] == [
+    assert [''.join(t.phoneme.ipa for t in w.phonemes)
+            for w in sent.words] == [
         'mamma', 'e', 'ppapa', 'tti', 'vɔʎʎono', 'bene']
     assert [(i, g.arpabet) for i, g in sent.doubling_events] == [
         (2, 'PP'), (3, 'TT')]
@@ -102,11 +103,6 @@ def test_parse_affricate_geminate_forms(italian):
         sent = parse_transcription(spelling, italian)
         syms = [t.phoneme.ipa for t in sent.words[0].phonemes]
         assert 'tsts' in syms
-
-
-def test_phoneme_string_concatenation(lamit_corpus):
-    for sent in lamit_corpus:
-        assert sent.phoneme_string() == ''.join(w.ipa() for w in sent.words)
 
 
 def test_doubling_detection_examples(lamit_corpus, lamit_lexicon):
@@ -194,13 +190,6 @@ def test_doubling_counting_modes(italian):
     assert as_sing.counts[p] == 2 and pp not in as_sing.counts
     assert as_gem.counts[p] == 1 and as_gem.counts[pp] == 1
     assert as_sing.total == as_gem.total
-
-
-def test_word_frequencies(lamit_corpus, lamit_lexicon):
-    freqs = word_frequencies(lamit_corpus, lamit_lexicon)
-    assert freqs['MAMMA'] >= 1
-    assert freqs['DI'] > 10          # the most common preposition
-    assert freqs['PAPÀ'] >= 1        # resolved through its doubled form
 
 
 def test_frequency_csv_format(lamit_corpus, italian):

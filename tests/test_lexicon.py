@@ -2,29 +2,36 @@ import pytest
 
 from lamit.features import LookupError_, PLUS, MINUS
 from lamit.lexicon import (Lexicon, LexiconParseError, expand_word,
-                           geminate_of, load_lamit_lexicon, load_lexicon,
-                           parse_arpabet, serialize_lexicon, singleton_of)
+                           load_lamit_lexicon, load_lexicon,
+                           serialize_lexicon, singleton_of)
+
+
+def arpabet(tokens, inv):
+    """The tokens of a one-entry lexicon with these ARPAbet labels."""
+    return load_lexicon(f'W\t{tokens}', inv).entry('W').phonemes
 
 
 def test_parse_arpabet_mamma(italian):
-    toks = parse_arpabet('M AA1 MM AA', italian)
+    toks = arpabet('M AA1 MM AA', italian)
     assert [t.phoneme.ipa for t in toks] == ['m', 'a', 'mm', 'a']
     assert [t.stressed for t in toks] == [False, True, False, False]
 
 
 def test_parse_arpabet_bene(italian):
-    toks = parse_arpabet('B EH1 N EY', italian)
+    toks = arpabet('B EH1 N EY', italian)
     assert [t.phoneme.ipa for t in toks] == ['b', 'ɛ', 'n', 'e']
     assert toks[1].stressed
 
 
 def test_parse_arpabet_empty(italian):
-    assert parse_arpabet('', italian) == []
+    assert len(load_lexicon('', italian)) == 0
+    with pytest.raises(LexiconParseError, match='line 1: no phoneme'):
+        load_lexicon('W\t', italian)
 
 
 def test_parse_arpabet_unknown_label(italian):
-    with pytest.raises(LexiconParseError, match='QQ'):
-        parse_arpabet('M QQ AA', italian)
+    with pytest.raises(LexiconParseError, match='QQ, position 2'):
+        arpabet('M QQ AA', italian)
 
 
 def test_load_lexicon_unknown_label_names_line(italian):
@@ -34,7 +41,7 @@ def test_load_lexicon_unknown_label_names_line(italian):
 
 def test_parse_arpabet_stress_on_consonant(italian):
     with pytest.raises(LexiconParseError, match='non-vowel'):
-        parse_arpabet('M1 AA', italian)
+        arpabet('M1 AA', italian)
 
 
 def test_shipped_lexicon_size(lamit_lexicon):
@@ -95,18 +102,17 @@ def test_expand_word_case_folds(lamit_lexicon):
         expand_word(lamit_lexicon, 'MAMMA')
 
 
-def test_geminate_of(italian):
-    assert geminate_of(italian, 'l').ipa == 'll'
-    assert geminate_of(italian, 'z') is None
+def test_singleton_of(italian):
     assert singleton_of(italian, 'tt').ipa == 't'
+    assert singleton_of(italian, 'll').ipa == 'l'
+    # a singleton maps to itself
     assert singleton_of(italian, 't').ipa == 't'
-    # geminate input maps to itself
-    assert geminate_of(italian, 'tt').ipa == 'tt'
+    assert singleton_of(italian, 'z').ipa == 'z'
 
 
 def test_geminate_unknown(italian):
     with pytest.raises(LookupError_):
-        geminate_of(italian, 'x')
+        singleton_of(italian, 'x')
 
 
 def test_lexicon_roundtrip(lamit_lexicon, italian):
@@ -164,3 +170,12 @@ def test_lexicon_ipa_index_read_only(lamit_lexicon):
     assert lamit_lexicon.by_ipa_sequence is index
     with pytest.raises(TypeError):
         index[key] = lamit_lexicon.entry('BENE')
+
+
+@pytest.mark.parametrize('orth', ['casa,', '"CASA', 'CA"SA'])
+def test_comma_in_orthography_names_the_line(italian, orth):
+    """matches.csv writes an orthography unquoted, so a comma in one
+    would add a column and a double quote would open a quoted field."""
+    with pytest.raises(LexiconParseError, match='line 2: comma or double '
+                       f'quote in orthography {orth!r}'):
+        load_lexicon(f'MAMMA\tM AA1 MM AA\n{orth}\tK AA1 S AA\n', italian)

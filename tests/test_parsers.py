@@ -106,7 +106,7 @@ def old_load_inventory(text):
     sing = [p for p in phonemes if not p.geminate]
     for i, a in enumerate(sing):
         for b in sing[i + 1:]:
-            if bundles[a.ipa].specified() == bundles[b.ipa].specified():
+            if dict(bundles[a.ipa]) == dict(bundles[b.ipa]):
                 raise InventoryError(
                     f'non-distinct bundles: {a.arpabet} vs {b.arpabet}')
 
