@@ -319,7 +319,11 @@ class WordMatch(NamedTuple):
     interval_index: int
     word_label: str
     results: Sequence[MatchResult] = ()
-    no_evidence: bool = False
+
+    @property
+    def no_evidence(self) -> bool:
+        """No segment fell in the word, so nothing was ranked."""
+        return not self.results
 
 
 def match_in_word_intervals(doc: AnnotationDocument, segments, lex: Lexicon,
@@ -355,7 +359,7 @@ def match_in_word_intervals(doc: AnnotationDocument, segments, lex: Lexicon,
     with np.errstate(over='ignore'):    # see _finite
         for (i, iv), segs in zip(labelled, per_word):
             if not segs:
-                matches.append(WordMatch(i, iv.label, [], no_evidence=True))
+                matches.append(WordMatch(i, iv.label, []))
                 continue
             cost = _cost_rows(segs, lex.inventory, w, rows)
             matches.append(WordMatch(i, iv.label,

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .features import FeatureInventory, LookupError_, MajorClass
-from .lexicon import Lexicon
+from .features import FeatureInventory, LookupError_
+from .lexicon import Lexicon, LexiconParseError, parse_label
 from .textgrid import Interval, IntervalTier, Point, PointTier, TextGridError
 
 if TYPE_CHECKING:       # a transcription is only read, never built, here
@@ -16,9 +16,9 @@ class AnnotationError(ValueError):
 
 
 def generate_lexi_tier(word_tier: IntervalTier, lex: Lexicon,
-                       transcription: TranscribedSentence | None = None,
-                       name: str = 'LEXI') -> IntervalTier:
-    """Split each word interval into phoneme intervals.
+                       transcription: TranscribedSentence | None = None
+                       ) -> IntervalTier:
+    """The LEXI tier: each word interval split into phoneme intervals.
 
     Every labelled word interval becomes one interval per phoneme token,
     labelled with stressed ARPAbet.  Geminates get twice the unit width.
@@ -32,7 +32,7 @@ def generate_lexi_tier(word_tier: IntervalTier, lex: Lexicon,
             raise AnnotationError(
                 f'transcription has {len(transcription.words)} words but '
                 f'the Word tier has {len(words)} labelled intervals')
-        doubled = {widx: gem for widx, gem in transcription.doubling_events}
+        doubled = dict(transcription.doubling_events)
     out = []
     widx = 0
     for iv in word_tier.items:
@@ -67,7 +67,7 @@ def generate_lexi_tier(word_tier: IntervalTier, lex: Lexicon,
         for i, lab in enumerate(labels):
             out.append(Interval(bounds[i], bounds[i + 1], lab))
         widx += 1
-    return IntervalTier(name, out)
+    return IntervalTier('LEXI', out)
 
 
 class LabelEdit(NamedTuple):
@@ -82,15 +82,18 @@ class BoundaryEdit(NamedTuple):
 
 
 def apply_modifications(lexi: IntervalTier, edits,
-                        inv: FeatureInventory | None = None) -> IntervalTier:
-    """A new tier with the edits applied; the input is left untouched."""
+                        inv: FeatureInventory) -> IntervalTier:
+    """A new tier with the edits applied; the input is left untouched.
+    A new label is checked as the lexicon checks one (`parse_label`)."""
     items = list(lexi.items)
     for edit in edits:
         if isinstance(edit, LabelEdit):
             if not 0 <= edit.index < len(items):
                 raise AnnotationError(f'no interval at index {edit.index}')
-            if inv is not None:
-                _check_label(edit.label, inv)
+            try:
+                parse_label(edit.label, inv)
+            except LexiconParseError as e:
+                raise AnnotationError(str(e)) from None
             old = items[edit.index]
             items[edit.index] = Interval(old.t_start, old.t_end, edit.label)
         elif isinstance(edit, BoundaryEdit):
@@ -108,15 +111,6 @@ def apply_modifications(lexi: IntervalTier, edits,
     return IntervalTier(lexi.name, items)
 
 
-def _check_label(label: str, inv: FeatureInventory):
-    stressed = label.endswith('1')
-    bare = label[:-1] if stressed else label
-    if bare not in inv.by_arpabet:
-        raise AnnotationError(f'label {label!r} not in the inventory')
-    if stressed and inv.by_arpabet[bare].major_class is not MajorClass.VOWEL:
-        raise AnnotationError(f'stressed non-vowel label {label!r}')
-
-
 _MANNER_CODE = {'sonorant': '+son', 'continuant': '+cont',
                 'noncontinuant': '-cont'}
 
@@ -130,13 +124,14 @@ def landmark_label(lm) -> str:
     return base
 
 
-def landmark_tier_from(landmarks, name: str = 'Landmark') -> PointTier:
-    """One labelled point per landmark; input must be time-ordered."""
+def landmark_tier_from(landmarks) -> PointTier:
+    """The Landmark tier: one labelled point per landmark; input must be
+    time-ordered."""
     times = [lm.time for lm in landmarks]
     if times != sorted(times):
         raise AnnotationError('landmarks not time-ordered')
     try:
-        return PointTier(name, [Point(lm.time, landmark_label(lm))
-                                for lm in landmarks])
+        return PointTier('Landmark', [Point(lm.time, landmark_label(lm))
+                                      for lm in landmarks])
     except TextGridError as e:
         raise AnnotationError(str(e)) from None

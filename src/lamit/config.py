@@ -49,7 +49,9 @@ class AnalysisConfig(NamedTuple):
     unspecified_cost: float = 0.25
 
 
-_TUPLE_FIELDS = {'low_band', 'f1_band', 'mid_band', 'high_band'}
+# the analysis bands, each a (low, high) pair in Hz
+_TUPLE_FIELDS = {name for name, v in AnalysisConfig._field_defaults.items()
+                 if isinstance(v, tuple)}
 
 # durations turned into frame counts, F0 limits used as divisors, the
 # merge window, which keeps two landmarks off one frame, and the gate's

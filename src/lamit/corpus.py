@@ -6,7 +6,7 @@ import re
 from typing import NamedTuple
 
 from .features import FeatureInventory, MajorClass, PhonemeId, _read_data
-from .lexicon import Lexicon, PhonemeToken, singleton_of
+from .lexicon import Lexicon, PhonemeToken
 
 
 class TranscriptionError(ValueError):
@@ -23,15 +23,22 @@ _NO_GEMINATE = 'aeiouɛɔjw'     # a doubled vowel or glide is two phonemes
 
 class TranscribedWord(NamedTuple):
     phonemes: tuple[PhonemeToken, ...]
-    stress_position: int | None = None
-    doubled: bool = False           # word-initial syntactic gemination
+
+    @property
+    def doubled(self) -> bool:
+        """Whether the word starts with syntactic gemination."""
+        return self.phonemes[0].phoneme.geminate
 
 
 class TranscribedSentence(NamedTuple):
     id: int
     words: tuple[TranscribedWord, ...]
-    # (word index, geminate phoneme) for each word-initial doubling
-    doubling_events: tuple[tuple[int, PhonemeId], ...] = ()
+
+    @property
+    def doubling_events(self) -> tuple[tuple[int, PhonemeId], ...]:
+        """(word index, geminate phoneme) for each word-initial doubling."""
+        return tuple((i, w.phonemes[0].phoneme)
+                     for i, w in enumerate(self.words) if w.doubled)
 
 
 def _tokenize_ipa(word: str, inv: FeatureInventory, offset0: int,
@@ -59,7 +66,6 @@ def _tokenize_ipa(word: str, inv: FeatureInventory, offset0: int,
             starts.append(i)
         i += len(unit)
     out = []
-    stress_index = None
     for k, sym in enumerate(symbols):
         tok = tokens.get(sym)
         if tok is None:
@@ -69,16 +75,15 @@ def _tokenize_ipa(word: str, inv: FeatureInventory, offset0: int,
                     f'unknown symbol {sym!r} at offset '
                     f'{offset0 + raw_pos[starts[k]]}')
             tok = tokens[sym] = PhonemeToken(inv.by_ipa[sym])
-        if stress_char is not None and stress_index is None \
-                and starts[k] >= stress_char \
+        if stress_char is not None and starts[k] >= stress_char \
                 and tok.phoneme.major_class is MajorClass.VOWEL:
-            stress_index = k
+            stress_char = None      # one stressed vowel per word
             key = sym + "'"
             if key not in tokens:
                 tokens[key] = PhonemeToken(tok.phoneme, True)
             tok = tokens[key]
         out.append(tok)
-    return out, stress_index
+    return out
 
 
 def parse_transcription(line: str, inv: FeatureInventory,
@@ -86,7 +91,7 @@ def parse_transcription(line: str, inv: FeatureInventory,
     """One corpus transcription line -> TranscribedSentence.
 
     Word-initial geminates are syntactic doubling: they stay attached to
-    the word (as the geminate phoneme) and are recorded as events.
+    the word (as the geminate phoneme); see `doubling_events`.
     """
     return _parse_line(line, inv, sentence_id, {})
 
@@ -101,35 +106,29 @@ def _parse_line(line: str, inv: FeatureInventory, sentence_id: int,
             sentence_id = int(head.rstrip('.'))
             text = rest.strip()
     words = []
-    events = []
     offset = 0
     for raw in text.split(' '):
-        if not raw:
-            offset += 1
-            continue
-        phonemes, stress = _tokenize_ipa(raw, inv, offset, tokens)
-        if not phonemes:
-            offset += len(raw) + 1
-            continue
-        doubled = phonemes[0].phoneme.geminate
-        word = TranscribedWord(tuple(phonemes), stress, doubled)
-        if doubled:
-            events.append((len(words), phonemes[0].phoneme))
-        words.append(word)
+        if raw:
+            phonemes = _tokenize_ipa(raw, inv, offset, tokens)
+            if phonemes:
+                words.append(TranscribedWord(tuple(phonemes)))
         offset += len(raw) + 1
-    return TranscribedSentence(sentence_id, tuple(words), tuple(events))
+    return TranscribedSentence(sentence_id, tuple(words))
 
 
-def detect_syntactic_doubling(sent: TranscribedSentence, lex: Lexicon | None = None):
+def detect_syntactic_doubling(sent: TranscribedSentence, lex: Lexicon):
     """(trigger word index, target word index, geminate) per doubling.
 
-    The trigger is the preceding word.  When a lexicon is given, each
-    target must resolve to an entry whose citation form starts with the
-    singleton; unresolvable targets raise.
+    The trigger is the preceding word, so a sentence cannot start with
+    a doubling, and each target must resolve to a lexicon entry whose
+    citation form starts with the singleton; either failure raises.
     """
     out = []
     for widx, gem in sent.doubling_events:
-        if lex is not None and _citation_entry(sent.words[widx], lex) is None:
+        if widx == 0:
+            raise TranscriptionError(
+                'doubling at word 0 has no preceding trigger word')
+        if _citation_entry(sent.words[widx], lex) is None:
             raise TranscriptionError(
                 f'doubling target at word {widx} has no singleton-initial '
                 'lexicon entry')
@@ -167,13 +166,11 @@ class FrequencyTable(NamedTuple):
                       key=lambda kv: (-kv[1], kv[0].arpabet))
 
 
-def phoneme_frequencies(sentences, inv: FeatureInventory,
-                        doubling: str = 'singleton') -> FrequencyTable:
+def phoneme_frequencies(sentences, inv: FeatureInventory) -> FrequencyTable:
     """Count every phoneme token once; lexical geminates count as one
-    geminate token.  Word-initial syntactic doubling counts as the
-    citation-form singleton by default (`doubling='geminate'` counts the
-    corpus exactly as transcribed instead).  The sentences are parsed
-    against `inv`: the counts are keyed by its phonemes.
+    geminate token, and word-initial syntactic doubling counts as the
+    citation-form singleton.  The sentences are parsed against `inv`:
+    the counts are keyed by its phonemes.
     """
     sentences = list(sentences)
     if not sentences:
@@ -183,8 +180,9 @@ def phoneme_frequencies(sentences, inv: FeatureInventory,
     for sent in sentences:
         for word in sent.words:
             phonemes = word.phonemes
-            if word.doubled and doubling == 'singleton':
-                ipas.append(singleton_of(inv, phonemes[0].phoneme).ipa)
+            base = phonemes[0].phoneme.singleton_base
+            if base is not None:        # word-initial doubling
+                ipas.append(base)
                 phonemes = phonemes[1:]
             ipas += [t.phoneme.ipa for t in phonemes]
     counts = {inv.by_ipa[ipa]: n

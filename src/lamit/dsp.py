@@ -371,8 +371,9 @@ def standard_tracks(audio: AudioBuffer,
                     cfg: AnalysisConfig | None = None) -> BandEnergyTracks:
     """The standard band energies, as `band_energies(compute_spectrogram(
     ...))` gives them (bands clipped at Nyquist), but summed from each
-    block's bin powers: no dB spectrogram is built.  The tracks keep
-    `cfg`, so that the landmark detectors apply its thresholds."""
+    block's bin powers: no dB spectrogram is built.  A band that starts
+    at or beyond Nyquist is refused.  The tracks keep `cfg`, so that the
+    landmark detectors apply its thresholds."""
     cfg = cfg or AnalysisConfig()
     times, hop, nwin, blocks = _frame_spectra(audio, cfg.frame_length,
                                               cfg.frame_step)
@@ -381,6 +382,9 @@ def standard_tracks(audio: AudioBuffer,
     bands = []
     for name in STANDARD_BANDS:
         lo, hi = getattr(cfg, name)
+        if lo >= nyq:
+            raise DspError(f'{name} ({lo}, {hi}) starts at or beyond '
+                           f'Nyquist {nyq:.0f} Hz')
         bands.append((lo, min(hi, nyq)))
     bins = _band_bins(bands, resolution, nwin // 2 + 1)
     power = np.empty((len(bands), len(times)))

@@ -45,8 +45,11 @@ class PhonemeId(NamedTuple):
     ipa: str
     arpabet: str
     major_class: MajorClass
-    geminate: bool = False
-    singleton_base: str | None = None   # ipa of the base phoneme
+    singleton_base: str | None = None   # ipa of a geminate's base phoneme
+
+    @property
+    def geminate(self) -> bool:
+        return self.singleton_base is not None
 
     def __str__(self):
         return self.ipa
@@ -256,8 +259,7 @@ def load_inventory(text: str) -> FeatureInventory:
         if base not in bundles:
             raise InventoryError(
                 f'geminate {ipa!r} references unknown base {base!r}')
-        by_ipa[ipa] = PhonemeId(ipa, arp, by_ipa[base].major_class,
-                                geminate=True, singleton_base=base)
+        by_ipa[ipa] = PhonemeId(ipa, arp, by_ipa[base].major_class, base)
         bundles[ipa] = bundles[base]
 
     # every singleton bundle must be distinct: group them by their

@@ -53,10 +53,6 @@ class Landmark(_Landmark):
     _make = classmethod(lambda cls, values: cls(*values))
 
 
-_BROAD = {LandmarkKind.VOWEL: 'V', LandmarkKind.GLIDE: 'G',
-          LandmarkKind.CLOSURE: 'Ccl', LandmarkKind.RELEASE: 'Crel'}
-
-
 class LandmarkSequence:
     def __init__(self, items=()):
         self.items: list[Landmark] = list(items)
@@ -69,9 +65,6 @@ class LandmarkSequence:
             return NotImplemented
         return self.items == other.items
 
-    @property
-    def broad_class_string(self) -> list[str]:
-        return [_BROAD[lm.kind] for lm in self.items]
 
 # an utterance exists only when the low band rises above this level;
 # below it the whole buffer is treated as silence

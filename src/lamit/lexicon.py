@@ -109,16 +109,16 @@ class Lexicon(Frozen):
         return MappingProxyType(idx)
 
 
-def _token(tok: str, pos: int, inv: FeatureInventory) -> PhonemeToken:
-    """One ARPAbet label, checked; `pos` is its place in its line."""
+def parse_label(tok: str, inv: FeatureInventory) -> PhonemeToken:
+    """One ARPAbet label of `inv`, with a '1' suffix (primary stress)
+    only on a vowel."""
     stressed = tok.endswith('1')
     label = tok[:-1] if stressed else tok
     if label not in inv.by_arpabet:
-        raise LexiconParseError(f'unknown label {tok}, position {pos}')
+        raise LexiconParseError(f'unknown label {tok}')
     p = inv.by_arpabet[label]
     if stressed and p.major_class is not MajorClass.VOWEL:
-        raise LexiconParseError(
-            f'stress mark on non-vowel {tok}, position {pos}')
+        raise LexiconParseError(f'stress mark on non-vowel {tok}')
     return PhonemeToken(p, stressed)
 
 
@@ -149,9 +149,10 @@ def load_lexicon(text: str, inv: FeatureInventory) -> Lexicon:
             t = tokens.get(tok)
             if t is None:
                 try:
-                    t = tokens[tok] = _token(tok, pos, inv)
+                    t = tokens[tok] = parse_label(tok, inv)
                 except LexiconParseError as e:
-                    raise LexiconParseError(f'{e}, line {lineno}') from None
+                    raise LexiconParseError(
+                        f'{e}, position {pos}, line {lineno}') from None
             phonemes.append(t)
         stresses = sum(t.stressed for t in phonemes)
         if stresses > 1:

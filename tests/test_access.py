@@ -442,8 +442,7 @@ def per_word_reference(doc, segments, lex, w, k=10):
         (orphans if home is None else per_word[home]).append(s)
     matches = [WordMatch(i, iv.label,
                          cohort_match(per_word[i], lex, w, k)
-                         if per_word[i] else [],
-                         no_evidence=not per_word[i])
+                         if per_word[i] else [])
                for i, iv in labelled]
     return matches, orphans
 

@@ -617,6 +617,23 @@ def test_f0_lag_range_checked_before_analysis(tmp_path, capsys,
     assert tracks == []
 
 
+def test_band_starting_beyond_nyquist_names_the_configured_band(
+        tmp_path, capsys):
+    audio = synth.utterances()['concatenated']      # 16 kHz
+    wav = tmp_path / 'utt.wav'
+    write_wav(wav, audio)
+    cfg = tmp_path / 'band.cfg'
+    cfg.write_text('low_band = 9000 12000\n', encoding='utf-8')
+    assert run('landmarks', '--wav', str(wav), '--config', str(cfg),
+               '--out', str(tmp_path / 'o')) == 2
+    assert_one_line_error(capsys, str(wav), 'low_band (9000.0, 12000.0)',
+                          'Nyquist 8000 Hz')
+    # a band that only ends beyond Nyquist is clipped there
+    cfg.write_text('high_band = 2500 12000\n', encoding='utf-8')
+    assert run('landmarks', '--wav', str(wav), '--config', str(cfg),
+               '--out', str(tmp_path / 'o')) == 0
+
+
 def test_validate_parses_corpus_once(monkeypatch, capsys):
     from lamit import corpus
     parses = count_calls(monkeypatch, corpus, 'parse_corpus')

@@ -3,9 +3,13 @@ import random
 
 import pytest
 
-from lamit.corpus import (TranscriptionError, detect_syntactic_doubling,
+from lamit.access import MatchResult, WordMatch
+from lamit.corpus import (TranscribedSentence, TranscribedWord,
+                          TranscriptionError, detect_syntactic_doubling,
                           frequency_csv, parse_transcription,
                           phoneme_frequencies)
+from lamit.features import MajorClass, PhonemeId
+from lamit.lexicon import PhonemeToken
 
 SENTENCE_36 = "'mamma 'e ppa'pa 'tti 'vɔʎʎono 'bene"
 
@@ -56,7 +60,8 @@ def test_parse_sentence_36(italian):
     # lexical geminates are one token
     assert [t.phoneme.ipa for t in sent.words[0].phonemes] == \
         ['m', 'a', 'mm', 'a']
-    assert sent.words[0].stress_position == 1
+    assert [t.stressed for t in sent.words[0].phonemes] == \
+        [False, True, False, False]
 
 
 def test_parsed_sentence_is_immutable(italian):
@@ -95,7 +100,8 @@ def test_parse_geminate_split_by_stress_mark(italian):
     sent = parse_transcription("bik'kjere", italian)
     assert [t.phoneme.ipa for t in sent.words[0].phonemes] == \
         ['b', 'i', 'kk', 'j', 'e', 'r', 'e']
-    assert sent.words[0].stress_position == 4
+    assert [k for k, t in enumerate(sent.words[0].phonemes)
+            if t.stressed] == [4]
 
 
 def test_parse_affricate_geminate_forms(italian):
@@ -113,6 +119,28 @@ def test_doubling_detection_examples(lamit_corpus, lamit_lexicon):
     s1 = next(s for s in lamit_corpus if s.id == 1)
     ev1 = detect_syntactic_doubling(s1, lamit_lexicon)
     assert any(g.arpabet == 'BB' for _, _, g in ev1)
+
+
+def test_sentence_initial_doubling_has_no_trigger(italian, lamit_lexicon):
+    # index -1 would name the sentence's last word as the trigger
+    for line in ("ppa'pa", "ppa'pa 'e"):
+        sent = parse_transcription(line, italian)
+        with pytest.raises(TranscriptionError, match='word 0'):
+            detect_syntactic_doubling(sent, lamit_lexicon)
+
+
+def test_derived_facts_follow_their_source(italian):
+    pp = PhonemeId('pp', 'PP', MajorClass.CONSONANT, singleton_base='p')
+    assert pp.geminate and not italian.phoneme('p').geminate
+    stressed_a = PhonemeToken(italian.phoneme('a'), True)
+    doubled = TranscribedWord((PhonemeToken(pp), stressed_a))
+    plain = TranscribedWord((stressed_a,))
+    assert doubled.doubled and not plain.doubled
+    sent = TranscribedSentence(5, (plain, doubled, plain, doubled))
+    assert sent.doubling_events == ((1, pp), (3, pp))
+    assert TranscribedSentence(6, (plain,)).doubling_events == ()
+    assert WordMatch(0, 'A').no_evidence
+    assert not WordMatch(0, 'A', [MatchResult('A', 0.0, 1)]).no_evidence
 
 
 def test_doubling_absent(italian, lamit_lexicon):
@@ -182,14 +210,12 @@ def test_counting_oracle_subsets(lamit_corpus, italian):
         assert {p.ipa: n for p, n in table.counts.items()} == dict(oracle)
 
 
-def test_doubling_counting_modes(italian):
+def test_doubling_counts_as_citation_singleton(italian):
     sent = parse_transcription("'e ppa'pa", italian)
-    as_sing = phoneme_frequencies([sent], italian, doubling='singleton')
-    as_gem = phoneme_frequencies([sent], italian, doubling='geminate')
+    table = phoneme_frequencies([sent], italian)
     p, pp = italian.phoneme('p'), italian.phoneme('pp')
-    assert as_sing.counts[p] == 2 and pp not in as_sing.counts
-    assert as_gem.counts[p] == 1 and as_gem.counts[pp] == 1
-    assert as_sing.total == as_gem.total
+    assert table.counts[p] == 2 and pp not in table.counts
+    assert table.total == 5
 
 
 def test_frequency_csv_format(lamit_corpus, italian):

@@ -94,8 +94,9 @@ def test_steady_vowel_no_consonants():
 def test_nasal_murmur_sonorant_sequence():
     audio, (t_cl, t_rel) = synth.ama_nasal()
     seq = detect_all(audio)
-    broad = seq.broad_class_string
-    assert broad == ['V', 'Ccl', 'Crel', 'V']
+    assert [lm.kind for lm in seq.items] == [
+        LandmarkKind.VOWEL, LandmarkKind.CLOSURE, LandmarkKind.RELEASE,
+        LandmarkKind.VOWEL]
     cons = [lm for lm in seq.items
             if lm.kind in (LandmarkKind.CLOSURE, LandmarkKind.RELEASE)]
     assert all(lm.manner is Manner.SONORANT for lm in cons)
@@ -154,17 +155,17 @@ def test_sequence_merge_and_priority():
     c1 = Landmark(0.05, LandmarkKind.RELEASE, Manner.NONCONTINUANT, 5)
     c2 = Landmark(0.35, LandmarkKind.CLOSURE, Manner.NONCONTINUANT, 5)
     seq = landmark_sequence([v], [], [c1, c2], AnalysisConfig())
-    assert seq.broad_class_string == ['Crel', 'V', 'Ccl']
+    assert [lm.kind for lm in seq.items] == [
+        LandmarkKind.RELEASE, LandmarkKind.VOWEL, LandmarkKind.CLOSURE]
     # collision: consonant wins over vowel within the merge window
     g = Landmark(0.201, LandmarkKind.GLIDE, strength=1)
     seq2 = landmark_sequence([v], [g], [], AnalysisConfig())
-    assert seq2.broad_class_string == ['V']
+    assert [lm.kind for lm in seq2.items] == [LandmarkKind.VOWEL]
 
 
 def test_empty_sequence():
     cfg = AnalysisConfig()
     assert landmark_sequence([], [], [], cfg).items == []
-    assert landmark_sequence([], [], [], cfg).broad_class_string == []
 
 
 def test_sequence_requires_increasing_times():

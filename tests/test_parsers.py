@@ -100,7 +100,7 @@ def old_load_inventory(text):
                 f'geminate {ipa!r} references unknown base {base!r}')
         basep = next(p for p in phonemes if p.ipa == base)
         phonemes.append(PhonemeId(ipa, arp, basep.major_class,
-                                  geminate=True, singleton_base=base))
+                                  singleton_base=base))
         bundles[ipa] = bundles[base]
 
     sing = [p for p in phonemes if not p.geminate]
@@ -217,17 +217,19 @@ def old_parse_transcription(line, inv, sentence_id=0):
         if not raw:
             offset += 1
             continue
-        tokens, stress = old_tokenize_ipa(raw, inv, offset)
+        # the records keep no stress index: the stressed token says it
+        tokens, _ = old_tokenize_ipa(raw, inv, offset)
         if not tokens:
             offset += len(raw) + 1
             continue
-        doubled = tokens[0].phoneme.geminate
-        word = TranscribedWord(tuple(tokens), stress, doubled)
-        if doubled:
+        if tokens[0].phoneme.geminate:
             events.append((len(words), tokens[0].phoneme))
-        words.append(word)
+        words.append(TranscribedWord(tuple(tokens)))
         offset += len(raw) + 1
-    return TranscribedSentence(sentence_id, tuple(words), tuple(events))
+    sent = TranscribedSentence(sentence_id, tuple(words))
+    # the records derive the events the old parser listed
+    assert sent.doubling_events == tuple(events)
+    return sent
 
 
 def old_parse_corpus(text, inv):
@@ -243,7 +245,7 @@ def old_parse_corpus(text, inv):
     return out
 
 
-def old_phoneme_frequencies(sentences, inv, doubling='singleton'):
+def old_phoneme_frequencies(sentences, inv):
     sentences = list(sentences)
     if not sentences:
         raise TranscriptionError('empty corpus')
@@ -252,7 +254,7 @@ def old_phoneme_frequencies(sentences, inv, doubling='singleton'):
         for word in sent.words:
             for i, tok in enumerate(word.phonemes):
                 p = tok.phoneme
-                if i == 0 and word.doubled and doubling == 'singleton':
+                if i == 0 and word.doubled:
                     p = lexicon.singleton_of(inv, p)
                 counts[p] += 1
     total = sum(counts.values())
@@ -292,15 +294,13 @@ def assert_agree(new, old, typed, *args):
 
 
 def assert_tables_agree(sentences, inv):
-    for mode in ('singleton', 'geminate'):
-        got = outcome(corpus.phoneme_frequencies, sentences, inv, mode)
-        want = outcome(old_phoneme_frequencies, sentences, inv, mode)
-        assert got == want
-        if got[0] == 'returned':
-            assert list(got[1].counts.items()) == \
-                list(want[1].counts.items())
-            assert list(got[1].percentages.items()) == \
-                list(want[1].percentages.items())
+    got = outcome(corpus.phoneme_frequencies, sentences, inv)
+    want = outcome(old_phoneme_frequencies, sentences, inv)
+    assert got == want
+    if got[0] == 'returned':
+        assert list(got[1].counts.items()) == list(want[1].counts.items())
+        assert list(got[1].percentages.items()) == \
+            list(want[1].percentages.items())
 
 
 def data_text(name):
