@@ -189,9 +189,24 @@ def _voicing_rule(params: ParameterTrack,
 def feature_distance(est: FeatureBundle, lexical: FeatureBundle,
                      w: DistanceWeights, inv: FeatureInventory) -> float:
     """Weighted per-feature mismatch; see DistanceWeights for the knobs."""
-    for name in (*est, *lexical):
+    _check_names(est, inv)
+    _check_names(lexical, inv)
+    return _distance(est, lexical, w, inv)
+
+
+def _check_names(bundle: FeatureBundle, inv: FeatureInventory):
+    for name in bundle:
         if name not in inv.features:
-            raise MatchError(f'feature {name!r} not in this inventory')
+            raise _not_in_inventory(name)
+
+
+def _not_in_inventory(name: str) -> MatchError:
+    return MatchError(f'feature {name!r} not in this inventory')
+
+
+def _distance(est: FeatureBundle, lexical: FeatureBundle,
+              w: DistanceWeights, inv: FeatureInventory) -> float:
+    """`feature_distance` of two bundles whose names are checked."""
     total = 0.0
     unspecified_cost = w.unspecified_cost   # read once, not per feature
     for f in inv.features:
@@ -225,10 +240,10 @@ def cohort_match(segments, lex: Lexicon, w: DistanceWeights | None = None,
                  k: int = 10) -> list[MatchResult]:
     """Top-k candidates by cohort scoring over the whole lexicon.
 
-    Each segment is scored against every inventory phoneme once, and
-    segments with equal bundles share one row of distances, computed
-    afresh on every call; every entry's score is then summed from those
-    rows at once (see `_top_k`).
+    Each segment is scored against every distinct inventory bundle
+    once, and segments with equal bundles share one row of distances,
+    computed afresh on every call; every entry's score is then summed
+    from those rows at once (see `_top_k`).
     """
     w = w or DistanceWeights()
     _check_query(lex, k)
@@ -254,19 +269,28 @@ def _cost_rows(segments, inv: FeatureInventory, w: DistanceWeights,
     `inv.phonemes` order, plus a trailing 0.0 for the lexicon's pad.
 
     Lexical bundles are shared per phoneme, so a segment needs one
-    distance per inventory phoneme rather than one per lexicon entry.
-    A row depends only on the segment's bundle: `rows`, owned by the
-    caller, holds one per distinct bundle, so segments with equal
-    bundles share it.
+    distance per distinct inventory bundle (`inv.bundle_table`), which
+    one gather spreads over the phonemes, rather than one per lexicon
+    entry.  A row depends only on the segment's bundle: `rows`, owned by
+    the caller, holds one per distinct bundle, so segments with equal
+    bundles share it, and each bundle's names are checked once.
     """
+    table = inv.bundle_table
+    gather = None
     out = []
     for seg in segments:
         key = frozenset(seg.bundle.items())
         row = rows.get(key)
         if row is None:
+            _check_names(seg.bundle, inv)
+            if gather is None:      # the first new row of this call
+                if table.unknown_feature is not None:
+                    raise _not_in_inventory(table.unknown_feature)
+                # the pad's column is the 0.0 after the distinct bundles
+                gather = np.array(table.columns + (len(table.bundles),))
             row = rows[key] = np.array(
-                [feature_distance(seg.bundle, inv.bundles[p.ipa], w, inv)
-                 for p in inv.phonemes] + [0.0])
+                [_distance(seg.bundle, b, w, inv) for b in table.bundles]
+                + [0.0])[gather]
         out.append(row)
     return out
 

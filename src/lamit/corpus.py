@@ -21,8 +21,21 @@ _UNIT = '(?s)' + '|'.join(_MULTI) + '|.'
 _NO_GEMINATE = 'aeiouɛɔjw'     # a doubled vowel or glide is two phonemes
 
 
-class TranscribedWord(NamedTuple):
+class _TranscribedWord(NamedTuple):
     phonemes: tuple[PhonemeToken, ...]
+
+
+class TranscribedWord(_TranscribedWord):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not self.phonemes:
+            raise TranscriptionError('a transcribed word has no phonemes')
+        return self
+
+    # _replace builds through _make: check its result too
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def doubled(self) -> bool:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -100,6 +101,14 @@ class Frozen:
         raise AttributeError(f'cannot delete field {name!r}')
 
 
+class BundleTable(NamedTuple):
+    """An inventory's distinct bundles, equal values counted once."""
+    bundles: tuple[FeatureBundle, ...]      # in order of first use
+    columns: tuple[int, ...]   # each phoneme's place in `bundles`
+    # the first name in `bundles` that the inventory's `features` lacks
+    unknown_feature: str | None
+
+
 class FeatureInventory(Frozen):
     """Immutable: the lists are stored as tuples and the dicts behind
     read-only mapping proxies."""
@@ -127,6 +136,25 @@ class FeatureInventory(Frozen):
         return (self.language_tag, self.phonemes, self.bundles,
                 self.features) == (other.language_tag, other.phonemes,
                                    other.bundles, other.features)
+
+    @cached_property
+    def bundle_table(self) -> BundleTable:
+        """The distinct bundles in `phonemes` order, keyed by value, so a
+        geminate, or any phoneme whose bundle equals an earlier one, adds
+        no bundle.  Built on first use."""
+        place: dict[frozenset, int] = {}
+        bundles = []
+        columns = []
+        for p in self.phonemes:
+            bundle = self.bundles[p.ipa]
+            key = frozenset(bundle.items())
+            if key not in place:
+                place[key] = len(bundles)
+                bundles.append(bundle)
+            columns.append(place[key])
+        unknown = next((name for bundle in bundles for name in bundle
+                        if name not in self.features), None)
+        return BundleTable(tuple(bundles), tuple(columns), unknown)
 
     # -- basic lookups ----------------------------------------------------
     def phoneme(self, key) -> PhonemeId:

@@ -178,13 +178,5 @@ def expand_word(lex: Lexicon, orthography: str) -> list[FeatureBundle]:
     return [features_of(lex.inventory, t.phoneme) for t in entry.phonemes]
 
 
-def singleton_of(inv: FeatureInventory, phoneme) -> PhonemeId:
-    """The singleton base of a geminate; identity on singletons."""
-    p = inv.phoneme(phoneme)
-    if p.geminate:
-        return inv.phoneme(p.singleton_base)
-    return p
-
-
 def load_lamit_lexicon(inv: FeatureInventory) -> Lexicon:
     return load_lexicon(_read_data('lamit_lexicon.tsv'), inv)

@@ -9,10 +9,11 @@ from lamit.access import (DistanceWeights, EstimatedSegment, MatchError,
                           matches_csv, score_candidate)
 from lamit.config import AnalysisConfig
 from lamit.dsp import parameter_frames
-from lamit.features import (FeatureBundle, MINUS, PLUS, UNSPECIFIED,
-                            features_of)
+from lamit.features import (FeatureBundle, FeatureInventory, MINUS,
+                            MajorClass, PLUS, PLUSMINUS, PhonemeId,
+                            ReadOnlyBundle, UNSPECIFIED, features_of)
 from lamit.landmarks import detect_all, detect_landmarks
-from lamit.lexicon import Lexicon, expand_word
+from lamit.lexicon import Lexicon, expand_word, load_lexicon
 from lamit.textgrid import AnnotationDocument, Interval, IntervalTier
 
 import synth
@@ -533,25 +534,30 @@ def test_distance_computed_once_per_distinct_bundle(lamit_lexicon,
                                                     monkeypatch):
     import lamit.access as access
     calls = []
-    real = access.feature_distance
+    real = access._distance
 
     def counted(*args):
         calls.append(1)
         return real(*args)
-    monkeypatch.setattr(access, 'feature_distance', counted)
+
+    def oracle(*args):
+        raise AssertionError('the matcher called feature_distance')
+    monkeypatch.setattr(access, '_distance', counted)
+    monkeypatch.setattr(access, 'feature_distance', oracle)
     doc, segments = make_word_doc(lamit_lexicon,
                                   ['MAMMA', 'MAMMA', 'BENE', 'CASA'])
     # orphans are never scored, so an unknown feature there is harmless
     stray = EstimatedSegment((9.0, 9.1), FeatureBundle({'bogus': PLUS}))
     distinct = {frozenset(s.bundle.items()) for s in segments}
     assert len(distinct) < len(segments)
+    # geminates share their singleton's bundle: 30 of 50 are distinct
+    assert len(lamit_lexicon.inventory.bundle_table.bundles) == 30
     for _ in range(2):
         calls.clear()
         _, orphans = match_in_word_intervals(doc, segments + [stray],
                                              lamit_lexicon, W)
         assert orphans == [stray]
-        assert len(calls) == \
-            len(distinct) * len(lamit_lexicon.inventory.bundles)
+        assert len(calls) == len(distinct) * 30
 
 
 def test_no_state_survives_a_call(lamit_lexicon):
@@ -581,6 +587,117 @@ def test_word_match_errors_in_word_order(lamit_lexicon, italian):
     matches, _ = match_in_word_intervals(doc, [], Lexicon({}, italian), W,
                                          k=0)
     assert all(m.no_evidence for m in matches)
+
+
+# ------------------------------------------ distinct bundles, hand-built
+
+def hand_built_lexicon(stray=()):
+    """Five phonemes over eight features.  The geminate 'tt' comes
+    before 't' and holds an equal copy of its bundle, not the same
+    object; `stray` adds (ipa, name) pairs the features do not list."""
+    t = {'cons': PLUS, 'son': MINUS, 'cont': MINUS, 'stiff': PLUS}
+    cells = {'a': {'vowel': PLUS, 'low': PLUS, 'high': MINUS},
+             'tt': dict(t),
+             'i': {'vowel': PLUS, 'high': PLUS, 'low': MINUS},
+             't': t,
+             's': {'cons': PLUS, 'son': MINUS, 'cont': PLUS, 'strid': PLUS,
+                   'stiff': PLUSMINUS}}
+    for ipa, name in stray:
+        cells[ipa][name] = PLUS
+    phonemes = [PhonemeId('a', 'AA', MajorClass.VOWEL),
+                PhonemeId('tt', 'TT', MajorClass.CONSONANT, 't'),
+                PhonemeId('i', 'IY', MajorClass.VOWEL),
+                PhonemeId('t', 'T', MajorClass.CONSONANT),
+                PhonemeId('s', 'S', MajorClass.CONSONANT)]
+    inv = FeatureInventory(
+        'xx', phonemes, {k: ReadOnlyBundle(v) for k, v in cells.items()},
+        ('vowel', 'cons', 'son', 'cont', 'strid', 'high', 'low', 'stiff'))
+    words = {'TA': 'T AA1', 'ATTA': 'AA1 TT AA', 'SI': 'S IY1',
+             'ITS': 'IY1 T S', 'SASSI': 'S AA1 S S IY', 'TI': 'T IY1',
+             'A': 'AA1', 'TATTI': 'T AA1 TT IY', 'STA': 'S T AA1'}
+    return load_lexicon('\n'.join(f'{o}\t{p}' for o, p in words.items()),
+                        inv)
+
+
+def brute_force_ranks(segments, lex, w, k):
+    """`brute_force` with competition ranks, as MatchResults."""
+    results = []
+    for pos, (score, _, orth) in enumerate(brute_force(segments, lex, w, k),
+                                           1):
+        rank = results[-1].cohort_rank if results and \
+            results[-1].score == score else pos
+        results.append(MatchResult(orth, score, rank))
+    return results
+
+
+def test_equal_bundles_in_separate_objects_share_a_column():
+    lex = hand_built_lexicon()
+    inv = lex.inventory
+    assert inv.bundles['tt'] is not inv.bundles['t']
+    table = inv.bundle_table
+    assert table is inv.bundle_table            # built once
+    assert table.bundles == (inv.bundles['a'], inv.bundles['tt'],
+                             inv.bundles['i'], inv.bundles['s'])
+    assert table.bundles[1] is inv.bundles['tt']    # first use wins
+    assert table.columns == (0, 1, 2, 1, 3)
+    assert table.unknown_feature is None
+
+
+def test_hand_built_inventory_ranks_equal_brute_force():
+    lex = hand_built_lexicon()
+    pool = [FeatureBundle(b) for b in lex.inventory.bundles.values()] + [
+        FeatureBundle({'vowel': PLUS}), FeatureBundle({'cons': PLUS}),
+        FeatureBundle({'cons': PLUS, 'son': MINUS, 'stiff': MINUS}),
+        FeatureBundle({'vowel': PLUS, 'high': PLUS, 'low': PLUS})]
+    rng = random.Random(5)
+    for _ in range(40):
+        words = [[seg(FeatureBundle(rng.choice(pool)))
+                  for _ in range(rng.randint(1, 6))]
+                 for _ in range(rng.randint(1, 4))]
+        k = rng.choice([1, 3, 20])
+        for segments in words:
+            assert cohort_match(segments, lex, W_ODD, k) == \
+                brute_force_ranks(segments, lex, W_ODD, k)
+        items, segments = [], []
+        for i, word in enumerate(words):
+            items.append(Interval(float(i), i + 1.0, 'W'))
+            segments += [EstimatedSegment((i + 0.1 * j, i + 0.1 * j + 0.05),
+                                          s.bundle)
+                         for j, s in enumerate(word)]
+        doc = AnnotationDocument(len(words), [IntervalTier('Word', items)])
+        matches, orphans = match_in_word_intervals(doc, segments, lex,
+                                                   W_ODD, k)
+        assert orphans == []
+        assert [list(m.results) for m in matches] == \
+            [brute_force_ranks(word, lex, W_ODD, k) for word in words]
+
+
+def test_unknown_names_raise_as_the_oracle_does():
+    vowel = seg(FeatureBundle({'vowel': PLUS}))
+    bogus = seg(FeatureBundle({'vowel': PLUS, 'bogus': PLUS}))
+    doc = AnnotationDocument(1.0, [IntervalTier('Word', [
+        Interval(0.0, 1.0, 'W')])])
+    # the inventory's first stray name in phoneme order, after the
+    # first new estimate's names and before any later estimate's
+    lex = hand_built_lexicon(stray=[('s', 'creaky'), ('i', 'nasalized')])
+    with pytest.raises(MatchError) as oracle:
+        feature_distance(vowel.bundle, lex.inventory.bundles['i'], W_ODD,
+                         lex.inventory)
+    assert str(oracle.value) == "feature 'nasalized' not in this inventory"
+    for segments, name in (([vowel], 'nasalized'),
+                           ([vowel, vowel, bogus], 'nasalized'),
+                           ([bogus, vowel], 'bogus')):
+        want = f'feature {name!r} not in this inventory'
+        with pytest.raises(MatchError) as e:
+            cohort_match(segments, lex, W_ODD)
+        assert str(e.value) == want
+        with pytest.raises(MatchError) as e:
+            match_in_word_intervals(doc, segments, lex, W_ODD)
+        assert str(e.value) == want
+    # an estimate's stray name, with a clean inventory
+    with pytest.raises(MatchError) as e:
+        cohort_match([vowel, bogus], hand_built_lexicon(), W_ODD)
+    assert str(e.value) == "feature 'bogus' not in this inventory"
 
 
 # ------------------------------------------- array ranking vs the old loop

@@ -143,6 +143,22 @@ def test_derived_facts_follow_their_source(italian):
     assert not WordMatch(0, 'A', [MatchResult('A', 0.0, 1)]).no_evidence
 
 
+def test_word_without_phonemes_is_refused(italian):
+    # `doubled` and `doubling_events` read a word's first phoneme
+    word = TranscribedWord((PhonemeToken(italian.phoneme('a'), True),))
+    for build in (lambda: TranscribedWord(()),
+                  lambda: TranscribedWord(phonemes=()),
+                  lambda: TranscribedWord._make([()]),
+                  lambda: word._replace(phonemes=())):
+        with pytest.raises(TranscriptionError, match='no phonemes'):
+            build()
+    assert word._replace(phonemes=word.phonemes * 2).phonemes == \
+        word.phonemes * 2
+    # the parser drops a word of stress marks alone
+    assert parse_transcription("'a ' 'e", italian).words == \
+        parse_transcription("'a 'e", italian).words
+
+
 def test_doubling_absent(italian, lamit_lexicon):
     sent = parse_transcription("'mamma 'bene", italian)
     assert detect_syntactic_doubling(sent, lamit_lexicon) == []

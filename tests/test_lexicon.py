@@ -3,7 +3,7 @@ import pytest
 from lamit.features import LookupError_, PLUS, MINUS
 from lamit.lexicon import (Lexicon, LexiconParseError, expand_word,
                            load_lamit_lexicon, load_lexicon,
-                           serialize_lexicon, singleton_of)
+                           serialize_lexicon)
 
 
 def arpabet(tokens, inv):
@@ -100,19 +100,6 @@ def test_expand_word_unknown(lamit_lexicon):
 def test_expand_word_case_folds(lamit_lexicon):
     assert expand_word(lamit_lexicon, 'mamma') == \
         expand_word(lamit_lexicon, 'MAMMA')
-
-
-def test_singleton_of(italian):
-    assert singleton_of(italian, 'tt').ipa == 't'
-    assert singleton_of(italian, 'll').ipa == 'l'
-    # a singleton maps to itself
-    assert singleton_of(italian, 't').ipa == 't'
-    assert singleton_of(italian, 'z').ipa == 'z'
-
-
-def test_geminate_unknown(italian):
-    with pytest.raises(LookupError_):
-        singleton_of(italian, 'x')
 
 
 def test_lexicon_roundtrip(lamit_lexicon, italian):

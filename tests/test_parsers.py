@@ -255,7 +255,7 @@ def old_phoneme_frequencies(sentences, inv):
             for i, tok in enumerate(word.phonemes):
                 p = tok.phoneme
                 if i == 0 and word.doubled:
-                    p = lexicon.singleton_of(inv, p)
+                    p = inv.phoneme(p.singleton_base)
                 counts[p] += 1
     total = sum(counts.values())
     pct = {p: 100.0 * n / total for p, n in counts.items()}
