@@ -10,8 +10,8 @@ import numpy as np
 
 from .config import AnalysisConfig, weight_problem
 from .dsp import F1, HIGH, LOW, ParameterTrack
-from .features import (ARTICULATOR_FREE, FeatureBundle, FeatureInventory,
-                       MINUS, PLUS, PLUSMINUS, UNSPECIFIED)
+from .features import (ARTICULATOR_FREE, Checked, FeatureBundle,
+                       FeatureInventory, MINUS, PLUS, PLUSMINUS, UNSPECIFIED)
 from .landmarks import LandmarkKind, LandmarkSequence, Manner
 from .lexicon import Lexicon, PhonemeIndex
 from .textgrid import AnnotationDocument
@@ -39,18 +39,13 @@ class _DistanceWeights(NamedTuple):
     unspecified_cost: float = _DEFAULT['unspecified_cost']
 
 
-class DistanceWeights(_DistanceWeights):
+class DistanceWeights(Checked, _DistanceWeights):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         problem = weight_problem(*self)
         if problem:
             raise MatchError(problem)
-        return self
-
-    # _replace builds through _make: check its result too
-    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def from_config(cls, cfg: AnalysisConfig) -> 'DistanceWeights':
@@ -197,11 +192,7 @@ def feature_distance(est: FeatureBundle, lexical: FeatureBundle,
 def _check_names(bundle: FeatureBundle, inv: FeatureInventory):
     for name in bundle:
         if name not in inv.features:
-            raise _not_in_inventory(name)
-
-
-def _not_in_inventory(name: str) -> MatchError:
-    return MatchError(f'feature {name!r} not in this inventory')
+            raise MatchError(f'feature {name!r} not in this inventory')
 
 
 def _distance(est: FeatureBundle, lexical: FeatureBundle,
@@ -276,18 +267,14 @@ def _cost_rows(segments, inv: FeatureInventory, w: DistanceWeights,
     bundles share it, and each bundle's names are checked once.
     """
     table = inv.bundle_table
-    gather = None
+    # the pad's column is the 0.0 after the distinct bundles
+    gather = np.array(table.columns + (len(table.bundles),))
     out = []
     for seg in segments:
         key = frozenset(seg.bundle.items())
         row = rows.get(key)
         if row is None:
             _check_names(seg.bundle, inv)
-            if gather is None:      # the first new row of this call
-                if table.unknown_feature is not None:
-                    raise _not_in_inventory(table.unknown_feature)
-                # the pad's column is the 0.0 after the distinct bundles
-                gather = np.array(table.columns + (len(table.bundles),))
             row = rows[key] = np.array(
                 [_distance(seg.bundle, b, w, inv) for b in table.bundles]
                 + [0.0])[gather]
@@ -340,8 +327,7 @@ def _finite(score: float) -> float:
 
 
 class WordMatch(NamedTuple):
-    interval_index: int
-    word_label: str
+    interval_index: int     # in the Word tier, which holds the label
     results: Sequence[MatchResult] = ()
 
     @property
@@ -381,13 +367,12 @@ def match_in_word_intervals(doc: AnnotationDocument, segments, lex: Lexicon,
         table = lex.phoneme_index
     matches = []
     with np.errstate(over='ignore'):    # see _finite
-        for (i, iv), segs in zip(labelled, per_word):
+        for (i, _), segs in zip(labelled, per_word):
             if not segs:
-                matches.append(WordMatch(i, iv.label, []))
+                matches.append(WordMatch(i, []))
                 continue
             cost = _cost_rows(segs, lex.inventory, w, rows)
-            matches.append(WordMatch(i, iv.label,
-                                     _top_k(cost, table, w, k)))
+            matches.append(WordMatch(i, _top_k(cost, table, w, k)))
     return matches, orphans
 
 

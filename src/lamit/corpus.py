@@ -5,7 +5,8 @@ import collections
 import re
 from typing import NamedTuple
 
-from .features import FeatureInventory, MajorClass, PhonemeId, _read_data
+from .features import (Checked, FeatureInventory, MajorClass, PhonemeId,
+                       _read_data)
 from .lexicon import Lexicon, PhonemeToken
 
 
@@ -25,17 +26,12 @@ class _TranscribedWord(NamedTuple):
     phonemes: tuple[PhonemeToken, ...]
 
 
-class TranscribedWord(_TranscribedWord):
+class TranscribedWord(Checked, _TranscribedWord):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not self.phonemes:
             raise TranscriptionError('a transcribed word has no phonemes')
-        return self
-
-    # _replace builds through _make: check its result too
-    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def doubled(self) -> bool:

@@ -101,17 +101,31 @@ class Frozen:
         raise AttributeError(f'cannot delete field {name!r}')
 
 
+class Checked:
+    """Checks a `typing.NamedTuple` record when built: subclass it before
+    the NamedTuple, with `__slots__ = ()`, and define `_check(self)`."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    # _replace builds through _make: check its result too
+    _make = classmethod(lambda cls, values: cls(*values))
+
+
 class BundleTable(NamedTuple):
-    """An inventory's distinct bundles, equal values counted once."""
+    """An inventory's distinct bundles, each counted once."""
     bundles: tuple[FeatureBundle, ...]      # in order of first use
     columns: tuple[int, ...]   # each phoneme's place in `bundles`
-    # the first name in `bundles` that the inventory's `features` lacks
-    unknown_feature: str | None
 
 
 class FeatureInventory(Frozen):
     """Immutable: the lists are stored as tuples and the dicts behind
-    read-only mapping proxies."""
+    read-only mapping proxies.  Checked when built (`InventoryError`):
+    each phoneme has a bundle naming only `features`, singletons' bundles
+    are distinct, and a geminate's is its singleton's, the same object."""
     language_tag: str
     phonemes: tuple[PhonemeId, ...]
     bundles: Mapping[str, FeatureBundle]   # keyed by ipa
@@ -121,12 +135,15 @@ class FeatureInventory(Frozen):
 
     def __init__(self, language_tag: str, phonemes, bundles, features):
         phonemes = tuple(phonemes)
+        features = tuple(features)
+        by_ipa = {p.ipa: p for p in phonemes}
         assign = object.__setattr__
         assign(self, 'language_tag', language_tag)
         assign(self, 'phonemes', phonemes)
-        assign(self, 'bundles', MappingProxyType(dict(bundles)))
-        assign(self, 'features', tuple(features))
-        assign(self, 'by_ipa', MappingProxyType({p.ipa: p for p in phonemes}))
+        assign(self, 'bundles', MappingProxyType(
+            _checked_bundles(by_ipa, bundles, set(features))))
+        assign(self, 'features', features)
+        assign(self, 'by_ipa', MappingProxyType(by_ipa))
         assign(self, 'by_arpabet',
                MappingProxyType({p.arpabet: p for p in phonemes}))
 
@@ -139,22 +156,14 @@ class FeatureInventory(Frozen):
 
     @cached_property
     def bundle_table(self) -> BundleTable:
-        """The distinct bundles in `phonemes` order, keyed by value, so a
-        geminate, or any phoneme whose bundle equals an earlier one, adds
-        no bundle.  Built on first use."""
-        place: dict[frozenset, int] = {}
-        bundles = []
-        columns = []
-        for p in self.phonemes:
-            bundle = self.bundles[p.ipa]
-            key = frozenset(bundle.items())
-            if key not in place:
-                place[key] = len(bundles)
-                bundles.append(bundle)
-            columns.append(place[key])
-        unknown = next((name for bundle in bundles for name in bundle
-                        if name not in self.features), None)
-        return BundleTable(tuple(bundles), tuple(columns), unknown)
+        """The distinct bundles, one per singleton in `phonemes` order; a
+        geminate takes its singleton's column.  Built on first use."""
+        place: dict[str, int] = {}      # singleton ipa -> its column
+        columns = tuple(place.setdefault(p.singleton_base or p.ipa,
+                                         len(place))
+                        for p in self.phonemes)
+        return BundleTable(tuple(self.bundles[ipa] for ipa in place),
+                           columns)
 
     # -- basic lookups ----------------------------------------------------
     def phoneme(self, key) -> PhonemeId:
@@ -171,6 +180,40 @@ class FeatureInventory(Frozen):
 
     def geminates(self) -> list[PhonemeId]:
         return [p for p in self.phonemes if p.geminate]
+
+
+def _checked_bundles(by_ipa: Mapping[str, PhonemeId], bundles,
+                     features: set[str]) -> dict[str, ReadOnlyBundle]:
+    """Each phoneme's bundle, read-only, a geminate's being its
+    singleton's object; `InventoryError` where one breaks a rule."""
+    out = {}
+    twins: dict[frozenset, list[PhonemeId]] = {}    # singletons by value
+    for ipa, p in by_ipa.items():
+        if ipa not in bundles:
+            raise InventoryError(f'phoneme {ipa!r} has no bundle')
+        bundle = out[ipa] = ReadOnlyBundle(bundles[ipa])
+        stray = [name for name in bundle if name not in features]
+        if stray:
+            raise InventoryError(f'phoneme {ipa!r}: feature {stray[0]!r} '
+                                 f'is not in the inventory')
+        if not p.geminate:
+            twins.setdefault(frozenset(bundle.items()), []).append(p)
+    # in first-member order, so the earliest phoneme with a twin is named
+    for group in twins.values():
+        if len(group) > 1:
+            raise InventoryError(f'non-distinct bundles: {group[0].arpabet} '
+                                 f'vs {group[1].arpabet}')
+    for p in by_ipa.values():
+        if p.geminate:
+            base = p.singleton_base
+            if base not in by_ipa or by_ipa[base].geminate:
+                raise InventoryError(
+                    f'geminate {p.ipa!r}: base {base!r} is not a singleton')
+            if out[p.ipa] != out[base]:
+                raise InventoryError(f'geminate {p.ipa!r}: bundle differs '
+                                     f'from that of its base {base!r}')
+            out[p.ipa] = out[base]
+    return out
 
 
 def classify_major(bundle: FeatureBundle) -> MajorClass:
@@ -278,10 +321,9 @@ def load_inventory(text: str) -> FeatureInventory:
                 raise ParseError(f'line {lineno}: bad cell {c!r}')
             if c != '.':
                 cells[f] = valmap[c]
-        bundle = ReadOnlyBundle(cells)
+        bundle = FeatureBundle(cells)
         by_ipa[ipa] = PhonemeId(ipa, arp, classify_major(bundle))
         bundles[ipa] = bundle
-    singletons = list(by_ipa.values())
 
     for ipa, arp, base in pending:
         if base not in bundles:
@@ -289,19 +331,6 @@ def load_inventory(text: str) -> FeatureInventory:
                 f'geminate {ipa!r} references unknown base {base!r}')
         by_ipa[ipa] = PhonemeId(ipa, arp, by_ipa[base].major_class, base)
         bundles[ipa] = bundles[base]
-
-    # every singleton bundle must be distinct: group them by their
-    # specified values (a bundle holds no unspecified ones).  Groups keep
-    # the order of their first members, so the first group with twins
-    # holds the earliest phoneme that has a later twin.
-    twins: dict[frozenset, list[PhonemeId]] = {}
-    for p in singletons:
-        twins.setdefault(frozenset(bundles[p.ipa].items()), []).append(p)
-    clash = next((group for group in twins.values() if len(group) > 1),
-                 None)
-    if clash:
-        raise InventoryError(
-            f'non-distinct bundles: {clash[0].arpabet} vs {clash[1].arpabet}')
 
     return FeatureInventory(language, list(by_ipa.values()), bundles,
                             features)

@@ -11,6 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import AnalysisConfig
 from .dsp import HIGH, LOW, MID, AudioBuffer, BandEnergyTracks, \
     rate_of_rise, standard_tracks
+from .features import Checked
 
 
 class LandmarkError(ValueError):
@@ -37,20 +38,15 @@ class _Landmark(NamedTuple):
     strength: float = 0.0      # dB prominence or peak |rate of rise|
 
 
-class Landmark(_Landmark):
+class Landmark(Checked, _Landmark):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         is_consonant = self.kind in (LandmarkKind.CLOSURE,
                                      LandmarkKind.RELEASE)
         if is_consonant != (self.manner is not None):
             raise LandmarkError(
                 'manner is set exactly on consonant landmarks')
-        return self
-
-    # _replace builds through _make: check its result too
-    _make = classmethod(lambda cls, values: cls(*values))
 
 
 class LandmarkSequence:

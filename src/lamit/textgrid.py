@@ -5,6 +5,8 @@ import math
 import re
 from typing import NamedTuple
 
+from .features import Checked
+
 
 class TextGridError(ValueError):
     pass
@@ -31,20 +33,15 @@ class _Interval(NamedTuple):
     label: str = ''
 
 
-class Interval(_Interval):
+class Interval(Checked, _Interval):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         _check_time(self.t_start)
         _check_time(self.t_end)
         if self.t_start >= self.t_end:
             raise TextGridError(
                 f'empty interval [{self.t_start}, {self.t_end}]')
-        return self
-
-    # _replace builds through _make: check its result too
-    _make = classmethod(lambda cls, values: cls(*values))
 
 
 class _Point(NamedTuple):
@@ -52,15 +49,11 @@ class _Point(NamedTuple):
     label: str = ''
 
 
-class Point(_Point):
+class Point(Checked, _Point):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         _check_time(self.time)
-        return self
-
-    _make = classmethod(lambda cls, values: cls(*values))
 
 
 class IntervalTier:

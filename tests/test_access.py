@@ -9,8 +9,8 @@ from lamit.access import (DistanceWeights, EstimatedSegment, MatchError,
                           matches_csv, score_candidate)
 from lamit.config import AnalysisConfig
 from lamit.dsp import parameter_frames
-from lamit.features import (FeatureBundle, FeatureInventory, MINUS,
-                            MajorClass, PLUS, PLUSMINUS, PhonemeId,
+from lamit.features import (FeatureBundle, FeatureInventory, InventoryError,
+                            MINUS, MajorClass, PLUS, PLUSMINUS, PhonemeId,
                             ReadOnlyBundle, UNSPECIFIED, features_of)
 from lamit.landmarks import detect_all, detect_landmarks
 from lamit.lexicon import Lexicon, expand_word, load_lexicon
@@ -441,10 +441,9 @@ def per_word_reference(doc, segments, lex, w, k=10):
         home = next((i for i, iv in labelled
                      if iv.t_start <= s.midpoint <= iv.t_end), None)
         (orphans if home is None else per_word[home]).append(s)
-    matches = [WordMatch(i, iv.label,
-                         cohort_match(per_word[i], lex, w, k)
+    matches = [WordMatch(i, cohort_match(per_word[i], lex, w, k)
                          if per_word[i] else [])
-               for i, iv in labelled]
+               for i, _ in labelled]
     return matches, orphans
 
 
@@ -593,7 +592,7 @@ def test_word_match_errors_in_word_order(lamit_lexicon, italian):
 
 def hand_built_lexicon(stray=()):
     """Five phonemes over eight features.  The geminate 'tt' comes
-    before 't' and holds an equal copy of its bundle, not the same
+    before 't' and is given an equal copy of its bundle, not the same
     object; `stray` adds (ipa, name) pairs the features do not list."""
     t = {'cons': PLUS, 'son': MINUS, 'cont': MINUS, 'stiff': PLUS}
     cells = {'a': {'vowel': PLUS, 'low': PLUS, 'high': MINUS},
@@ -633,14 +632,14 @@ def brute_force_ranks(segments, lex, w, k):
 def test_equal_bundles_in_separate_objects_share_a_column():
     lex = hand_built_lexicon()
     inv = lex.inventory
-    assert inv.bundles['tt'] is not inv.bundles['t']
+    # the geminate's copy is stored as its singleton's object
+    assert inv.bundles['tt'] is inv.bundles['t']
     table = inv.bundle_table
     assert table is inv.bundle_table            # built once
-    assert table.bundles == (inv.bundles['a'], inv.bundles['tt'],
+    assert table.bundles == (inv.bundles['a'], inv.bundles['t'],
                              inv.bundles['i'], inv.bundles['s'])
-    assert table.bundles[1] is inv.bundles['tt']    # first use wins
+    assert table.bundles[1] is inv.bundles['t']
     assert table.columns == (0, 1, 2, 1, 3)
-    assert table.unknown_feature is None
 
 
 def test_hand_built_inventory_ranks_equal_brute_force():
@@ -677,27 +676,51 @@ def test_unknown_names_raise_as_the_oracle_does():
     bogus = seg(FeatureBundle({'vowel': PLUS, 'bogus': PLUS}))
     doc = AnnotationDocument(1.0, [IntervalTier('Word', [
         Interval(0.0, 1.0, 'W')])])
-    # the inventory's first stray name in phoneme order, after the
-    # first new estimate's names and before any later estimate's
-    lex = hand_built_lexicon(stray=[('s', 'creaky'), ('i', 'nasalized')])
+    # the inventory refuses its first stray name, in phoneme order,
+    # when built
+    with pytest.raises(InventoryError) as e:
+        hand_built_lexicon(stray=[('s', 'creaky'), ('i', 'nasalized')])
+    assert str(e.value) == \
+        "phoneme 'i': feature 'nasalized' is not in the inventory"
+    # an estimate's stray name
+    lex = hand_built_lexicon()
     with pytest.raises(MatchError) as oracle:
-        feature_distance(vowel.bundle, lex.inventory.bundles['i'], W_ODD,
+        feature_distance(bogus.bundle, lex.inventory.bundles['i'], W_ODD,
                          lex.inventory)
-    assert str(oracle.value) == "feature 'nasalized' not in this inventory"
-    for segments, name in (([vowel], 'nasalized'),
-                           ([vowel, vowel, bogus], 'nasalized'),
-                           ([bogus, vowel], 'bogus')):
-        want = f'feature {name!r} not in this inventory'
+    assert str(oracle.value) == "feature 'bogus' not in this inventory"
+    for segments in ([bogus, vowel], [vowel, bogus], [vowel, vowel, bogus]):
         with pytest.raises(MatchError) as e:
             cohort_match(segments, lex, W_ODD)
-        assert str(e.value) == want
+        assert str(e.value) == str(oracle.value)
         with pytest.raises(MatchError) as e:
             match_in_word_intervals(doc, segments, lex, W_ODD)
-        assert str(e.value) == want
-    # an estimate's stray name, with a clean inventory
-    with pytest.raises(MatchError) as e:
-        cohort_match([vowel, bogus], hand_built_lexicon(), W_ODD)
-    assert str(e.value) == "feature 'bogus' not in this inventory"
+        assert str(e.value) == str(oracle.value)
+
+
+def test_a_callers_bundle_cannot_change_the_ranking():
+    """The geminate 'ss' comes before 's' and is given an equal copy;
+    neither the inventory's bundles nor the caller's objects can make
+    the matcher differ from `score_candidate` after a first call."""
+    s = FeatureBundle({'cons': PLUS, 'cont': MINUS, 'strid': PLUS})
+    t = FeatureBundle({'cons': PLUS, 'cont': MINUS})
+    inv = FeatureInventory(
+        'xx', [PhonemeId('t', 'T', MajorClass.CONSONANT),
+               PhonemeId('a', 'AA', MajorClass.VOWEL),
+               PhonemeId('ss', 'SS', MajorClass.CONSONANT, 's'),
+               PhonemeId('s', 'S', MajorClass.CONSONANT)],
+        {'t': t, 'a': FeatureBundle({'vowel': PLUS}), 'ss': FeatureBundle(s),
+         's': s},
+        ('vowel', 'cons', 'cont', 'strid'))
+    lex = load_lexicon('TA\tT AA1\nSA\tS AA1', inv)
+    query = [seg(FeatureBundle({'cons': PLUS, 'cont': PLUS})),
+             seg(FeatureBundle({'vowel': PLUS}))]
+    first = cohort_match(query, lex, W_ODD)
+    with pytest.raises(TypeError):
+        inv.bundles['s']['cont'] = PLUS
+    s['cont'] = PLUS
+    assert inv.bundles['s'].value('cont') is MINUS
+    assert cohort_match(query, lex, W_ODD) == first == \
+        brute_force_ranks(query, lex, W_ODD, 10)
 
 
 # ------------------------------------------- array ranking vs the old loop

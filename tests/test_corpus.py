@@ -139,8 +139,8 @@ def test_derived_facts_follow_their_source(italian):
     sent = TranscribedSentence(5, (plain, doubled, plain, doubled))
     assert sent.doubling_events == ((1, pp), (3, pp))
     assert TranscribedSentence(6, (plain,)).doubling_events == ()
-    assert WordMatch(0, 'A').no_evidence
-    assert not WordMatch(0, 'A', [MatchResult('A', 0.0, 1)]).no_evidence
+    assert WordMatch(0).no_evidence
+    assert not WordMatch(0, [MatchResult('A', 0.0, 1)]).no_evidence
 
 
 def test_word_without_phonemes_is_refused(italian):

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from lamit.features import (FeatureBundle, InventoryError, LookupError_,
-                            MINUS, PLUS, MajorClass, classify_major,
+from lamit.features import (FeatureBundle, FeatureInventory, InventoryError,
+                            LookupError_, MINUS, PLUS, MajorClass,
+                            PhonemeId, ReadOnlyBundle, classify_major,
                             distinguishing_features, features_of,
                             load_inventory, load_italian, natural_class,
                             serialize_inventory)
@@ -132,6 +133,58 @@ def test_inventory_does_not_share_the_callers_containers(italian):
     features.append('extra')
     assert len(inv.phonemes) == 50 and len(inv.bundles) == 50
     assert inv.features == italian.features
+
+
+def hand_built(phonemes=None, **bundles):
+    """Three phonemes over two features, built from plain mutable
+    bundles; keywords replace (or, as None, drop) a phoneme's bundle."""
+    cells = {'a': FeatureBundle({'vowel': PLUS}),
+             't': FeatureBundle({'cons': PLUS}),
+             'tt': FeatureBundle({'cons': PLUS})}
+    cells.update(bundles)
+    phonemes = phonemes or [PhonemeId('a', 'AA', MajorClass.VOWEL),
+                            PhonemeId('t', 'T', MajorClass.CONSONANT),
+                            PhonemeId('tt', 'TT', MajorClass.CONSONANT, 't')]
+    return FeatureInventory('xx', phonemes,
+                            {k: v for k, v in cells.items() if v is not None},
+                            ('vowel', 'cons'))
+
+
+def test_hand_built_bundles_are_frozen_and_shared():
+    t = FeatureBundle({'cons': PLUS})
+    inv = hand_built(t=t)
+    with pytest.raises(TypeError):
+        inv.bundles['a']['cons'] = PLUS
+    assert all(type(b) is ReadOnlyBundle for b in inv.bundles.values())
+    assert inv.bundles['tt'] is inv.bundles['t']
+    t['cons'] = MINUS       # the caller's object, not the inventory's
+    assert inv.bundles['t'] == {'cons': PLUS}
+
+
+def geminate(ipa, base):
+    return PhonemeId(ipa, ipa.upper(), MajorClass.CONSONANT, base)
+
+
+@pytest.mark.parametrize('phonemes, bundles, message', [
+    (None, {'a': None}, "phoneme 'a' has no bundle"),
+    (None, {'t': FeatureBundle({'cons': PLUS, 'creaky': PLUS})},
+     "phoneme 't': feature 'creaky' is not in the inventory"),
+    ([geminate('dd', 'd')], {'dd': FeatureBundle()},
+     "geminate 'dd': base 'd' is not a singleton"),
+    ([PhonemeId('t', 'T', MajorClass.CONSONANT), geminate('tt', 't'),
+      geminate('ttt', 'tt')], {'ttt': FeatureBundle({'cons': PLUS})},
+     "geminate 'ttt': base 'tt' is not a singleton"),
+    (None, {'tt': FeatureBundle({'cons': MINUS})},
+     "geminate 'tt': bundle differs from that of its base 't'"),
+    (None, {'a': FeatureBundle({'cons': PLUS})},
+     'non-distinct bundles: AA vs T'),
+], ids=['no bundle', 'stray name', 'unknown base', 'geminate base',
+        'unequal geminate', 'twins'])
+def test_hand_built_inventory_refuses_broken_bundles(phonemes, bundles,
+                                                     message):
+    with pytest.raises(InventoryError) as e:
+        hand_built(phonemes, **bundles)
+    assert str(e.value) == message
 
 
 def test_classify_major_examples(italian):

@@ -9,7 +9,8 @@ from lamit.landmarks import (HIGH, LOW, SILENCE_DB, Landmark, LandmarkError,
                              _classify_manner, _find_peaks, _frication,
                              _gate, _relative, _runs, detect_all,
                              detect_consonant_landmarks,
-                             detect_glide_landmarks, detect_vowel_landmarks,
+                             detect_glide_landmarks, detect_landmarks,
+                             detect_vowel_landmarks,
                              landmark_sequence, landmarks_csv,
                              parse_landmarks_csv)
 
@@ -500,3 +501,17 @@ def test_masked_vowels_and_glides_equal_per_candidate_on_random_tracks(
         edged = tracks._replace(cfg=cfg._replace(glide_window=10.0,
                                                  ror_threshold=size[k]))
         assert_vowels_and_glides_match(edged, others)
+
+
+def test_detectors_refuse_a_short_band_stack():
+    audio, _ = synth.vowel_rise_fall(0.2)
+    full = standard_tracks(audio)
+    one = BandEnergyTracks(full.bands[:1], full.energy[:1], full.times,
+                           full.frame_step)
+    for detect in (detect_consonant_landmarks, detect_landmarks):
+        with pytest.raises(LandmarkError, match=r'^expected the standard '
+                           r'band stack \(low, f1, mid, high\); got 1 bands$'):
+            detect(one)
+    none = BandEnergyTracks([], full.energy[:0], full.times, full.frame_step)
+    with pytest.raises(LandmarkError, match='; got 0 bands$'):
+        detect_vowel_landmarks(none)
