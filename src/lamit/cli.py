@@ -307,8 +307,8 @@ def cmd_validate(args, cfg) -> int:
     corpus_text = _data_text(args.corpus, 'lamit_transcriptions.tsv')
     reference_text = _data_text(None, 'reference_frequencies.tsv')
 
-    # load_inventory refuses twin singleton bundles and gives each
-    # geminate its base's bundle; load_lexicon refuses a second stress
+    # the inventory constructor refuses twin singleton bundles and gives
+    # each geminate its base's bundle; load_lexicon refuses a second stress
     def inventory_suite():
         singles = inv.singletons()
         sizes = {'vowel': 0, 'glide': 0, 'consonant': 0}

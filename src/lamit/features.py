@@ -24,17 +24,6 @@ UNSPECIFIED = FeatureValue.UNSPECIFIED
 # articulator-free features carry no articulator; everything else is bound
 ARTICULATOR_FREE = ('vowel', 'glide', 'cons', 'cont', 'son', 'strid')
 
-ARTICULATOR_GROUP = {
-    'lips': 'oral-cavity', 'blade': 'oral-cavity', 'body': 'oral-cavity',
-    'round': 'oral-cavity', 'ant': 'oral-cavity', 'dist': 'oral-cavity',
-    'lat': 'oral-cavity', 'rhot': 'oral-cavity', 'high': 'oral-cavity',
-    'low': 'oral-cavity', 'back': 'oral-cavity',
-    'atr': 'pharyngeal-laryngeal', 'ctr': 'pharyngeal-laryngeal',
-    'spread': 'pharyngeal-laryngeal', 'constr': 'pharyngeal-laryngeal',
-    'nasal': 'soft-palate',
-    'stiff': 'vocal-folds', 'slack': 'vocal-folds',
-}
-
 
 class MajorClass(enum.Enum):
     VOWEL = 'vowel'
@@ -91,14 +80,26 @@ class LookupError_(KeyError):
 
 
 class Frozen:
-    """A record whose attributes are bound once, in its __init__ (through
-    `object.__setattr__`), and never rebound or deleted."""
+    """A container whose attributes are bound once, through `_bind` in its
+    __init__, and never rebound or deleted.  It equals an object of its
+    own class whose `_fields` are equal; it is not hashable."""
+    _fields: tuple[str, ...]     # each subclass names its own
+
+    def _bind(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f'cannot assign to field {name!r}')
 
     def __delattr__(self, name):
         raise AttributeError(f'cannot delete field {name!r}')
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (tuple(getattr(self, f) for f in self._fields) ==
+                tuple(getattr(other, f) for f in self._fields))
 
 
 class Checked:
@@ -124,8 +125,10 @@ class BundleTable(NamedTuple):
 class FeatureInventory(Frozen):
     """Immutable: the lists are stored as tuples and the dicts behind
     read-only mapping proxies.  Checked when built (`InventoryError`):
-    each phoneme has a bundle naming only `features`, singletons' bundles
+    ipa symbols and ARPAbet labels are unique, each phoneme has a bundle
+    naming only `features` and of its `major_class`, singletons' bundles
     are distinct, and a geminate's is its singleton's, the same object."""
+    _fields = ('language_tag', 'phonemes', 'bundles', 'features')
     language_tag: str
     phonemes: tuple[PhonemeId, ...]
     bundles: Mapping[str, FeatureBundle]   # keyed by ipa
@@ -136,23 +139,18 @@ class FeatureInventory(Frozen):
     def __init__(self, language_tag: str, phonemes, bundles, features):
         phonemes = tuple(phonemes)
         features = tuple(features)
-        by_ipa = {p.ipa: p for p in phonemes}
-        assign = object.__setattr__
-        assign(self, 'language_tag', language_tag)
-        assign(self, 'phonemes', phonemes)
-        assign(self, 'bundles', MappingProxyType(
-            _checked_bundles(by_ipa, bundles, set(features))))
-        assign(self, 'features', features)
-        assign(self, 'by_ipa', MappingProxyType(by_ipa))
-        assign(self, 'by_arpabet',
-               MappingProxyType({p.arpabet: p for p in phonemes}))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.language_tag, self.phonemes, self.bundles,
-                self.features) == (other.language_tag, other.phonemes,
-                                   other.bundles, other.features)
+        by_ipa, by_arpabet = {}, {}
+        for p in phonemes:
+            for table, key, what in ((by_ipa, p.ipa, 'phoneme'),
+                                     (by_arpabet, p.arpabet, 'ARPAbet label')):
+                if key in table:
+                    raise InventoryError(f'duplicate {what} {key!r}')
+                table[key] = p
+        self._bind(language_tag=language_tag, phonemes=phonemes,
+                   bundles=MappingProxyType(
+                       _checked_bundles(by_ipa, bundles, set(features))),
+                   features=features, by_ipa=MappingProxyType(by_ipa),
+                   by_arpabet=MappingProxyType(by_arpabet))
 
     @cached_property
     def bundle_table(self) -> BundleTable:
@@ -213,18 +211,30 @@ def _checked_bundles(by_ipa: Mapping[str, PhonemeId], bundles,
                 raise InventoryError(f'geminate {p.ipa!r}: bundle differs '
                                      f'from that of its base {base!r}')
             out[p.ipa] = out[base]
+    # last: a geminate with an unknown base has no bundle to classify
+    for p in by_ipa.values():
+        try:
+            major = classify_major(out[p.ipa])
+        except InventoryError as e:
+            raise InventoryError(f'phoneme {p.ipa!r}: {e}') from None
+        if major is not p.major_class:
+            raise InventoryError(f'phoneme {p.ipa!r}: class '
+                                 f'{p.major_class.value}, but its bundle '
+                                 f'is of class {major.value}')
     return out
+
+
+_MAJOR = {'vowel': MajorClass.VOWEL, 'glide': MajorClass.GLIDE,
+          'cons': MajorClass.CONSONANT}
 
 
 def classify_major(bundle: FeatureBundle) -> MajorClass:
     """Major class from the vowel/glide/cons features; exactly one is +."""
-    plus = [f for f in ('vowel', 'glide', 'cons')
-            if bundle.value(f) is PLUS]
+    plus = [f for f in _MAJOR if bundle.get(f) is PLUS]
     if len(plus) != 1:
         raise InventoryError(
             f'major-class features not a partition: {plus or "none"} set')
-    return {'vowel': MajorClass.VOWEL, 'glide': MajorClass.GLIDE,
-            'cons': MajorClass.CONSONANT}[plus[0]]
+    return _MAJOR[plus[0]]
 
 
 def features_of(inv: FeatureInventory, phoneme) -> FeatureBundle:

@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import AnalysisConfig
 from .dsp import HIGH, LOW, MID, AudioBuffer, BandEnergyTracks, \
     rate_of_rise, standard_tracks
-from .features import Checked
+from .features import Checked, Frozen
 
 
 class LandmarkError(ValueError):
@@ -42,6 +42,8 @@ class Landmark(Checked, _Landmark):
     __slots__ = ()
 
     def _check(self):
+        if not (math.isfinite(self.time) and math.isfinite(self.strength)):
+            raise LandmarkError('time and strength must be finite')
         is_consonant = self.kind in (LandmarkKind.CLOSURE,
                                      LandmarkKind.RELEASE)
         if is_consonant != (self.manner is not None):
@@ -49,17 +51,15 @@ class Landmark(Checked, _Landmark):
                 'manner is set exactly on consonant landmarks')
 
 
-class LandmarkSequence:
+class LandmarkSequence(Frozen):
+    _fields = ('items',)
+
     def __init__(self, items=()):
-        self.items: list[Landmark] = list(items)
-        times = [lm.time for lm in self.items]
+        items: list[Landmark] = list(items)
+        times = [lm.time for lm in items]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise LandmarkError('landmark times must strictly increase')
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.items == other.items
+        self._bind(items=items)
 
 
 # an utterance exists only when the low band rises above this level;
@@ -394,14 +394,12 @@ def parse_landmarks_csv(text: str) -> LandmarkSequence:
                                 f'got {len(fields)}')
         t, kind, manner, strength = fields
         try:
-            t, strength = float(t), float(strength)
-            if not (math.isfinite(t) and math.isfinite(strength)):
-                raise ValueError('time and strength must be finite')
-            if items and t <= items[-1].time:
+            lm = Landmark(float(t), LandmarkKind(kind),
+                          Manner(manner) if manner else None,
+                          float(strength))
+            if items and lm.time <= items[-1].time:
                 raise ValueError('landmark times must strictly increase')
-            items.append(Landmark(t, LandmarkKind(kind),
-                                  Manner(manner) if manner else None,
-                                  strength))
+            items.append(lm)
         except ValueError as e:
             raise LandmarkError(f'line {lineno}: {e}') from None
     return LandmarkSequence(items)

@@ -49,19 +49,14 @@ class PhonemeIndex(NamedTuple):
 
 class Lexicon(Frozen):
     """Immutable: the entries sit behind a read-only mapping proxy."""
+    _fields = ('entries', 'inventory')
     entries: Mapping[str, LexEntry]
     inventory: FeatureInventory
 
     def __init__(self, entries: Mapping[str, LexEntry],
                  inventory: FeatureInventory):
-        object.__setattr__(self, 'entries', MappingProxyType(dict(entries)))
-        object.__setattr__(self, 'inventory', inventory)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.entries, self.inventory) == (other.entries,
-                                                  other.inventory)
+        self._bind(entries=MappingProxyType(dict(entries)),
+                   inventory=inventory)
 
     def __len__(self):
         return len(self.entries)

@@ -5,7 +5,7 @@ import math
 import re
 from typing import NamedTuple
 
-from .features import Checked
+from .features import Checked, Frozen
 
 
 class TextGridError(ValueError):
@@ -56,20 +56,17 @@ class Point(Checked, _Point):
         _check_time(self.time)
 
 
-class IntervalTier:
+class IntervalTier(Frozen):
+    _fields = ('name', 'items')
+
     def __init__(self, name: str, items=()):
-        self.name = name
-        self.items: list[Interval] = list(items)
-        for a, b in zip(self.items, self.items[1:]):
+        items: list[Interval] = list(items)
+        for a, b in zip(items, items[1:]):
             if b.t_start < a.t_end:
                 raise TextGridError(
                     f'tier {name!r}: overlapping intervals at '
                     f'{a.t_end}/{b.t_start}')
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.name, self.items) == (other.name, other.items)
+        self._bind(name=name, items=items)
 
     @property
     def t_end(self) -> float:
@@ -79,19 +76,16 @@ class IntervalTier:
         return [iv for iv in self.items if iv.label]
 
 
-class PointTier:
+class PointTier(Frozen):
+    _fields = ('name', 'items')
+
     def __init__(self, name: str, items=()):
-        self.name = name
-        self.items: list[Point] = list(items)
-        for a, b in zip(self.items, self.items[1:]):
+        items: list[Point] = list(items)
+        for a, b in zip(items, items[1:]):
             if b.time <= a.time:
                 raise TextGridError(
                     f'tier {name!r}: points not strictly increasing')
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.name, self.items) == (other.name, other.items)
+        self._bind(name=name, items=items)
 
     @property
     def t_end(self) -> float:
@@ -101,20 +95,17 @@ class PointTier:
 Tier = IntervalTier | PointTier
 
 
-class AnnotationDocument:
+class AnnotationDocument(Frozen):
+    _fields = ('duration', 'tiers')
+
     def __init__(self, duration: float, tiers=()):
-        self.duration = duration
-        self.tiers: list[Tier] = list(tiers)
-        for tier in self.tiers:
+        tiers: list[Tier] = list(tiers)
+        for tier in tiers:
             if tier.t_end > duration + 1e-12:
                 raise TextGridError(
                     f'tier {tier.name!r} extends past document end '
                     f'({tier.t_end} > {duration})')
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.duration, self.tiers) == (other.duration, other.tiers)
+        self._bind(duration=duration, tiers=tiers)
 
     def tier(self, name: str) -> Tier:
         for t in self.tiers:

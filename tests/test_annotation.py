@@ -123,6 +123,24 @@ def test_boundary_edit_rejected_out_of_order(lamit_lexicon, italian):
         apply_modifications(tier, [BoundaryEdit(3, 0.9)], italian)
 
 
+def test_label_edit_out_of_range_and_unknown_edit(lamit_lexicon, italian):
+    tier = generate_lexi_tier(word_tier(['CASA']), lamit_lexicon)
+    for index in (len(tier.items), -1):
+        with pytest.raises(AnnotationError,
+                           match=f'^no interval at index {index}$'):
+            apply_modifications(tier, [LabelEdit(index, 'AA')], italian)
+    with pytest.raises(AnnotationError, match=r"^unknown edit \('AA', 0\)$"):
+        apply_modifications(tier, [('AA', 0)], italian)
+
+
+def test_doubling_must_match_the_initial_phoneme(lamit_lexicon, italian):
+    sent = parse_transcription("'mamma 'e tta'pa", italian, 1)
+    with pytest.raises(AnnotationError, match='^doubling TT does not match '
+                       'initial phoneme of PAPÀ$'):
+        generate_lexi_tier(word_tier(['MAMMA', 'E', 'PAPÀ']),
+                           lamit_lexicon, sent)
+
+
 # ---------------------------------------------------------- landmark tier
 
 def test_landmark_tier_labels():

@@ -65,6 +65,14 @@ def test_stats_missing_file_exits_2(capsys):
     assert run('stats', '--corpus', 'no-such-file.tsv') == 2
 
 
+def test_stats_bad_corpus_exits_1(tmp_path, capsys):
+    src = tmp_path / 'bad.tsv'
+    src.write_text("1.\t'mamma\n2.\t'maxa\n", encoding='utf-8')
+    assert run('stats', '--corpus', str(src)) == 1
+    assert_one_line_error(capsys, 'error: corpus: line 2: ',
+                          "unknown symbol 'x'")
+
+
 def test_stats_single_sentence_normalizes(tmp_path):
     src = tmp_path / 'one.tsv'
     src.write_text("1.\t'mamma 'bɛne\n", encoding='utf-8')
@@ -114,6 +122,17 @@ def test_lexi_bad_transcription_exits_1(tmp_path, capsys):
 def test_lexi_checks_out_before_reading(tmp_path, capsys):
     assert run('lexi', '--textgrid', str(tmp_path / 'none.TextGrid')) == 2
     assert_one_line_error(capsys, '--out is required for lexi')
+
+
+def test_lexi_unknown_sentence_exits_3(tmp_path, capsys):
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    trans = tmp_path / 'trans.tsv'
+    trans.write_text("1.\t'mamma\n", encoding='utf-8')
+    code = run('lexi', '--textgrid', str(tg), '--transcription', str(trans),
+               '--sentence', '999', '--out', str(tmp_path / 'o.TextGrid'))
+    assert code == 3
+    assert_one_line_error(capsys, 'sentence 999 not found')
+    assert not (tmp_path / 'o.TextGrid').exists()
 
 
 def test_lexi_without_word_tier_exits_3(tmp_path):
@@ -482,6 +501,30 @@ def test_validate_doubly_stressed_entry_fails(tmp_path, capsys):
     out = capsys.readouterr().out
     assert 'lexicon-resolution: FAIL' in out
     assert '2 primary stresses in MAMMA' in out
+
+
+def test_validate_reports_each_suites_own_failure(tmp_path, capsys):
+    """The inventory, lexicon and frequency suites each fail on input
+    that loads but does not reproduce the shipped data."""
+    assert run('validate', '--inventory',
+               str(data_dir() / 'english_features.tsv')) == 1
+    assert 'inventory-distinctness: FAIL - bad class partition ' \
+        in capsys.readouterr().out
+    text = (data_dir() / 'lamit_lexicon.tsv').read_text('utf-8')
+    short = tmp_path / 'lex.tsv'
+    short.write_text(text.replace('MAMMA\tM AA1 MM AA\n', ''),
+                     encoding='utf-8')
+    assert run('validate', '--lexicon', str(short)) == 1
+    out = capsys.readouterr().out
+    assert 'lexicon-resolution: FAIL - expected 563 entries, got 562' in out
+    assert '3/4 suites passed' in out
+    one = tmp_path / 'one.tsv'
+    one.write_text("1.\t'mamma 'bɛne\n", encoding='utf-8')
+    assert run('validate', '--corpus', str(one)) == 1
+    out = capsys.readouterr().out
+    assert 'corpus-counting-oracle: PASS' in out
+    assert 'frequency-reproduction: FAIL - /' in out
+    assert '3/4 suites passed' in out
 
 
 # ------------------------------------------------------------- config

@@ -214,6 +214,11 @@ def test_low_rate_rejected():
         AudioBuffer(np.zeros(100), 8000)
 
 
+def test_two_dimensional_buffer_rejected():
+    with pytest.raises(DspError, match='^audio must be mono$'):
+        AudioBuffer(np.zeros((2, 16000)), 16000)
+
+
 # ------------------------------------------------ wav reader vs scipy
 
 GUID_TAIL = b'\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71'

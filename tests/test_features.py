@@ -187,6 +187,32 @@ def test_hand_built_inventory_refuses_broken_bundles(phonemes, bundles,
     assert str(e.value) == message
 
 
+A = PhonemeId('a', 'AA', MajorClass.VOWEL)
+T = PhonemeId('t', 'T', MajorClass.CONSONANT)
+
+
+@pytest.mark.parametrize('phonemes, bundles, message', [
+    ([A, T, PhonemeId('t', 'D', MajorClass.CONSONANT)], {},
+     "duplicate phoneme 't'"),
+    ([A, T, PhonemeId('d', 'T', MajorClass.CONSONANT)],
+     {'d': FeatureBundle({'cons': MINUS})}, "duplicate ARPAbet label 'T'"),
+    ([A, PhonemeId('t', 'T', MajorClass.VOWEL)], {},
+     "phoneme 't': class vowel, but its bundle is of class consonant"),
+    ([A, T, PhonemeId('tt', 'TT', MajorClass.GLIDE, 't')], {},
+     "phoneme 'tt': class glide, but its bundle is of class consonant"),
+    (None, {'t': FeatureBundle(), 'tt': FeatureBundle()},
+     "phoneme 't': major-class features not a partition: none set"),
+], ids=['ipa', 'arpabet', 'singleton class', 'geminate class',
+        'no class'])
+def test_hand_built_inventory_refuses_clashing_phonemes(phonemes, bundles,
+                                                        message):
+    """What `load_inventory` refuses or never builds, the constructor
+    refuses too."""
+    with pytest.raises(InventoryError) as e:
+        hand_built(phonemes, **bundles)
+    assert str(e.value) == message
+
+
 def test_classify_major_examples(italian):
     assert classify_major(features_of(italian, 'a')) is MajorClass.VOWEL
     assert classify_major(features_of(italian, 'w')) is MajorClass.GLIDE
@@ -308,9 +334,6 @@ def test_english_inventory_loads(english):
 
 
 def test_feature_kind_taxonomy(italian):
-    from lamit.features import ARTICULATOR_FREE, ARTICULATOR_GROUP
+    from lamit.features import ARTICULATOR_FREE
     free = {f for f in italian.features if f in ARTICULATOR_FREE}
     assert free == {'vowel', 'glide', 'cons', 'cont', 'son', 'strid'}
-    assert ARTICULATOR_GROUP['nasal'] == 'soft-palate'
-    assert ARTICULATOR_GROUP['stiff'] == 'vocal-folds'
-    assert 'cons' not in ARTICULATOR_GROUP

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,31 @@ def test_replace_keeps_manner_on_consonants_only():
     assert vowel._replace(time=0.2) == Landmark(0.2, LandmarkKind.VOWEL)
 
 
+@pytest.mark.parametrize('time, strength', [
+    (math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, -math.inf),
+])
+def test_landmark_refuses_non_finite_values(time, strength):
+    with pytest.raises(LandmarkError,
+                       match='^time and strength must be finite$'):
+        Landmark(time, LandmarkKind.VOWEL, strength=strength)
+    with pytest.raises(LandmarkError, match='finite'):
+        Landmark(0.1, LandmarkKind.VOWEL)._replace(time=time,
+                                                   strength=strength)
+
+
+def test_sequence_fields_cannot_be_rebound_or_deleted():
+    first = Landmark(0.1, LandmarkKind.VOWEL)
+    seq = LandmarkSequence([first, Landmark(0.2, LandmarkKind.GLIDE)])
+    with pytest.raises(AttributeError):
+        seq.items = [Landmark(0.3, LandmarkKind.VOWEL), first]
+    with pytest.raises(AttributeError):
+        del seq.items
+    assert seq == LandmarkSequence([first, Landmark(0.2, LandmarkKind.GLIDE)])
+    assert seq != tuple(seq.items)
+    with pytest.raises(TypeError):
+        hash(seq)
+
+
 def test_cv_full_pipeline():
     audio, release_t, _ = synth.cv_syllable()
     seq = detect_all(audio)
@@ -237,6 +264,16 @@ def test_csv_parse_errors_name_the_line(row, message):
 def test_csv_parse_rejects_unordered_times():
     text = 'time_s,kind,manner,strength_dB\n0.2,Vowel,,1\n0.1,Glide,,1\n'
     with pytest.raises(LandmarkError, match='line 3: .*increase'):
+        parse_landmarks_csv(text)
+
+
+@pytest.mark.parametrize('row', ['-inf,Vowel,,1.0', 'nan,Vowel,,1.0'])
+def test_csv_non_finite_time_names_its_line(row):
+    """A time of -inf is also out of order; it is reported as not
+    finite, since `Landmark` checks it before the order is checked."""
+    text = 'time_s,kind,manner,strength_dB\n0.050000,Vowel,,3.00\n' + row
+    with pytest.raises(LandmarkError, match='^line 3: time and strength '
+                       'must be finite$'):
         parse_landmarks_csv(text)
 
 

@@ -142,6 +142,15 @@ def test_lexicon_fields_cannot_be_rebound(lamit_lexicon, italian):
             setattr(lamit_lexicon, name, value)
 
 
+def test_lexicon_and_inventory_are_unhashable(lamit_lexicon, italian):
+    for obj in (lamit_lexicon, italian):
+        with pytest.raises(TypeError):
+            hash(obj)
+        for name in obj._fields:
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+
+
 def test_lexicon_does_not_share_the_callers_dict(lamit_lexicon, italian):
     entries = {'MAMMA': lamit_lexicon.entry('MAMMA')}
     lex = Lexicon(entries, italian)

@@ -251,3 +251,35 @@ def test_tier_is_not_equal_to_a_tuple():
     assert tier != ('Word', tier.items)
     assert PointTier('Marks') != ('Marks', [])
     assert sample_doc() != (1.0, sample_doc().tiers)
+
+
+@pytest.mark.parametrize('make, names', [
+    (lambda: sample_doc().tiers[0], ('name', 'items')),
+    (lambda: sample_doc().tiers[1], ('name', 'items')),
+    (sample_doc, ('duration', 'tiers')),
+], ids=['IntervalTier', 'PointTier', 'AnnotationDocument'])
+def test_fields_cannot_be_rebound_or_deleted(make, names):
+    obj = make()
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert obj == make()
+    with pytest.raises(TypeError):
+        hash(obj)
+
+
+def test_overlapping_items_cannot_be_bound_after_the_check():
+    tier = IntervalTier('Word', [Interval(0, 2)])
+    with pytest.raises(AttributeError):
+        tier.items = [Interval(0, 2), Interval(1, 3)]
+    assert tier.items == [Interval(0, 2)]
+
+
+def test_truncated_document_is_refused():
+    lines = serialize_textgrid(sample_doc()).splitlines()
+    for cut in (1, 4):
+        with pytest.raises(TextGridParseError,
+                           match=r'^unexpected end of file \('):
+            parse_textgrid('\n'.join(lines[:-cut]) + '\n')
