@@ -9,6 +9,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import AnalysisConfig
+from .features import Frozen
 
 DB_FLOOR = -120.0
 
@@ -21,18 +22,27 @@ class DspError(ValueError):
     pass
 
 
-class AudioBuffer:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class AudioBuffer(Frozen):
+    """Mono samples, nominally within [-1, 1]: a read-only float64 view."""
+    _fields = ('samples', 'sample_rate')
+    # by identity: Frozen's == on two sample arrays raises ValueError
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
     def __init__(self, samples, sample_rate: int):
-        # float, nominally within [-1, 1]
-        self.samples: np.ndarray = np.asarray(samples, dtype=np.float64)
-        self.sample_rate = sample_rate
-        if self.samples.ndim != 1:
+        samples = _read_only(np.asarray(samples, dtype=np.float64).view())
+        if samples.ndim != 1:
             raise DspError('audio must be mono')
         if sample_rate < 16000:
             raise DspError(
                 f'sample rate {sample_rate} Hz below the 16 kHz minimum')
-        if not np.all(np.isfinite(self.samples)):
+        if not np.all(np.isfinite(samples)):
             raise DspError('audio contains non-finite samples')
+        self._bind(samples=samples, sample_rate=sample_rate)
 
     @property
     def duration(self) -> float:
@@ -144,7 +154,7 @@ def _frame_spectra(audio: AudioBuffer, frame_length: float,
         raise DspError('frame length exceeds signal duration')
     nwin, step = int(nwin), int(step)
     frames = sliding_window_view(audio.samples, nwin)[::step]
-    times = nwin / sr / 2 + step / sr * np.arange(len(frames))
+    times = _read_only(nwin / sr / 2 + step / sr * np.arange(len(frames)))
     window = np.hanning(nwin)
     blocks = ((b, np.fft.rfft(frames[b:b + BLOCK_FRAMES] * window, axis=1))
               for b in range(0, len(frames), BLOCK_FRAMES))
@@ -165,11 +175,11 @@ def compute_spectrogram(audio: AudioBuffer,
     db = np.empty((len(times), nwin // 2 + 1))
     for b, spec in blocks:
         db[b:b + len(spec)] = 20.0 * np.log10(np.maximum(np.abs(spec), floor))
-    return Spectrogram(db, times, hop, audio.sample_rate / nwin)
+    return Spectrogram(_read_only(db), times, hop, audio.sample_rate / nwin)
 
 
 class BandEnergyTracks(NamedTuple):
-    bands: list[tuple[float, float]]
+    bands: tuple[tuple[float, float], ...]
     energy: np.ndarray         # (n_bands, n_frames) dB
     times: np.ndarray
     frame_step: float
@@ -196,7 +206,9 @@ def _band_bins(bands, freq_resolution: float, n_bins: int) -> list[slice]:
 
 
 def _power_to_db(power: np.ndarray) -> np.ndarray:
-    return 10.0 * np.log10(np.maximum(power, 10 ** (DB_FLOOR / 10.0)))
+    """Band energies in dB, read-only, from the band powers."""
+    floor = 10 ** (DB_FLOOR / 10.0)
+    return _read_only(10.0 * np.log10(np.maximum(power, floor)))
 
 
 def band_energies(spec: Spectrogram,
@@ -204,8 +216,8 @@ def band_energies(spec: Spectrogram,
     """Per-frame energy of each band: bin powers summed, then to dB."""
     bins = _band_bins(bands, spec.freq_resolution, spec.frames.shape[1])
     power = 10.0 ** (spec.frames / 10.0)
-    energy = np.vstack([_power_to_db(power[:, b].sum(axis=1)) for b in bins])
-    return BandEnergyTracks(list(bands), energy, spec.times, spec.frame_step)
+    energy = _power_to_db(np.vstack([power[:, b].sum(axis=1) for b in bins]))
+    return BandEnergyTracks(tuple(bands), energy, spec.times, spec.frame_step)
 
 
 def rate_of_rise(track: np.ndarray, window: float,
@@ -393,7 +405,7 @@ def standard_tracks(audio: AudioBuffer,
                                10 ** (DB_FLOOR / 10.0))
         for row, band in zip(power, bins):
             row[b:b + len(spec)] = bin_power[:, band].sum(axis=1)
-    return BandEnergyTracks(bands, _power_to_db(power), times, hop, cfg)
+    return BandEnergyTracks(tuple(bands), _power_to_db(power), times, hop, cfg)
 
 
 def parameter_frames(audio: AudioBuffer,
@@ -405,4 +417,4 @@ def parameter_frames(audio: AudioBuffer,
     cfg = cfg or AnalysisConfig()
     _f0_lags(audio.sample_rate, cfg)
     tracks = standard_tracks(audio, cfg)
-    return ParameterTrack(tracks, spectral_tilt(tracks), audio)
+    return ParameterTrack(tracks, _read_only(spectral_tilt(tracks)), audio)

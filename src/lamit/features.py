@@ -331,9 +331,12 @@ def load_inventory(text: str) -> FeatureInventory:
                 raise ParseError(f'line {lineno}: bad cell {c!r}')
             if c != '.':
                 cells[f] = valmap[c]
-        bundle = FeatureBundle(cells)
-        by_ipa[ipa] = PhonemeId(ipa, arp, classify_major(bundle))
-        bundles[ipa] = bundle
+        bundles[ipa] = bundle = FeatureBundle(cells)
+        try:
+            by_ipa[ipa] = PhonemeId(ipa, arp, classify_major(bundle))
+        except InventoryError as e:
+            raise InventoryError(
+                f'line {lineno}: phoneme {ipa!r}: {e}') from None
 
     for ipa, arp, base in pending:
         if base not in bundles:

@@ -55,7 +55,7 @@ class LandmarkSequence(Frozen):
     _fields = ('items',)
 
     def __init__(self, items=()):
-        items: list[Landmark] = list(items)
+        items: tuple[Landmark, ...] = tuple(items)
         times = [lm.time for lm in items]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise LandmarkError('landmark times must strictly increase')

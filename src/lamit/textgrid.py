@@ -60,7 +60,7 @@ class IntervalTier(Frozen):
     _fields = ('name', 'items')
 
     def __init__(self, name: str, items=()):
-        items: list[Interval] = list(items)
+        items: tuple[Interval, ...] = tuple(items)
         for a, b in zip(items, items[1:]):
             if b.t_start < a.t_end:
                 raise TextGridError(
@@ -80,7 +80,7 @@ class PointTier(Frozen):
     _fields = ('name', 'items')
 
     def __init__(self, name: str, items=()):
-        items: list[Point] = list(items)
+        items: tuple[Point, ...] = tuple(items)
         for a, b in zip(items, items[1:]):
             if b.time <= a.time:
                 raise TextGridError(
@@ -99,7 +99,7 @@ class AnnotationDocument(Frozen):
     _fields = ('duration', 'tiers')
 
     def __init__(self, duration: float, tiers=()):
-        tiers: list[Tier] = list(tiers)
+        tiers: tuple[Tier, ...] = tuple(tiers)
         for tier in tiers:
             if tier.t_end > duration + 1e-12:
                 raise TextGridError(
@@ -117,7 +117,11 @@ class AnnotationDocument(Frozen):
         return any(t.name == name for t in self.tiers)
 
     def with_tier(self, tier: Tier) -> 'AnnotationDocument':
-        return AnnotationDocument(self.duration, [*self.tiers, tier])
+        """The tier in place of those of its name, or appended."""
+        names = [t.name for t in (*self.tiers, tier)]
+        tiers = [t for t in self.tiers if t.name != tier.name]
+        tiers.insert(names.index(tier.name), tier)
+        return AnnotationDocument(self.duration, tiers)
 
 
 def decode_textgrid_bytes(data: bytes) -> str:

@@ -165,7 +165,7 @@ def test_criterion_5_landmark_properties():
     assert all(lm.manner is Manner.NONCONTINUANT for lm in cons)
 
     # (d) silence
-    assert detect_all(synth.buf(synth.silence(0.5)), cfg).items == []
+    assert detect_all(synth.buf(synth.silence(0.5)), cfg).items == ()
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0

@@ -162,7 +162,7 @@ def test_landmark_label_codes():
 
 
 def test_landmark_tier_empty():
-    assert landmark_tier_from([]).items == []
+    assert landmark_tier_from([]).items == ()
 
 
 def test_landmark_tier_requires_order():

@@ -106,6 +106,17 @@ def test_lexi_sentence_36(tmp_path):
         ['MAMMA', 'E', 'PAPÀ', 'TI', 'VOGLIONO', 'BENE']
 
 
+def test_lexi_on_its_own_output_is_byte_identical(tmp_path):
+    # the LEXI tier is replaced in place, not stacked on the old one
+    fixture = Path(__file__).parent / 'fixtures' / 'word_lexi.TextGrid'
+    once, twice = tmp_path / 'once.TextGrid', tmp_path / 'twice.TextGrid'
+    assert run('lexi', '--textgrid', str(fixture), '--out', str(once)) == 0
+    assert run('lexi', '--textgrid', str(once), '--out', str(twice)) == 0
+    assert twice.read_bytes() == once.read_bytes()
+    doc = parse_textgrid(once.read_bytes())
+    assert [t.name for t in doc.tiers] == ['Word', 'LEXI']
+
+
 def test_lexi_bad_transcription_exits_1(tmp_path, capsys):
     tg = word_doc_path(tmp_path, ['MAMMA'])
     trans = tmp_path / 'trans.tsv'

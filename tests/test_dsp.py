@@ -7,8 +7,8 @@ import scipy.io.wavfile
 
 from lamit.config import AnalysisConfig
 from lamit.dsp import (AudioBuffer, DspError, band_energies,
-                       compute_spectrogram, estimate_f0, rate_of_rise,
-                       read_wav, standard_tracks, write_wav)
+                       compute_spectrogram, estimate_f0, parameter_frames,
+                       rate_of_rise, read_wav, standard_tracks, write_wav)
 
 import synth
 
@@ -217,6 +217,47 @@ def test_low_rate_rejected():
 def test_two_dimensional_buffer_rejected():
     with pytest.raises(DspError, match='^audio must be mono$'):
         AudioBuffer(np.zeros((2, 16000)), 16000)
+
+
+def test_buffer_fields_cannot_be_rebound_or_deleted():
+    audio = AudioBuffer(np.zeros(16000), 16000)
+    with pytest.raises(AttributeError):
+        audio.sample_rate = 8000
+    with pytest.raises(AttributeError):
+        audio.samples = np.full(16000, np.nan)
+    with pytest.raises(AttributeError):
+        del audio.samples
+    assert audio.sample_rate == 16000 and not audio.samples.any()
+    # compared and hashed by identity, as before it was frozen
+    assert audio == audio and audio != AudioBuffer(audio.samples, 16000)
+    assert hash(audio) == hash(audio)
+
+
+def test_buffer_samples_are_a_read_only_view():
+    samples = np.zeros(16000)
+    audio = AudioBuffer(samples, 16000)
+    with pytest.raises(ValueError, match='read-only'):
+        audio.samples[0] = np.nan
+    assert not audio.samples.flags.writeable
+    # the caller's own array is wrapped, not copied, and stays writeable
+    assert samples.flags.writeable
+    assert np.shares_memory(samples, audio.samples)
+
+
+def test_analysis_arrays_are_read_only():
+    audio = synth.buf(synth.white_noise(0.2, seed=2))
+    spec = compute_spectrogram(audio)
+    params = parameter_frames(audio)
+    tracks = [standard_tracks(audio), params.tracks,
+              band_energies(spec, [(0.0, 1000.0), (1000.0, 4000.0)])]
+    arrays = [spec.frames, spec.times, params.tilt]
+    arrays += [a for t in tracks for a in (t.energy, t.times)]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match='read-only'):
+            a[0] = 0.0
+    for t in tracks:
+        assert isinstance(t.bands, tuple)
 
 
 # ------------------------------------------------ wav reader vs scipy

@@ -314,6 +314,16 @@ def test_load_duplicate_phoneme_names_symbol_and_first_row(italian, symbol,
         load_inventory('\n'.join(lines))
 
 
+def test_load_row_without_major_class_names_its_line_and_phoneme():
+    text = ('phoneme\tarpabet\tvowel\tglide\tcons\n'
+            'a\tAA\t+\t-\t-\n'
+            'h\tHH\t-\t-\t-\n')
+    with pytest.raises(InventoryError,
+                       match=r"^line 3: phoneme 'h': major-class features "
+                             r"not a partition: none set$"):
+        load_inventory(text)
+
+
 def test_load_colliding_bundles(italian):
     # overwrite the p row with the b row's cells: bundles collide
     text = serialize_inventory(italian)

@@ -33,7 +33,7 @@ def test_single_vowel_peak():
 
 def test_silence_no_landmarks():
     audio = synth.buf(synth.silence(0.5))
-    assert detect_all(audio).items == []
+    assert detect_all(audio).items == ()
 
 
 def test_two_vowels_two_landmarks():
@@ -168,7 +168,7 @@ def test_sequence_merge_and_priority():
 
 def test_empty_sequence():
     cfg = AnalysisConfig()
-    assert landmark_sequence([], [], [], cfg).items == []
+    assert landmark_sequence([], [], [], cfg).items == ()
 
 
 def test_sequence_requires_increasing_times():
@@ -211,6 +211,10 @@ def test_sequence_fields_cannot_be_rebound_or_deleted():
         seq.items = [Landmark(0.3, LandmarkKind.VOWEL), first]
     with pytest.raises(AttributeError):
         del seq.items
+    with pytest.raises(AttributeError):
+        seq.items.append(first)
+    with pytest.raises(TypeError):
+        seq.items[1] = first
     assert seq == LandmarkSequence([first, Landmark(0.2, LandmarkKind.GLIDE)])
     assert seq != tuple(seq.items)
     with pytest.raises(TypeError):

@@ -90,7 +90,11 @@ def old_load_inventory(text):
             if c != '.':
                 cells[f] = valmap[c]
         bundle = ReadOnlyBundle(cells)
-        cls = classify_major(bundle)
+        try:
+            cls = classify_major(bundle)
+        except InventoryError as e:
+            raise InventoryError(
+                f'line {lineno}: phoneme {ipa!r}: {e}') from None
         phonemes.append(PhonemeId(ipa, arp, cls))
         bundles[ipa] = bundle
 
@@ -805,8 +809,8 @@ def test_fuzz_landmark_csv(text):
 
 
 def test_landmark_csv_header_is_line_1():
-    assert parse_landmarks_csv('').items == []
-    assert parse_landmarks_csv(CSV_HEADER + '\n').items == []
+    assert parse_landmarks_csv('').items == ()
+    assert parse_landmarks_csv(CSV_HEADER + '\n').items == ()
     with pytest.raises(LandmarkError, match='^line 1: '):
         parse_landmarks_csv('0.100000,Vowel,,10.00\n')
 

@@ -265,16 +265,37 @@ def test_fields_cannot_be_rebound_or_deleted(make, names):
             setattr(obj, name, getattr(obj, name))
         with pytest.raises(AttributeError):
             delattr(obj, name)
+    # nor can the items or tiers be edited in place: they are tuples
+    values = getattr(obj, names[-1])
+    assert not hasattr(values, 'append')
+    with pytest.raises(TypeError):
+        values[0] = values[-1]
     assert obj == make()
     with pytest.raises(TypeError):
         hash(obj)
+
+
+def test_with_tier_replaces_the_tier_of_its_name_in_place():
+    word = sample_doc().tiers[0]
+    old = IntervalTier('LEXI', [Interval(0.0, 0.35, 'M')])
+    new = IntervalTier('LEXI', [Interval(0.0, 0.35, 'B')])
+    assert AnnotationDocument(1.0, [old, word]).with_tier(new).tiers == \
+        (new, word)
+    # a document that already stacks copies keeps one, at the first place
+    assert AnnotationDocument(1.0, [word, old, old]).with_tier(new).tiers == \
+        (word, new)
+    marks = PointTier('Landmark')
+    assert AnnotationDocument(1.0, [word]).with_tier(marks).tiers == \
+        (word, marks)
 
 
 def test_overlapping_items_cannot_be_bound_after_the_check():
     tier = IntervalTier('Word', [Interval(0, 2)])
     with pytest.raises(AttributeError):
         tier.items = [Interval(0, 2), Interval(1, 3)]
-    assert tier.items == [Interval(0, 2)]
+    with pytest.raises(AttributeError):
+        tier.items.append(Interval(1, 3))
+    assert tier.items == (Interval(0, 2),)
 
 
 def test_truncated_document_is_refused():
