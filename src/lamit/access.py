@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import AnalysisConfig, weight_problem
-from .dsp import F1, HIGH, LOW, ParameterTrack
+from .dsp import F1, HIGH, LOW, ParameterTrack, median
 from .features import (ARTICULATOR_FREE, Checked, FeatureBundle,
                        FeatureInventory, MINUS, PLUS, PLUSMINUS, UNSPECIFIED)
 from .landmarks import LandmarkKind, LandmarkSequence, Manner
@@ -151,8 +151,8 @@ def _consonant_segment(closure, release, params: ParameterTrack | None,
             high[params.window(closure.time - 0.08, closure.time - 0.02)],
             high[params.window(release.time + 0.02, release.time + 0.08)]])
         if neighbours.size:
-            bundle['strid'] = (PLUS if float(np.median(high_in)) >
-                               float(np.median(neighbours))
+            bundle['strid'] = (PLUS if float(median(high_in)) >
+                               float(median(neighbours))
                                + params.cfg.strident_margin_db
                                else MINUS)
     if manner is not Manner.SONORANT and high_in.size:

@@ -77,21 +77,30 @@ def _load_config(args) -> AnalysisConfig:
         raise CliError(f'bad config: {e}') from None
 
 
-def _load_italian(args):
-    text = _data_text(args.inventory, 'italian_features.tsv')
-    try:
-        return features.load_inventory(text)
-    except features.InventoryError as e:
-        raise CliError(f'inventory: {e}', EXIT_VALIDATION) from None
+def _inventory_text(args) -> str:
+    return _data_text(args.inventory, 'italian_features.tsv')
 
 
 def _lexicon_text(args) -> str:
     return _data_text(args.lexicon, 'lamit_lexicon.tsv')
 
 
-def _load_lexicon(text, inv):
+# The files are read on every call; their parses are kept by text, so a
+# process that calls main again on the same data parses it once.  The
+# records are immutable, so calls can share them; a parse that raises
+# is not kept.
+@functools.lru_cache(maxsize=1)
+def _parse_inventory(text: str) -> features.FeatureInventory:
     try:
-        return lexicon.load_lexicon(text, inv)
+        return features.load_inventory(text)
+    except features.InventoryError as e:
+        raise CliError(f'inventory: {e}', EXIT_VALIDATION) from None
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_lexicon(text: str, inventory_text: str) -> lexicon.Lexicon:
+    try:
+        return lexicon.load_lexicon(text, _parse_inventory(inventory_text))
     except lexicon.LexiconParseError as e:
         raise CliError(f'lexicon: {e}', EXIT_VALIDATION) from None
 
@@ -123,7 +132,7 @@ def _write_output(args, text):
 
 def cmd_stats(args, cfg) -> int:
     from . import corpus
-    inv = _load_italian(args)
+    inv = _parse_inventory(_inventory_text(args))
     text = _data_text(args.corpus, 'lamit_transcriptions.tsv')
     try:
         sentences = corpus.parse_corpus(text, inv)
@@ -163,8 +172,9 @@ def cmd_lexi(args, cfg) -> int:
         raise CliError('--out is required for lexi')
     if args.sentence is not None and not args.transcription:
         raise CliError('--sentence needs --transcription')
-    inv = _load_italian(args)
-    lex = _load_lexicon(_lexicon_text(args), inv)
+    inventory_text = _inventory_text(args)
+    inv = _parse_inventory(inventory_text)
+    lex = _parse_lexicon(_lexicon_text(args), inventory_text)
     doc = _read_word_doc(args)
     sent = _read_sentence(args, inv) if args.transcription else None
     try:
@@ -227,8 +237,9 @@ def cmd_match(args, cfg) -> int:
         raise CliError('need exactly one of --wav or --landmarks')
     if args.topk < 1:
         raise CliError('--topk must be positive')
-    inv = _load_italian(args)
-    lex = _load_lexicon(_lexicon_text(args), inv)
+    inventory_text = _inventory_text(args)
+    _parse_inventory(inventory_text)      # its errors come first
+    lex = _parse_lexicon(_lexicon_text(args), inventory_text)
     doc = _read_word_doc(args)
     segments = _segments_from_args(args, cfg)
     try:
@@ -300,7 +311,8 @@ def cmd_validate(args, cfg) -> int:
         except Exception as e:     # report, do not crash
             results.append((name, False, str(e)))
 
-    inv = _load_italian(args)
+    inventory_text = _inventory_text(args)
+    inv = _parse_inventory(inventory_text)
     # every input is read before the suites run, so an unreadable file is
     # an input error (exit 2), not a failed suite
     lexicon_text = _lexicon_text(args)
@@ -319,7 +331,7 @@ def cmd_validate(args, cfg) -> int:
         return f'{len(singles)} singletons distinct, partition 7/2/21'
 
     def lexicon_suite():
-        lex = _load_lexicon(lexicon_text, inv)
+        lex = _parse_lexicon(lexicon_text, inventory_text)
         if len(lex) != 563:
             raise AssertionError(f'expected 563 entries, got {len(lex)}')
         return '563 entries resolve, stress is unique'
@@ -375,7 +387,10 @@ def cmd_validate(args, cfg) -> int:
 
 # ----------------------------------------------------------------- main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every call: each subcommand names its `cmd_` function,
+    looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog='lamit',
         description='Landmark-based lexical access toolkit for Italian')
@@ -396,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser('stats', help='phoneme frequency statistics')
     p.add_argument('--corpus', help='transcription file')
     common(p, 'inventory', 'out')
-    p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser('lexi', help='generate the predicted phoneme tier')
     p.add_argument('--textgrid', required=True)
@@ -404,12 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
                    'syntactic doubling')
     p.add_argument('--sentence', type=int, help='sentence id to use')
     common(p, 'inventory', 'lexicon', 'out')
-    p.set_defaults(fn=cmd_lexi)
 
     p = sub.add_parser('landmarks', help='detect landmarks in a wav file')
     p.add_argument('--wav', required=True)
     common(p, 'out')
-    p.set_defaults(fn=cmd_landmarks)
 
     p = sub.add_parser('match', help='rank word candidates per interval')
     p.add_argument('--wav', help='audio input (full cue extraction)')
@@ -418,12 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--textgrid', required=True, help='Word tier TextGrid')
     p.add_argument('--topk', type=int, default=10)
     common(p, 'inventory', 'lexicon', 'out')
-    p.set_defaults(fn=cmd_match)
 
     p = sub.add_parser('validate', help='run the shipped-data checks')
     p.add_argument('--corpus', help='transcription file')
     common(p, 'inventory', 'lexicon')
-    p.set_defaults(fn=cmd_validate)
     return parser
 
 
@@ -449,7 +459,7 @@ def main(argv=None) -> int:
         if args.show_config:
             print(render_config(cfg), end='')
             return EXIT_OK
-        return args.fn(args, cfg)
+        return globals()[f'cmd_{args.command}'](args, cfg)
     except CliError as e:
         print(f'error: {e}', file=sys.stderr)
         return e.code

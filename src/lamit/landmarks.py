@@ -9,7 +9,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import AnalysisConfig
-from .dsp import HIGH, LOW, MID, AudioBuffer, BandEnergyTracks, \
+from .dsp import HIGH, LOW, MID, AudioBuffer, BandEnergyTracks, median, \
     rate_of_rise, standard_tracks
 from .features import Checked, Frozen
 
@@ -129,7 +129,7 @@ def _right_bases(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     # tie the left window's index is the smaller one
     level = np.frexp(end - peaks)[1] - 1
     base = np.empty_like(peaks)
-    for j in np.unique(level).tolist():
+    for j in sorted(set(level.tolist())):
         sel = level == j
         a = first_min[j][peaks[sel]]
         b = first_min[j][end[sel] - (1 << j)]
@@ -287,15 +287,13 @@ def _frication(rel: np.ndarray, starts: np.ndarray, n: int,
     whole = (starts >= 0) & (starts + n <= total)
     if whole.any():
         s = starts[whole]
-        med_dominance[whole] = np.median(
-            sliding_window_view(dominance, n)[s], axis=1)
-        med_high[whole] = np.median(sliding_window_view(rel[HIGH], n)[s],
-                                    axis=1)
+        med_dominance[whole] = median(sliding_window_view(dominance, n)[s])
+        med_high[whole] = median(sliding_window_view(rel[HIGH], n)[s])
     for i in np.flatnonzero(~whole).tolist():
         lo, hi = max(0, int(starts[i])), min(total, int(starts[i]) + n)
         if hi > lo:
-            med_dominance[i] = np.median(dominance[lo:hi])
-            med_high[i] = np.median(rel[HIGH, lo:hi])
+            med_dominance[i] = median(dominance[lo:hi])
+            med_high[i] = median(rel[HIGH, lo:hi])
     return ((med_dominance >= cfg.noise_dominance_db)
             & (med_high > -(cfg.gate_db - 10.0)))
 

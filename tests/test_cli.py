@@ -760,12 +760,14 @@ def test_audio_commands_load_no_scipy(tmp_path):
         '    codes = [lamit.cli.main(["match", "--wav", wav, "--textgrid",\n'
         '                             tg, "--out", out + ".csv"])]\n'
         '    annotation = "lamit.annotation" in sys.modules\n'
+        '    masked = ["numpy.ma" in sys.modules]\n'
         '    codes.append(lamit.cli.main(["landmarks", "--wav", wav,\n'
         '                                 "--out", out]))\n'
-        'print(codes, "numpy" in sys.modules, annotation)\n'
+        '    masked.append("numpy.ma" in sys.modules)\n'
+        'print(codes, "numpy" in sys.modules, annotation, masked)\n'
         'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))\n')
     out = run_probe(probe, str(wav), str(tg), str(tmp_path / 'out'))
-    assert out == ['[0, 0] True False', '[]']
+    assert out == ['[0, 0] True False [False, False]', '[]']
 
 
 @pytest.mark.parametrize('error', ['inventory', 'lexicon', 'transcription',
@@ -1162,3 +1164,69 @@ def test_textgrid_with_an_unknown_tier_class_exits_2(tmp_path, capsys):
     assert run('lexi', '--textgrid', str(tg),
                '--out', str(tmp_path / 'o.TextGrid')) == 2
     assert_one_line_error(capsys, str(tg), "unknown tier class 'FooTier'")
+
+
+# ------------------------------------------------ data kept between calls
+
+@pytest.fixture
+def cold_cli():
+    """lamit.cli with nothing kept from earlier calls of main."""
+    import lamit.cli
+    for fn in (lamit.cli._parse_inventory, lamit.cli._parse_lexicon,
+               lamit.cli.build_parser):
+        fn.cache_clear()
+    return lamit.cli
+
+
+def test_main_parses_its_data_and_builds_its_parser_once(
+        tmp_path, monkeypatch, cold_cli):
+    from lamit import features, lexicon
+    audio, _ = synth.vcv_stop()
+    wav = tmp_path / 'vcv.wav'
+    write_wav(wav, audio)
+    tg = word_doc_path(tmp_path, ['PAPÀ'], dur=audio.duration)
+    inventories = count_calls(monkeypatch, features, 'load_inventory')
+    lexicons = count_calls(monkeypatch, lexicon, 'load_lexicon')
+    outs = []
+    for name in ('a.csv', 'b.csv'):
+        outs.append(tmp_path / name)
+        assert run('match', '--wav', str(wav), '--textgrid', str(tg),
+                   '--out', str(outs[-1])) == 0
+    assert (len(inventories), len(lexicons)) == (1, 1)
+    assert cold_cli.build_parser.cache_info().misses == 1
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_a_lexicon_rewritten_between_calls_is_read_again(tmp_path, cold_cli):
+    lex = tmp_path / 'lex.tsv'
+    csv = tmp_path / 'lm.csv'
+    csv.write_text(f'{CSV_HEADER}\n0.250000,Vowel,,10.00\n',
+                   encoding='utf-8')
+    tg = word_doc_path(tmp_path, ['MAMMA'])
+    out = tmp_path / 'm.csv'
+    candidates = []
+    for entries in ('MAMMA\tM AA1 MM AA\n', 'CASA\tK AA1 S AA\n'):
+        lex.write_text(entries, encoding='utf-8')
+        assert run('match', '--landmarks', str(csv), '--textgrid', str(tg),
+                   '--lexicon', str(lex), '--out', str(out)) == 0
+        candidates.append(out.read_text('utf-8').split('\n')[1].split(',')[1])
+    assert candidates == ['MAMMA', 'CASA']
+
+
+def test_a_failed_parse_is_not_kept(tmp_path, capsys, cold_cli):
+    lex = tmp_path / 'lex.tsv'
+    lex.write_text('MAMMA\tM AA1 MM AA\nCASA\tK AA1 XX AA\n',
+                   encoding='utf-8')
+    for _ in range(2):
+        assert run('validate', '--lexicon', str(lex)) == 1
+        assert 'lexicon-resolution: FAIL - lexicon: unknown label XX, ' \
+            'position 3, line 2' in capsys.readouterr().out
+    inventory = tmp_path / 'inv.tsv'
+    shipped = (data_dir() / 'italian_features.tsv').read_text('utf-8')
+    inventory.write_text('phoneme\tbroken\n' + shipped, encoding='utf-8')
+    for _ in range(2):
+        assert run('stats', '--inventory', str(inventory)) == 1
+        assert_one_line_error(capsys, 'inventory: ')
+    inventory.write_text(shipped, encoding='utf-8')
+    assert run('stats', '--inventory', str(inventory),
+               '--out', str(tmp_path / 'freq.csv')) == 0

@@ -1,14 +1,17 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
+from numpy.lib.stride_tricks import sliding_window_view
 
 from lamit.config import AnalysisConfig
 from lamit.dsp import (AudioBuffer, DspError, band_energies,
-                       compute_spectrogram, estimate_f0, parameter_frames,
-                       rate_of_rise, read_wav, standard_tracks, write_wav)
+                       compute_spectrogram, estimate_f0, median,
+                       parameter_frames, rate_of_rise, read_wav,
+                       standard_tracks, write_wav)
 
 import synth
 
@@ -233,15 +236,47 @@ def test_buffer_fields_cannot_be_rebound_or_deleted():
     assert hash(audio) == hash(audio)
 
 
-def test_buffer_samples_are_a_read_only_view():
+def test_buffer_samples_are_a_read_only_copy():
     samples = np.zeros(16000)
     audio = AudioBuffer(samples, 16000)
     with pytest.raises(ValueError, match='read-only'):
         audio.samples[0] = np.nan
     assert not audio.samples.flags.writeable
-    # the caller's own array is wrapped, not copied, and stays writeable
+    # the caller's own array is copied, and stays writeable
     assert samples.flags.writeable
-    assert np.shares_memory(samples, audio.samples)
+    assert not np.shares_memory(samples, audio.samples)
+
+
+def test_a_callers_later_write_cannot_reach_the_buffer():
+    samples = np.zeros(16000)
+    audio = AudioBuffer(samples, 16000)
+    samples[0] = np.nan
+    assert np.all(audio.samples == 0.0)
+    assert np.all(np.isfinite(standard_tracks(audio).energy))
+
+
+def test_read_wav_makes_one_float64_array(tmp_path):
+    """read_wav hands the array it made to its buffer, with no copy."""
+    path = tmp_path / 'x.wav'
+    write_wav(path, synth.buf(synth.white_noise(2.0, seed=3)))
+    tracemalloc.start()
+    try:
+        audio = read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes and one float64 array, not two
+    assert peak < path.stat().st_size + 1.5 * audio.samples.nbytes
+
+
+def test_median_equals_numpy_median():
+    rng = np.random.default_rng(7)
+    for n in [1, 2, 3, 4, 9, 10, 31, 64]:
+        x = rng.normal(size=n)
+        assert median(x).tobytes() == np.median(x).tobytes()
+        windows = sliding_window_view(rng.normal(size=n + 40), n)
+        assert median(windows).tobytes() == \
+            np.median(windows, axis=1).tobytes()
 
 
 def test_analysis_arrays_are_read_only():
