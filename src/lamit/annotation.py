@@ -1,10 +1,10 @@
-"""Annotation tiers: automatic LEXI generation, edits, landmark tiers."""
+"""Annotation tiers: automatic LEXI generation, landmark tiers."""
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
-from .features import FeatureInventory, LookupError_
-from .lexicon import Lexicon, LexiconParseError, parse_label
+from .features import LookupError_
+from .lexicon import Lexicon
 from .textgrid import Interval, IntervalTier, Point, PointTier, TextGridError
 
 if TYPE_CHECKING:       # a transcription is only read, never built, here
@@ -68,47 +68,6 @@ def generate_lexi_tier(word_tier: IntervalTier, lex: Lexicon,
             out.append(Interval(bounds[i], bounds[i + 1], lab))
         widx += 1
     return IntervalTier('LEXI', out)
-
-
-class LabelEdit(NamedTuple):
-    index: int
-    label: str
-
-
-class BoundaryEdit(NamedTuple):
-    """Move the boundary between interval `index` and `index + 1`."""
-    index: int
-    time: float
-
-
-def apply_modifications(lexi: IntervalTier, edits,
-                        inv: FeatureInventory) -> IntervalTier:
-    """A new tier with the edits applied; the input is left untouched.
-    A new label is checked as the lexicon checks one (`parse_label`)."""
-    items = list(lexi.items)
-    for edit in edits:
-        if isinstance(edit, LabelEdit):
-            if not 0 <= edit.index < len(items):
-                raise AnnotationError(f'no interval at index {edit.index}')
-            try:
-                parse_label(edit.label, inv)
-            except LexiconParseError as e:
-                raise AnnotationError(str(e)) from None
-            old = items[edit.index]
-            items[edit.index] = Interval(old.t_start, old.t_end, edit.label)
-        elif isinstance(edit, BoundaryEdit):
-            if not 0 <= edit.index < len(items) - 1:
-                raise AnnotationError(f'no boundary at index {edit.index}')
-            left, right = items[edit.index], items[edit.index + 1]
-            if not (left.t_start < edit.time < right.t_end):
-                raise AnnotationError(
-                    f'boundary edit at index {edit.index} violates ordering')
-            items[edit.index] = Interval(left.t_start, edit.time, left.label)
-            items[edit.index + 1] = Interval(edit.time, right.t_end,
-                                             right.label)
-        else:
-            raise AnnotationError(f'unknown edit {edit!r}')
-    return IntervalTier(lexi.name, items)
 
 
 _MANNER_CODE = {'sonorant': '+son', 'continuant': '+cont',

@@ -5,8 +5,7 @@ import collections
 import re
 from typing import NamedTuple
 
-from .features import (Checked, FeatureInventory, MajorClass, PhonemeId,
-                       _read_data)
+from .features import Checked, FeatureInventory, MajorClass, PhonemeId
 from .lexicon import Lexicon, PhonemeToken
 
 
@@ -207,10 +206,6 @@ def frequency_csv(table: FrequencyTable) -> str:
     for p, n in table.rows():
         lines.append(f'{p.ipa},{p.arpabet},{n},{table.percentages[p]:.2f}')
     return '\n'.join(lines) + '\n'
-
-
-def load_lamit_corpus(inv: FeatureInventory) -> list[TranscribedSentence]:
-    return parse_corpus(_read_data('lamit_transcriptions.tsv'), inv)
 
 
 def parse_corpus(text: str, inv: FeatureInventory) -> list[TranscribedSentence]:

@@ -249,29 +249,6 @@ def distinguishing_features(inv: FeatureInventory, p1, p2) -> set[str]:
     return {f for f in inv.features if b1.value(f) is not b2.value(f)}
 
 
-def natural_class(inv: FeatureInventory,
-                  constraints: dict[str, FeatureValue]) -> set[PhonemeId]:
-    """Singletons matching every constraint; ± matches both polarities."""
-    for f in constraints:
-        if f not in inv.features:
-            raise LookupError_(f'unknown feature {f!r}')
-    out = set()
-    for p in inv.singletons():
-        b = inv.bundles[p.ipa]
-        ok = True
-        for f, want in constraints.items():
-            have = b.value(f)
-            if have is want:
-                continue
-            if have is PLUSMINUS and want in (PLUS, MINUS):
-                continue
-            ok = False
-            break
-        if ok:
-            out.add(p)
-    return out
-
-
 def load_inventory(text: str) -> FeatureInventory:
     """Parse an inventory file (see the data files for the format)."""
     language = ''
@@ -347,20 +324,6 @@ def load_inventory(text: str) -> FeatureInventory:
 
     return FeatureInventory(language, list(by_ipa.values()), bundles,
                             features)
-
-
-def serialize_inventory(inv: FeatureInventory) -> str:
-    """Inverse of load_inventory (comments are not preserved)."""
-    lines = [f'# language: {inv.language_tag}',
-             'phoneme\tarpabet\t' + '\t'.join(inv.features) + '\tbase']
-    for p in inv.phonemes:
-        if p.geminate:
-            cells = ['.'] * len(inv.features) + [p.singleton_base]
-        else:
-            b = inv.bundles[p.ipa]
-            cells = [b.value(f).value for f in inv.features] + ['.']
-        lines.append(f'{p.ipa}\t{p.arpabet}\t' + '\t'.join(cells))
-    return '\n'.join(lines) + '\n'
 
 
 # the data files shipped with the package

@@ -27,4 +27,5 @@ def lamit_lexicon(italian):
 
 @pytest.fixture(scope='session')
 def lamit_corpus(italian):
-    return corpus_mod.load_lamit_corpus(italian)
+    text = (features.DATA_DIR / 'lamit_transcriptions.tsv').read_text('utf-8')
+    return corpus_mod.parse_corpus(text, italian)

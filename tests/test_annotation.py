@@ -1,7 +1,6 @@
 import pytest
 
-from lamit.annotation import (AnnotationError, BoundaryEdit, LabelEdit,
-                              apply_modifications, generate_lexi_tier,
+from lamit.annotation import (AnnotationError, generate_lexi_tier,
                               landmark_label, landmark_tier_from)
 from lamit.corpus import parse_transcription
 from lamit.landmarks import Landmark, LandmarkKind, Manner
@@ -76,61 +75,6 @@ def test_lexi_keeps_unlabelled_gaps(lamit_lexicon):
 def test_lexi_case_folds(lamit_lexicon):
     tier = generate_lexi_tier(word_tier(['mamma']), lamit_lexicon)
     assert [iv.label for iv in tier.items] == ['M', 'AA1', 'MM', 'AA']
-
-
-# --------------------------------------------------------- modifications
-
-def test_label_substitution(lamit_lexicon, italian):
-    tier = generate_lexi_tier(word_tier(['CASA']), lamit_lexicon)
-    k = [iv.label for iv in tier.items].index('S')
-    out = apply_modifications(tier, [LabelEdit(k, 'Z')], italian)
-    assert out.items[k].label == 'Z'
-    # everything else untouched, input not mutated
-    for i, iv in enumerate(tier.items):
-        if i != k:
-            assert out.items[i] == iv
-    assert tier.items[k].label == 'S'
-
-
-def test_empty_edit_list_is_identity(lamit_lexicon, italian):
-    tier = generate_lexi_tier(word_tier(['CASA']), lamit_lexicon)
-    out = apply_modifications(tier, [], italian)
-    assert out.items == tier.items
-
-
-def test_label_must_be_in_inventory(lamit_lexicon, italian):
-    tier = generate_lexi_tier(word_tier(['CASA']), lamit_lexicon)
-    with pytest.raises(AnnotationError, match='^unknown label QX$'):
-        apply_modifications(tier, [LabelEdit(0, 'QX')], italian)
-    with pytest.raises(AnnotationError,
-                       match='^stress mark on non-vowel M1$'):
-        apply_modifications(tier, [LabelEdit(0, 'M1')], italian)
-
-
-def test_boundary_edit(lamit_lexicon, italian):
-    tier = generate_lexi_tier(word_tier(['CASA'], dur=1.0), lamit_lexicon)
-    out = apply_modifications(tier, [BoundaryEdit(0, 0.3)], italian)
-    assert out.items[0].t_end == 0.3
-    assert out.items[1].t_start == 0.3
-    assert tier.items[0].t_end != 0.3
-
-
-def test_boundary_edit_rejected_out_of_order(lamit_lexicon, italian):
-    tier = generate_lexi_tier(word_tier(['CASA'], dur=1.0), lamit_lexicon)
-    with pytest.raises(AnnotationError, match='ordering'):
-        apply_modifications(tier, [BoundaryEdit(0, 0.75)], italian)
-    with pytest.raises(AnnotationError, match='no boundary'):
-        apply_modifications(tier, [BoundaryEdit(3, 0.9)], italian)
-
-
-def test_label_edit_out_of_range_and_unknown_edit(lamit_lexicon, italian):
-    tier = generate_lexi_tier(word_tier(['CASA']), lamit_lexicon)
-    for index in (len(tier.items), -1):
-        with pytest.raises(AnnotationError,
-                           match=f'^no interval at index {index}$'):
-            apply_modifications(tier, [LabelEdit(index, 'AA')], italian)
-    with pytest.raises(AnnotationError, match=r"^unknown edit \('AA', 0\)$"):
-        apply_modifications(tier, [('AA', 0)], italian)
 
 
 def test_doubling_must_match_the_initial_phoneme(lamit_lexicon, italian):

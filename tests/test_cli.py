@@ -1230,3 +1230,18 @@ def test_a_failed_parse_is_not_kept(tmp_path, capsys, cold_cli):
     inventory.write_text(shipped, encoding='utf-8')
     assert run('stats', '--inventory', str(inventory),
                '--out', str(tmp_path / 'freq.csv')) == 0
+
+
+# ------------------------------------------------------------- dispatch
+
+def test_subcommands_and_cmd_functions_match_one_to_one(capsys):
+    import argparse
+    import lamit.cli
+    (subparsers,) = [action for action in lamit.cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    commands = {name.removeprefix('cmd_') for name in vars(lamit.cli)
+                if name.startswith('cmd_')}
+    assert set(subparsers.choices) == commands
+    assert len(commands) == 5
+    for argv in [['--help']] + [[sub, '--help'] for sub in sorted(commands)]:
+        assert run(*argv) == 0

@@ -1,4 +1,6 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and the names it gives
+exist."""
+import importlib
 import re
 from pathlib import Path
 
@@ -28,3 +30,31 @@ def test_library_example_prints_ranked_words(tmp_path, monkeypatch, capsys,
     assert rows[0][0] == '1'
     for rank, word, score in rows:
         assert int(rank) >= 1 and word in words and float(score) >= 0.0
+
+
+def readme_module_names() -> list[tuple[str, list[str]]]:
+    """(module, attribute path) for each `module.name` in README's
+    inline code spans, where `module` is a lamit module."""
+    modules = sorted(path.stem for path in
+                     (README.parent / 'src' / 'lamit').glob('*.py'))
+    name = re.compile(r'(?<![\w.])(?:lamit\.)?(' + '|'.join(modules) +
+                      r')((?:\.\w+)+)')
+    text = re.sub(r'^```.*?^```', '', README.read_text('utf-8'),
+                  flags=re.S | re.M)
+    return [(module, path.split('.')[1:])
+            for span in re.findall(r'`([^`]+)`', text)
+            for module, path in name.findall(span)]
+
+
+def test_readme_names_resolve():
+    names = readme_module_names()
+    assert ('features', ['DATA_DIR']) in names
+    missing = []
+    for module, path in names:
+        obj = importlib.import_module(f'lamit.{module}')
+        for part in path:
+            if not hasattr(obj, part):
+                missing.append('.'.join([module] + path))
+                break
+            obj = getattr(obj, part)
+    assert missing == []
