@@ -1,3 +1,1 @@
 """Landmark-based lexical access toolkit for Italian."""
-
-__version__ = '0.1.0'

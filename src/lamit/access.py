@@ -241,8 +241,8 @@ def cohort_match(segments, lex: Lexicon, w: DistanceWeights | None = None,
     segments = list(segments)
     if not segments:
         raise MatchError('no segments to match')
-    cost = _cost_rows(segments, lex.inventory, w, {})
     table = lex.phoneme_index
+    cost = _cost_rows(segments, table.bundles, lex.inventory, w, {})
     with np.errstate(over='ignore'):    # see _finite
         return _top_k(cost, table, w, k)
 
@@ -254,21 +254,17 @@ def _check_query(lex: Lexicon, k: int):
         raise MatchError('k must be positive')
 
 
-def _cost_rows(segments, inv: FeatureInventory, w: DistanceWeights,
-               rows: dict) -> list[np.ndarray]:
-    """Each segment's distances to every inventory phoneme, in
-    `inv.phonemes` order, plus a trailing 0.0 for the lexicon's pad.
+def _cost_rows(segments, bundles, inv: FeatureInventory,
+               w: DistanceWeights, rows: dict) -> list[np.ndarray]:
+    """Each segment's distances to the distinct inventory `bundles` of
+    the lexicon's `phoneme_index`, plus a trailing 0.0 for its pad.
 
     Lexical bundles are shared per phoneme, so a segment needs one
-    distance per distinct inventory bundle (`inv.bundle_table`), which
-    one gather spreads over the phonemes, rather than one per lexicon
+    distance per distinct inventory bundle, rather than one per lexicon
     entry.  A row depends only on the segment's bundle: `rows`, owned by
     the caller, holds one per distinct bundle, so segments with equal
     bundles share it, and each bundle's names are checked once.
     """
-    table = inv.bundle_table
-    # the pad's column is the 0.0 after the distinct bundles
-    gather = np.array(table.columns + (len(table.bundles),))
     out = []
     for seg in segments:
         key = frozenset(seg.bundle.items())
@@ -276,8 +272,7 @@ def _cost_rows(segments, inv: FeatureInventory, w: DistanceWeights,
         if row is None:
             _check_names(seg.bundle, inv)
             row = rows[key] = np.array(
-                [_distance(seg.bundle, b, w, inv) for b in table.bundles]
-                + [0.0])[gather]
+                [_distance(seg.bundle, b, w, inv) for b in bundles] + [0.0])
         out.append(row)
     return out
 
@@ -286,10 +281,11 @@ def _top_k(cost: list[np.ndarray], table: PhonemeIndex, w: DistanceWeights,
            k: int) -> list[MatchResult]:
     """Every entry scored, then the k best by score and orthography.
 
-    Column i of the index matrix holds each entry's i-th phoneme, or the
-    pad past its end, so one gather of cost row i adds position i to all
-    entries.  The sums run left to right from 0.0 and adding the pad's
-    0.0 is exact, so each score is the float `score_candidate` gives.
+    Column i of the index matrix holds each entry's i-th bundle column,
+    or the pad past its end, so one gather of cost row i adds position i
+    to all entries.  The sums run left to right from 0.0 and adding the
+    pad's 0.0 is exact, so each score is the float `score_candidate`
+    gives.
     """
     n = len(cost)
     scores = np.zeros(len(table.orthographies))
@@ -297,7 +293,8 @@ def _top_k(cost: list[np.ndarray], table: PhonemeIndex, w: DistanceWeights,
         scores += row[column]
     scores += w.w_free * np.abs(table.lengths - n)
     _finite(scores.max())
-    best = np.lexsort((table.orth_rank, scores))[:k]
+    # the rows are in orthography order, so a stable sort breaks ties
+    best = np.argsort(scores, kind='stable')[:k]
     # competition ranking: candidates with equal scores (homophones)
     # share a rank
     results = []
@@ -343,8 +340,8 @@ def match_in_word_intervals(doc: AnnotationDocument, segments, lex: Lexicon,
     boundary).  Returns (matches, orphans).
 
     Each word is ranked as `cohort_match` ranks it, but the words share
-    one row of phoneme distances per distinct bundle, computed during
-    this call only; orphans are never scored.
+    one row of distances per distinct bundle, computed during this call
+    only; orphans are never scored.
     """
     w = w or DistanceWeights()
     labelled = [(i, iv) for i, iv in enumerate(doc.tier('Word').items)
@@ -371,7 +368,7 @@ def match_in_word_intervals(doc: AnnotationDocument, segments, lex: Lexicon,
             if not segs:
                 matches.append(WordMatch(i, []))
                 continue
-            cost = _cost_rows(segs, lex.inventory, w, rows)
+            cost = _cost_rows(segs, table.bundles, lex.inventory, w, rows)
             matches.append(WordMatch(i, _top_k(cost, table, w, k)))
     return matches, orphans
 

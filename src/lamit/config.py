@@ -50,8 +50,9 @@ class AnalysisConfig(NamedTuple):
 
 
 # the analysis bands, each a (low, high) pair in Hz
-_TUPLE_FIELDS = {name for name, v in AnalysisConfig._field_defaults.items()
-                 if isinstance(v, tuple)}
+_TUPLE_FIELDS = tuple(name for name, v in
+                      AnalysisConfig._field_defaults.items()
+                      if isinstance(v, tuple))
 
 # durations turned into frame counts, F0 limits used as divisors, the
 # merge window, which keeps two landmarks off one frame, and the gate's
@@ -112,7 +113,13 @@ def weight_problem(w_free: float, w_bound: float,
 
 
 def check_config(cfg: AnalysisConfig) -> AnalysisConfig:
-    """cfg, once the values that constrain each other agree."""
+    """cfg, once the values that constrain each other agree.  Band
+    edges are checked against the sample rate only when audio is read."""
+    for name in _TUPLE_FIELDS:
+        lo, hi = getattr(cfg, name)
+        if not 0 <= lo < hi:
+            raise ConfigError(f'{name} ({lo:g}, {hi:g}) must have '
+                              f'0 <= low < high')
     if not cfg.f0_min < cfg.f0_max:
         raise ConfigError(f'f0_min ({cfg.f0_min:g}) must be below f0_max '
                           f'({cfg.f0_max:g})')

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -116,12 +115,6 @@ class Checked:
     _make = classmethod(lambda cls, values: cls(*values))
 
 
-class BundleTable(NamedTuple):
-    """An inventory's distinct bundles, each counted once."""
-    bundles: tuple[FeatureBundle, ...]      # in order of first use
-    columns: tuple[int, ...]   # each phoneme's place in `bundles`
-
-
 class FeatureInventory(Frozen):
     """Immutable: the lists are stored as tuples and the dicts behind
     read-only mapping proxies.  Checked when built (`InventoryError`):
@@ -151,17 +144,6 @@ class FeatureInventory(Frozen):
                        _checked_bundles(by_ipa, bundles, set(features))),
                    features=features, by_ipa=MappingProxyType(by_ipa),
                    by_arpabet=MappingProxyType(by_arpabet))
-
-    @cached_property
-    def bundle_table(self) -> BundleTable:
-        """The distinct bundles, one per singleton in `phonemes` order; a
-        geminate takes its singleton's column.  Built on first use."""
-        place: dict[str, int] = {}      # singleton ipa -> its column
-        columns = tuple(place.setdefault(p.singleton_base or p.ipa,
-                                         len(place))
-                        for p in self.phonemes)
-        return BundleTable(tuple(self.bundles[ipa] for ipa in place),
-                           columns)
 
     # -- basic lookups ----------------------------------------------------
     def phoneme(self, key) -> PhonemeId:
@@ -300,7 +282,7 @@ def load_inventory(text: str) -> FeatureInventory:
         seen[ipa] = (lineno, arp)
         seen_arpabet.add(arp)
         if base != '.':
-            pending.append((ipa, arp, base))
+            pending.append((lineno, ipa, arp, base))
             continue
         cells = {}
         for f, c in zip(features, vals):
@@ -315,10 +297,10 @@ def load_inventory(text: str) -> FeatureInventory:
             raise InventoryError(
                 f'line {lineno}: phoneme {ipa!r}: {e}') from None
 
-    for ipa, arp, base in pending:
+    for lineno, ipa, arp, base in pending:
         if base not in bundles:
-            raise InventoryError(
-                f'geminate {ipa!r} references unknown base {base!r}')
+            raise InventoryError(f'line {lineno}: geminate {ipa!r} '
+                                 f'references unknown base {base!r}')
         by_ipa[ipa] = PhonemeId(ipa, arp, by_ipa[base].major_class, base)
         bundles[ipa] = bundles[base]
 

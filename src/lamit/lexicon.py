@@ -37,14 +37,17 @@ class LexEntry(NamedTuple):
 
 
 class PhonemeIndex(NamedTuple):
-    """A lexicon as read-only arrays, one row per entry in entry order."""
+    """A lexicon as read-only arrays, one row per entry in sorted() order
+    of orthography, so that ties rank by orthography."""
     orthographies: tuple[str, ...]
-    # (entries, longest entry): each phoneme's position in
-    # `inventory.phonemes`, padded past the entry's end with the number
-    # of inventory phonemes; column-major, so each column is contiguous
+    # the inventory's distinct bundles, each once, in order of first use
+    # in `inventory.phonemes`; a geminate takes its singleton's
+    bundles: tuple[FeatureBundle, ...]
+    # (entries, longest entry): each phoneme's column in `bundles`,
+    # padded past the entry's end with len(bundles); column-major, so
+    # each column is contiguous
     index: np.ndarray
     lengths: np.ndarray       # phonemes per entry
-    orth_rank: np.ndarray     # each orthography's place in sorted() order
 
 
 class Lexicon(Frozen):
@@ -75,23 +78,24 @@ class Lexicon(Frozen):
         """The entries as arrays for scoring all of them at once; see
         `PhonemeIndex`.  Read-only, built on first use."""
         import numpy as np
-        pad = len(self.inventory.phonemes)
-        position = {p.ipa: j for j, p in enumerate(self.inventory.phonemes)}
-        orths = tuple(self.entries)
+        inv = self.inventory
+        place: dict[str, int] = {}      # singleton ipa -> its column
+        column = {p.ipa: place.setdefault(p.singleton_base or p.ipa,
+                                          len(place))
+                  for p in inv.phonemes}
+        orths = tuple(sorted(self.entries))
         lengths = np.array([len(self.entries[o].phonemes) for o in orths],
                            dtype=np.intp)
-        index = np.full((len(orths), int(lengths.max(initial=0))), pad,
-                        dtype=np.intp, order='F')
+        index = np.full((len(orths), int(lengths.max(initial=0))),
+                        len(place), dtype=np.intp, order='F')
         # a boolean mask assigns in row-major order: entry by entry
         index[np.arange(index.shape[1]) < lengths[:, None]] = [
-            position[t.phoneme.ipa]
+            column[t.phoneme.ipa]
             for o in orths for t in self.entries[o].phonemes]
-        orth_rank = np.empty(len(orths), dtype=np.intp)
-        orth_rank[sorted(range(len(orths)), key=orths.__getitem__)] = \
-            np.arange(len(orths))
-        for a in (index, lengths, orth_rank):
+        for a in (index, lengths):
             a.flags.writeable = False
-        return PhonemeIndex(orths, index, lengths, orth_rank)
+        return PhonemeIndex(orths, tuple(inv.bundles[ipa] for ipa in place),
+                            index, lengths)
 
     @cached_property
     def by_ipa_sequence(self) -> Mapping[tuple[str, ...], LexEntry]:

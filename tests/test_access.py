@@ -13,7 +13,8 @@ from lamit.features import (FeatureBundle, FeatureInventory, InventoryError,
                             MINUS, MajorClass, PLUS, PLUSMINUS, PhonemeId,
                             ReadOnlyBundle, UNSPECIFIED, features_of)
 from lamit.landmarks import detect_all, detect_landmarks
-from lamit.lexicon import Lexicon, expand_word, load_lexicon
+from lamit.lexicon import (Lexicon, expand_word, load_lexicon,
+                           serialize_lexicon)
 from lamit.textgrid import AnnotationDocument, Interval, IntervalTier
 
 import synth
@@ -550,7 +551,7 @@ def test_distance_computed_once_per_distinct_bundle(lamit_lexicon,
     distinct = {frozenset(s.bundle.items()) for s in segments}
     assert len(distinct) < len(segments)
     # geminates share their singleton's bundle: 30 of 50 are distinct
-    assert len(lamit_lexicon.inventory.bundle_table.bundles) == 30
+    assert len(lamit_lexicon.phoneme_index.bundles) == 30
     for _ in range(2):
         calls.clear()
         _, orphans = match_in_word_intervals(doc, segments + [stray],
@@ -634,12 +635,17 @@ def test_equal_bundles_in_separate_objects_share_a_column():
     inv = lex.inventory
     # the geminate's copy is stored as its singleton's object
     assert inv.bundles['tt'] is inv.bundles['t']
-    table = inv.bundle_table
-    assert table is inv.bundle_table            # built once
+    table = lex.phoneme_index
+    assert table is lex.phoneme_index           # built once
+    # in order of first use: 'tt' comes before 't' and takes its column
     assert table.bundles == (inv.bundles['a'], inv.bundles['t'],
                              inv.bundles['i'], inv.bundles['s'])
-    assert table.bundles[1] is inv.bundles['t']
-    assert table.columns == (0, 1, 2, 1, 3)
+    assert all(b is inv.bundles[ipa]
+               for b, ipa in zip(table.bundles, ['a', 't', 'i', 's']))
+    row = dict(zip(table.orthographies, table.index.tolist()))
+    assert row['ATTA'] == [0, 1, 0, 4, 4]
+    assert row['TATTI'] == [1, 0, 1, 2, 4]
+    assert row['STA'] == [3, 1, 0, 4, 4]
 
 
 def test_hand_built_inventory_ranks_equal_brute_force():
@@ -832,19 +838,22 @@ def test_array_ranking_homophones(lamit_lexicon):
 def test_array_ranking_on_small_lexicons(lamit_lexicon, italian):
     """Sub-lexicons, so that k often exceeds the lexicon and entry order
     differs from sorted order."""
-    from lamit.lexicon import load_lexicon, serialize_lexicon
     rng = random.Random(3)
     lines = [ln for ln in serialize_lexicon(lamit_lexicon).splitlines()
              if ln]
     for trial in range(40):
-        sub = load_lexicon('\n'.join(rng.sample(lines, rng.randint(1, 12))),
-                           italian)
+        sample = rng.sample(lines, rng.randint(1, 12))
+        sub = load_lexicon('\n'.join(sample), italian)
+        # ties go by orthography whatever the file's order
+        flipped = load_lexicon('\n'.join(sorted(sample, reverse=True)),
+                               italian)
         segments = random_query(rng, sub)
         for w in (W, W_ODD):
             cost = old_cost(segments, sub, w)
             for k in (1, 5, 20):
-                assert cohort_match(segments, sub, w, k) == \
-                    old_rank(cost, old_phones(sub), w, k)
+                expected = old_rank(cost, old_phones(sub), w, k)
+                assert cohort_match(segments, sub, w, k) == expected
+                assert cohort_match(segments, flipped, w, k) == expected
 
 
 def test_empty_lexicon_raises_before_index_is_built(lamit_lexicon, italian):
@@ -860,7 +869,7 @@ def test_empty_lexicon_raises_before_index_is_built(lamit_lexicon, italian):
 def test_phoneme_index_read_only(lamit_lexicon):
     table = lamit_lexicon.phoneme_index
     assert table is lamit_lexicon.phoneme_index
-    for a in (table.index, table.lengths, table.orth_rank):
+    for a in (table.index, table.lengths):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1
@@ -868,15 +877,18 @@ def test_phoneme_index_read_only(lamit_lexicon):
 
 def test_phoneme_index_layout(lamit_lexicon, italian):
     table = lamit_lexicon.phoneme_index
-    pad = len(italian.phonemes)
-    orths = list(lamit_lexicon.entries)
+    pad = len(table.bundles)
+    orths = sorted(lamit_lexicon.entries)
     assert list(table.orthographies) == orths
-    assert [orths[i] for i in sorted(range(len(orths)),
-                                     key=table.orth_rank.__getitem__)] == \
-        sorted(orths)
     for row, length, orth in zip(table.index, table.lengths, orths):
         phonemes = lamit_lexicon.entries[orth].phonemes
         assert length == len(phonemes)
-        assert [italian.phonemes[j].ipa for j in row[:length]] == \
-            [t.phoneme.ipa for t in phonemes]
+        assert all(table.bundles[j] is italian.bundles[t.phoneme.ipa]
+                   for j, t in zip(row[:length], phonemes))
         assert all(row[length:] == pad)
+    # whatever the file's order
+    flipped = load_lexicon('\n'.join(
+        reversed(serialize_lexicon(lamit_lexicon).splitlines())), italian)
+    assert list(flipped.entries) == orths[::-1]
+    assert flipped.phoneme_index.orthographies == table.orthographies
+    assert flipped.phoneme_index.index.tolist() == table.index.tolist()

@@ -642,6 +642,31 @@ def test_f0_limits_out_of_order_exit_2(tmp_path, capsys, text):
     assert_one_line_error(capsys, 'f0_min', 'f0_max')
 
 
+@pytest.mark.parametrize('line, shown', [
+    ('low_band = 400 0', 'low_band (400, 0)'),
+    ('high_band = -5 100', 'high_band (-5, 100)'),
+    ('f1_band = 300 300', 'f1_band (300, 300)')])
+def test_band_no_audio_can_satisfy_exits_2(tmp_path, capsys, line, shown):
+    """Refused for every command, before any audio is read; the band's
+    Nyquist limit waits for the sample rate."""
+    with pytest.raises(ConfigError, match='0 <= low < high'):
+        check_config(AnalysisConfig(**parse_config_values(line)))
+    audio, _ = synth.vcv_stop()
+    wav = tmp_path / 'vcv.wav'
+    write_wav(wav, audio)
+    tg = word_doc_path(tmp_path, ['PAPÀ'], dur=audio.duration)
+    cfg = tmp_path / 'band.cfg'
+    cfg.write_text(line + '\n', encoding='utf-8')
+    for argv in (['stats', '--show-config'], ['validate']):
+        assert run(*argv, '--config', str(cfg)) == 2
+        assert_one_line_error(capsys, 'bad config: ', shown)
+    assert run('match', '--wav', str(wav), '--textgrid', str(tg),
+               '--config', str(cfg), '--out', str(tmp_path / 'm.csv')) == 2
+    err = capsys.readouterr().err
+    assert err == f'error: bad config: {shown} must have 0 <= low < high\n'
+    assert not (tmp_path / 'm.csv').exists()
+
+
 def test_f0_frame_too_short_for_lags_exits_2(tmp_path, capsys):
     audio, _ = synth.vcv_stop()
     wav = tmp_path / 'vcv.wav'

@@ -289,6 +289,14 @@ def test_load_row_without_major_class_names_its_line_and_phoneme():
                        match=r"^line 3: phoneme 'h': major-class features "
                              r"not a partition: none set$"):
         load_inventory(text)
+    # a geminate row is resolved after the singletons, and keeps its line
+    lines = italian_lines()
+    at = next(n for n, ln in enumerate(lines) if ln.startswith('ll\t'))
+    lines[at] = lines[at].rsplit('\t', 1)[0] + '\tq'
+    with pytest.raises(InventoryError,
+                       match=f"^line {at + 1}: geminate 'll' references "
+                             f"unknown base 'q'$"):
+        load_inventory('\n'.join(lines))
 
 
 def test_load_colliding_bundles():

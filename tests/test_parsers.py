@@ -75,13 +75,13 @@ def old_load_inventory(text):
         base = cells[-1] if has_base else '.'
         vals = cells[2:-1] if has_base else cells[2:]
         if any(p.ipa == ipa for p in phonemes) or \
-                ipa in (g for g, _, _ in pending):
+                ipa in (g for _, g, _, _ in pending):
             raise InventoryError(
                 'line {}: duplicate phoneme {!r}, already on line {} as {}'
                 .format(lineno, ipa, *next((n, c[1]) for n, c in rows
                                            if c[0] == ipa)))
         if base != '.':
-            pending.append((ipa, arp, base))
+            pending.append((lineno, ipa, arp, base))
             continue
         cells = {}
         for f, c in zip(feats, vals):
@@ -98,10 +98,11 @@ def old_load_inventory(text):
         phonemes.append(PhonemeId(ipa, arp, cls))
         bundles[ipa] = bundle
 
-    for ipa, arp, base in pending:
+    for lineno, ipa, arp, base in pending:
         if base not in bundles:
             raise InventoryError(
-                f'geminate {ipa!r} references unknown base {base!r}')
+                f'line {lineno}: geminate {ipa!r} references unknown base '
+                f'{base!r}')
         basep = next(p for p in phonemes if p.ipa == base)
         phonemes.append(PhonemeId(ipa, arp, basep.major_class,
                                   singleton_base=base))
