@@ -60,6 +60,19 @@ class MatchResult(NamedTuple):
 
 # ------------------------------------------------------------------ cues
 
+# a segment's broad features: a vowel's or a glide's from its landmark's
+# kind, a consonant's from its manner
+_BROAD_FEATURES = {
+    LandmarkKind.VOWEL: {'vowel': PLUS},
+    LandmarkKind.GLIDE: {'glide': PLUS},
+    Manner.SONORANT: {'cons': PLUS, 'son': PLUS},
+    Manner.CONTINUANT: {'cons': PLUS, 'son': MINUS, 'cont': PLUS},
+    Manner.NONCONTINUANT: {'cons': PLUS, 'son': MINUS, 'cont': MINUS},
+}
+_SLACK = {'slack': PLUS, 'stiff': MINUS}
+_STIFF = {'stiff': PLUS, 'slack': MINUS}
+
+
 def _vowel_rules(params: ParameterTrack, i: int, bundle: FeatureBundle):
     cfg = params.cfg
     energy = params.tracks.energy
@@ -75,6 +88,36 @@ def _vowel_rules(params: ParameterTrack, i: int, bundle: FeatureBundle):
         bundle['round'] = PLUS
 
 
+def _strident_rule(params: ParameterTrack, closure, release, inside: slice,
+                   bundle: FeatureBundle):
+    """[±strid] where the pair's neighbourhood has frames: whether the
+    high band between its landmarks stands above the band around them
+    by more than `strident_margin_db`."""
+    high = params.tracks.energy[HIGH]
+    neighbours = np.concatenate([
+        high[params.window(closure.time - 0.08, closure.time - 0.02)],
+        high[params.window(release.time + 0.02, release.time + 0.08)]])
+    if neighbours.size:
+        bundle['strid'] = (PLUS if float(median(high[inside])) >
+                           float(median(neighbours))
+                           + params.cfg.strident_margin_db else MINUS)
+
+
+def _voicing_rule(params: ParameterTrack,
+                  inside: dict[int, slice]) -> dict[int, dict]:
+    """[+slack -stiff] for each window at least half of whose frames are
+    voiced, else [+stiff -slack]; one voicing call for all windows."""
+    voiced = params.voiced([f for frames in inside.values()
+                            for f in range(frames.start, frames.stop)])
+    out = {}
+    pos = 0
+    for n, frames in inside.items():
+        k = frames.stop - frames.start
+        out[n] = _SLACK if np.mean(voiced[pos:pos + k]) >= 0.5 else _STIFF
+        pos += k
+    return out
+
+
 def cues_to_bundles(seq: LandmarkSequence,
                     params: ParameterTrack | None = None
                     ) -> list[EstimatedSegment]:
@@ -85,98 +128,45 @@ def cues_to_bundles(seq: LandmarkSequence,
     them, every threshold is read from `params.cfg`, the config the
     track was measured with.
 
-    The voicing rule reads only the frames inside non-sonorant
-    closure-release windows; they are collected first and voiced by one
-    `ParameterTrack.voiced` call."""
-    out: list[EstimatedSegment] = []
-    voicing: list[tuple[FeatureBundle, slice]] = []
+    The landmarks are paired first: a vowel, glide or unpaired
+    consonant landmark is a pair whose two ends are the same landmark.
+    The voicing rule reads only the frames between the landmarks of
+    each non-sonorant closure-release pair; they are voiced by one
+    `ParameterTrack.voiced` call.  Each segment is then made once, with
+    its bundle complete."""
     items = seq.items
+    pairs = []
     i = 0
     while i < len(items):
-        lm = items[i]
-        if lm.kind is LandmarkKind.VOWEL:
-            bundle = FeatureBundle({'vowel': PLUS})
-            if params is not None:
-                _vowel_rules(params, params.at(lm.time), bundle)
-            out.append(EstimatedSegment((lm.time - 0.05, lm.time + 0.05),
-                                        bundle))
-            i += 1
-        elif lm.kind is LandmarkKind.GLIDE:
-            out.append(EstimatedSegment((lm.time - 0.05, lm.time + 0.05),
-                                        FeatureBundle({'glide': PLUS})))
-            i += 1
-        elif lm.kind is LandmarkKind.CLOSURE and i + 1 < len(items) \
+        first = last = items[i]
+        if first.kind is LandmarkKind.CLOSURE and i + 1 < len(items) \
                 and items[i + 1].kind is LandmarkKind.RELEASE:
-            out.append(_consonant_segment(lm, items[i + 1], params, voicing))
-            i += 2
-        else:
-            # unpaired consonant landmark: only the broad features
-            bundle = FeatureBundle({'cons': PLUS})
-            _manner_features(lm.manner, bundle)
-            out.append(EstimatedSegment((lm.time - 0.05, lm.time + 0.08),
-                                        bundle))
-            i += 1
+            last = items[i + 1]
+        pairs.append((first, last))
+        i += 1 if last is first else 2
+    # the frames between the landmarks of each non-sonorant pair that
+    # has any, by the pair's index
+    inside: dict[int, slice] = {}
+    voicing: dict[int, dict] = {}
     if params is not None:
-        _voicing_rule(params, voicing)
+        for n, (first, last) in enumerate(pairs):
+            if first is not last and last.manner is not Manner.SONORANT:
+                frames = params.window(first.time, last.time)
+                if frames.start < frames.stop:
+                    inside[n] = frames
+        voicing = _voicing_rule(params, inside)
+    out = []
+    for n, (first, last) in enumerate(pairs):
+        bundle = FeatureBundle(_BROAD_FEATURES[last.manner or last.kind])
+        if params is not None and last.kind is LandmarkKind.VOWEL:
+            _vowel_rules(params, params.at(last.time), bundle)
+        if last.manner is Manner.CONTINUANT and n in inside:
+            _strident_rule(params, first, last, inside[n], bundle)
+        bundle.update(voicing.get(n, {}))
+        after = 0.05 if last.manner is None else 0.08
+        out.append(EstimatedSegment((first.time - 0.05, last.time + after),
+                                    bundle))
     return out
-
-
-def _manner_features(manner: Manner | None, bundle: FeatureBundle):
-    if manner is Manner.SONORANT:
-        bundle['son'] = PLUS
-    elif manner is Manner.CONTINUANT:
-        bundle['son'] = MINUS
-        bundle['cont'] = PLUS
-    elif manner is Manner.NONCONTINUANT:
-        bundle['son'] = MINUS
-        bundle['cont'] = MINUS
-
-
-def _consonant_segment(closure, release, params: ParameterTrack | None,
-                       voicing: list) -> EstimatedSegment:
-    """The segment of one closure-release pair; a non-sonorant pair with
-    frames between its landmarks is appended to `voicing` with them."""
-    bundle = FeatureBundle({'cons': PLUS})
-    manner = release.manner if release.manner is not None else closure.manner
-    _manner_features(manner, bundle)
-    segment = EstimatedSegment((closure.time - 0.05, release.time + 0.08),
-                               bundle)
-    if params is None:
-        return segment
-    high = params.tracks.energy[HIGH]
-    inside = params.window(closure.time, release.time)
-    high_in = high[inside]
-    if manner is Manner.CONTINUANT and high_in.size:
-        neighbours = np.concatenate([
-            high[params.window(closure.time - 0.08, closure.time - 0.02)],
-            high[params.window(release.time + 0.02, release.time + 0.08)]])
-        if neighbours.size:
-            bundle['strid'] = (PLUS if float(median(high_in)) >
-                               float(median(neighbours))
-                               + params.cfg.strident_margin_db
-                               else MINUS)
-    if manner is not Manner.SONORANT and high_in.size:
-        voicing.append((bundle, inside))
-    return segment
-
-
-def _voicing_rule(params: ParameterTrack,
-                  voicing: list[tuple[FeatureBundle, slice]]):
-    """[+slack -stiff] where at least half of a window's frames are
-    voiced, else [+stiff -slack]; one voicing call for all windows."""
-    frames = [f for _, inside in voicing
-              for f in range(inside.start, inside.stop)]
-    voiced = params.voiced(frames)
-    pos = 0
-    for bundle, inside in voicing:
-        n = inside.stop - inside.start
-        if np.mean(voiced[pos:pos + n]) >= 0.5:
-            bundle['slack'] = PLUS
-            bundle['stiff'] = MINUS
-        else:
-            bundle['stiff'] = PLUS
-            bundle['slack'] = MINUS
-        pos += n
 
 
 # -------------------------------------------------------------- distance

@@ -282,6 +282,10 @@ def load_inventory(text: str) -> FeatureInventory:
         seen[ipa] = (lineno, arp)
         seen_arpabet.add(arp)
         if base != '.':
+            if any(c != '.' for c in vals):
+                raise ParseError(f"line {lineno}: geminate {ipa!r}: feature "
+                                 f"cells must be '.'; it takes the bundle "
+                                 f"of {base!r}")
             pending.append((lineno, ipa, arp, base))
             continue
         cells = {}
@@ -297,7 +301,11 @@ def load_inventory(text: str) -> FeatureInventory:
             raise InventoryError(
                 f'line {lineno}: phoneme {ipa!r}: {e}') from None
 
+    geminates = {ipa for _, ipa, _, _ in pending}
     for lineno, ipa, arp, base in pending:
+        if base in geminates:
+            raise InventoryError(f'line {lineno}: geminate {ipa!r}: '
+                                 f'base {base!r} is not a singleton')
         if base not in bundles:
             raise InventoryError(f'line {lineno}: geminate {ipa!r} '
                                  f'references unknown base {base!r}')

@@ -1,7 +1,6 @@
 """The LaMIT lexicon: word -> stressed ARPAbet phoneme sequence."""
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
@@ -124,13 +123,14 @@ def parse_label(tok: str, inv: FeatureInventory) -> PhonemeToken:
 def load_lexicon(text: str, inv: FeatureInventory) -> Lexicon:
     """One entry per line: ORTHOGRAPHY<TAB or spaces>ARPABET TOKENS,
     whitespace-separated ARPAbet labels with a '1' suffix for primary
-    stress.  An orthography holds no comma or double quote, since
-    `matches.csv` writes it unquoted.
+    stress.  An orthography is on one line only, and holds no comma or
+    double quote, since `matches.csv` writes it unquoted.
 
     Each distinct label is checked and made into a token once; its
     entries share that token.
     """
     entries: dict[str, LexEntry] = {}
+    lines: dict[str, int] = {}      # orthography -> its line
     tokens: dict[str, PhonemeToken] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -157,9 +157,10 @@ def load_lexicon(text: str, inv: FeatureInventory) -> Lexicon:
         if stresses > 1:
             raise LexiconParseError(
                 f'line {lineno}: {stresses} primary stresses in {orth}')
-        if orth in entries:
-            warnings.warn(f'duplicate entry {orth} at line {lineno}; '
-                          'last one wins')
+        if orth in lines:
+            raise LexiconParseError(f'line {lineno}: duplicate entry {orth}, '
+                                    f'already on line {lines[orth]}')
+        lines[orth] = lineno
         entries[orth] = LexEntry(orth, tuple(phonemes))
     return Lexicon(entries, inv)
 

@@ -361,6 +361,25 @@ def test_empty_landmark_sequence_gives_no_segments():
     assert cues_to_bundles(LandmarkSequence([]), params) == []
 
 
+def test_pair_with_no_frames_between_gets_only_broad_features():
+    """A continuant closure-release pair that falls between two frame
+    times has no frames to read: neither the strident nor the voicing
+    rule fires on it."""
+    from lamit.landmarks import (Landmark, LandmarkKind, LandmarkSequence,
+                                 Manner)
+    params = parameter_frames(synth.vcv_stop()[0])
+    t = float(params.tracks.times[40])
+    closure, release = t + 0.0001, t + 0.0002
+    inside = params.window(closure, release)
+    assert inside.start == inside.stop
+    seq = LandmarkSequence([
+        Landmark(closure, LandmarkKind.CLOSURE, Manner.CONTINUANT),
+        Landmark(release, LandmarkKind.RELEASE, Manner.CONTINUANT)])
+    [segment] = cues_to_bundles(seq, params)
+    assert segment.bundle == {'cons': PLUS, 'son': MINUS, 'cont': PLUS}
+    assert segment.window == (closure - 0.05, release + 0.08)
+
+
 # -------------------------------------------------- word-interval match
 
 def make_word_doc(lex, words, word_dur=1.0):

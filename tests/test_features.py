@@ -289,14 +289,28 @@ def test_load_row_without_major_class_names_its_line_and_phoneme():
                        match=r"^line 3: phoneme 'h': major-class features "
                              r"not a partition: none set$"):
         load_inventory(text)
-    # a geminate row is resolved after the singletons, and keeps its line
+    # a geminate row is resolved after the singletons, and keeps its
+    # line; it takes its base's bundle, so its own cells must be '.'
     lines = italian_lines()
-    at = next(n for n, ln in enumerate(lines) if ln.startswith('ll\t'))
-    lines[at] = lines[at].rsplit('\t', 1)[0] + '\tq'
-    with pytest.raises(InventoryError,
-                       match=f"^line {at + 1}: geminate 'll' references "
-                             f"unknown base 'q'$"):
-        load_inventory('\n'.join(lines))
+    columns = next(ln for ln in lines if ln.startswith('phoneme\t'))
+    own_cells = "geminate 'll': feature cells must be '.'; it takes the " \
+                "bundle of 'l'"
+    not_single = "geminate '{}': base '{}' is not a singleton"
+    for symbol, column, cell, message in [
+            ('ll', 'base', 'q', "geminate 'll' references unknown base 'q'"),
+            ('ll', 'cons', '+', own_cells),
+            ('ll', 'vowel', 'x', own_cells),
+            ('rr', 'base', 'll', not_single.format('rr', 'll')),
+            ('ll', 'base', 'rr', not_single.format('ll', 'rr')),
+            ('ll', 'base', 'll', not_single.format('ll', 'll'))]:
+        at = next(n for n, ln in enumerate(lines)
+                  if ln.startswith(f'{symbol}\t'))
+        cells = lines[at].split('\t')
+        cells[columns.split('\t').index(column)] = cell
+        edited = lines[:at] + ['\t'.join(cells)] + lines[at + 1:]
+        with pytest.raises(InventoryError) as e:
+            load_inventory('\n'.join(edited))
+        assert str(e.value) == f'line {at + 1}: {message}'
 
 
 def test_load_colliding_bundles():

@@ -1,6 +1,6 @@
 import pytest
 
-from lamit.features import LookupError_, PLUS, MINUS
+from lamit.features import DATA_DIR, LookupError_, PLUS, MINUS
 from lamit.lexicon import (Lexicon, LexiconParseError, expand_word,
                            load_lamit_lexicon, load_lexicon,
                            serialize_lexicon)
@@ -69,10 +69,18 @@ def test_load_lexicon_zoo_line(italian):
     assert toks[1].stressed
 
 
-def test_duplicate_orthography_last_wins(italian):
-    with pytest.warns(UserWarning, match='duplicate'):
-        lex = load_lexicon('LA\tL AA1\nLA\tL AA\n', italian)
-    assert not any(t.stressed for t in lex.entry('LA').phonemes)
+def test_duplicate_orthography_refused_with_both_lines(italian):
+    with pytest.raises(LexiconParseError) as e:
+        load_lexicon('LA\tL AA1\n# a comment\n\nla  L AA\n', italian)
+    assert str(e.value) == 'line 4: duplicate entry LA, already on line 1'
+    # the shipped lexicon with its line 2 repeated at its end
+    text = (DATA_DIR / 'lamit_lexicon.tsv').read_text('utf-8')
+    lines = text.splitlines()
+    assert lines[1] == 'A\tAA1'
+    with pytest.raises(LexiconParseError) as e:
+        load_lexicon(text + lines[1] + '\n', italian)
+    assert str(e.value) == \
+        f'line {len(lines) + 1}: duplicate entry A, already on line 2'
 
 
 def test_expand_word_mamma(lamit_lexicon, italian):

@@ -2,12 +2,14 @@
 
 `load_inventory`, `load_lexicon`, `parse_transcription`/`parse_corpus`
 and `phoneme_frequencies` used to do work per token that grew with the
-inventory or the number of units tried.  The old versions are kept here,
-unchanged, as oracles: on the shipped files, on seeded mutations of them
-and on hypothesis-generated text, the new parsers must give `==` objects
-(in the same order, with the same warnings) or raise the same exception
-type with the same message.  The TextGrid, landmark CSV and config
-parsers, which have no oracle, are fuzzed for typed errors only.
+inventory or the number of units tried.  The old versions are kept here
+as oracles, changed only where a later rule refuses more input (a
+geminate row's own feature cells, a geminate named as a base, a
+repeated lexicon entry): on the shipped files, on seeded mutations of
+them and on hypothesis-generated text, the new parsers must give `==`
+objects (in the same order, with the same warnings) or raise the same
+exception type with the same message.  The TextGrid, landmark CSV and
+config parsers, which have no oracle, are fuzzed for typed errors only.
 """
 import collections
 import math
@@ -81,6 +83,10 @@ def old_load_inventory(text):
                 .format(lineno, ipa, *next((n, c[1]) for n, c in rows
                                            if c[0] == ipa)))
         if base != '.':
+            if any(c != '.' for c in vals):
+                raise ParseError(f"line {lineno}: geminate {ipa!r}: feature "
+                                 f"cells must be '.'; it takes the bundle "
+                                 f"of {base!r}")
             pending.append((lineno, ipa, arp, base))
             continue
         cells = {}
@@ -99,6 +105,9 @@ def old_load_inventory(text):
         bundles[ipa] = bundle
 
     for lineno, ipa, arp, base in pending:
+        if any(g == base for _, g, _, _ in pending):
+            raise InventoryError(f'line {lineno}: geminate {ipa!r}: '
+                                 f'base {base!r} is not a singleton')
         if base not in bundles:
             raise InventoryError(
                 f'line {lineno}: geminate {ipa!r} references unknown base '
@@ -153,8 +162,11 @@ def old_load_lexicon(text, inv):
             raise LexiconParseError(
                 f'line {lineno}: {stresses} primary stresses in {orth}')
         if orth in entries:
-            warnings.warn(f'duplicate entry {orth} at line {lineno}; '
-                          'last one wins')
+            first = next(n for n, ln in enumerate(text.splitlines(), 1)
+                         if ln.strip() and not ln.strip().startswith('#')
+                         and ln.split(None, 1)[0].upper() == orth)
+            raise LexiconParseError(f'line {lineno}: duplicate entry {orth}, '
+                                    f'already on line {first}')
         entries[orth] = LexEntry(orth, tuple(phonemes))
     return Lexicon(entries, inv)
 
