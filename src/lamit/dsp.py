@@ -13,9 +13,10 @@ from .features import Frozen
 
 DB_FLOOR = -120.0
 
-# frames per batch in the spectrogram and F0 passes: enough to amortise
-# numpy's per-call cost, few enough to keep peak memory flat
-BLOCK_FRAMES = 128
+# bytes of the widest array one block of the spectrogram or F0 pass
+# allocates: rows enough to amortise numpy's per-call cost, while working
+# memory depends on neither the recording's length nor its sample rate
+BLOCK_BYTES = 256 * 1024
 
 
 class DspError(ValueError):
@@ -25,6 +26,12 @@ class DspError(ValueError):
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _block_rows(n_bins: int) -> int:
+    """Frames per block when each frame's spectrum, a block's widest
+    array, has n_bins complex128 bins of 16 bytes."""
+    return max(1, BLOCK_BYTES // (16 * n_bins))
 
 
 def median(a: np.ndarray) -> np.ndarray:
@@ -55,7 +62,10 @@ class AudioBuffer(Frozen):
         if sample_rate < 16000:
             raise DspError(
                 f'sample rate {sample_rate} Hz below the 16 kHz minimum')
-        if not np.all(np.isfinite(samples)):
+        # min and max propagate NaN, and ±inf is an extreme: no temporary
+        # as long as the audio
+        if samples.size and not (np.isfinite(samples.min())
+                                 and np.isfinite(samples.max())):
             raise DspError('audio contains non-finite samples')
         self._bind(samples=samples, sample_rate=sample_rate)
 
@@ -124,7 +134,9 @@ def read_wav(path) -> AudioBuffer:
     if dtype == '<i2':
         samples = data / 32768.0
     else:
-        samples = data.astype(np.float64)
+        # a signalling NaN warns as it is cast; the buffer refuses it
+        with np.errstate(invalid='ignore'):
+            samples = data.astype(np.float64)
     return AudioBuffer(samples, rate, _owned=True)
 
 
@@ -156,7 +168,7 @@ def _frame_spectra(audio: AudioBuffer, frame_length: float,
     """Frames of round(frame_length * sr) samples every round(frame_step *
     sr) samples: their centre times, the hop (s), the window length in
     samples and a generator of (first frame, rfft of the Hann-windowed
-    frames) over blocks of BLOCK_FRAMES frames."""
+    frames) over blocks of as many frames as BLOCK_BYTES of spectra hold."""
     sr = audio.sample_rate
     with np.errstate(over='ignore'):    # a huge length reads as inf
         nwin, step = np.rint(np.array([frame_length, frame_step]) * sr)
@@ -169,11 +181,14 @@ def _frame_spectra(audio: AudioBuffer, frame_length: float,
         raise DspError('frame length exceeds signal duration')
     nwin, step = int(nwin), int(step)
     frames = sliding_window_view(audio.samples, nwin)[::step]
-    times = _read_only(nwin / sr / 2 + step / sr * np.arange(len(frames)))
+    times = np.arange(len(frames), dtype=np.float64)
+    times *= step / sr
+    times += nwin / sr / 2
     window = np.hanning(nwin)
-    blocks = ((b, np.fft.rfft(frames[b:b + BLOCK_FRAMES] * window, axis=1))
-              for b in range(0, len(frames), BLOCK_FRAMES))
-    return times, step / sr, nwin, blocks
+    rows = _block_rows(nwin // 2 + 1)
+    blocks = ((b, np.fft.rfft(frames[b:b + rows] * window, axis=1))
+              for b in range(0, len(frames), rows))
+    return _read_only(times), step / sr, nwin, blocks
 
 
 _DEFAULT = AnalysisConfig._field_defaults
@@ -221,9 +236,12 @@ def _band_bins(bands, freq_resolution: float, n_bins: int) -> list[slice]:
 
 
 def _power_to_db(power: np.ndarray) -> np.ndarray:
-    """Band energies in dB, read-only, from the band powers."""
-    floor = 10 ** (DB_FLOOR / 10.0)
-    return _read_only(10.0 * np.log10(np.maximum(power, floor)))
+    """Band energies in dB, read-only, from the band powers, converted in
+    place."""
+    np.maximum(power, 10 ** (DB_FLOOR / 10.0), out=power)
+    np.log10(power, out=power)
+    power *= 10.0
+    return _read_only(power)
 
 
 def band_energies(spec: Spectrogram,
@@ -264,6 +282,13 @@ def rate_of_rise(track: np.ndarray, window: float,
     return out
 
 
+def _power(spec: np.ndarray) -> np.ndarray:
+    """|spec|**2 as re**2 + im**2, summed in place: the same floats."""
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    return power
+
+
 def _f0_lags(sr: int, cfg: AnalysisConfig) -> tuple[float, float, float]:
     """(frame samples, shortest lag, longest lag) of the F0 search at
     sample rate sr, as whole floats, inf where a huge frame length or a
@@ -290,7 +315,8 @@ def estimate_f0(audio: AudioBuffer, times: np.ndarray,
     clipped to the signal.  Each block of frames, mean removed, gets its
     autocorrelation from one rfft/irfft pair, zero-padded to a power of
     two of at least nwin + lag_max samples so that no lag up to lag_max
-    wraps around.
+    wraps around; a block holds as many frames as BLOCK_BYTES of their
+    spectra.
     """
     cfg = cfg or AnalysisConfig()
     sr = audio.sample_rate
@@ -306,12 +332,14 @@ def estimate_f0(audio: AudioBuffer, times: np.ndarray,
                      0, len(x) - nwin)
     frames = sliding_window_view(x, nwin)
     nfft = 1 << (nwin + lag_max - 1).bit_length()
-    for b in range(0, len(times), BLOCK_FRAMES):
-        block = frames[starts[b:b + BLOCK_FRAMES]]
-        block = block - block.mean(axis=1, keepdims=True)
-        spec = np.fft.rfft(block, nfft, axis=1)
-        ac = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft, axis=1)
-        out[b:b + BLOCK_FRAMES] = _f0_from_autocorrelation(
+    rows = _block_rows(nfft // 2 + 1)
+    for b in range(0, len(times), rows):
+        block = frames[starts[b:b + rows]]
+        block -= block.mean(axis=1, keepdims=True)
+        # the spectrum is freed before irfft allocates
+        ac = np.fft.irfft(_power(np.fft.rfft(block, nfft, axis=1)), nfft,
+                          axis=1)
+        out[b:b + rows] = _f0_from_autocorrelation(
             ac[:, lag_min:lag_max + 1], np.einsum('ij,ij->i', block, block),
             lag_min, sr, cfg)
     return out
@@ -416,8 +444,8 @@ def standard_tracks(audio: AudioBuffer,
     bins = _band_bins(bands, resolution, nwin // 2 + 1)
     power = np.empty((len(bands), len(times)))
     for b, spec in blocks:
-        bin_power = np.maximum(spec.real ** 2 + spec.imag ** 2,
-                               10 ** (DB_FLOOR / 10.0))
+        bin_power = _power(spec)
+        np.maximum(bin_power, 10 ** (DB_FLOOR / 10.0), out=bin_power)
         for row, band in zip(power, bins):
             row[b:b + len(spec)] = bin_power[:, band].sum(axis=1)
     return BandEnergyTracks(tuple(bands), _power_to_db(power), times, hop, cfg)

@@ -142,6 +142,12 @@ _NUMBER = r'[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?'
 _TOKEN = rf'"(?:[^"]|"")*"|\[[^\]"]*\]|=\s*([^\s"]+)|{_NUMBER}'
 
 
+def _shown(tok: str) -> str:
+    """A token as an error quotes it: on one line, whatever it spans, and
+    cut after 40 characters."""
+    return repr(tok[:40]) + ('...' if len(tok) > 40 else '')
+
+
 class _Scanner:
     """Token scanner over the values of a TextGrid.
 
@@ -168,7 +174,7 @@ class _Scanner:
     def _wrong_kind(self, at: int, tok: str, kind: str):
         line = self.text.count('\n', 0, at) + 1
         return TextGridParseError(f'line {line}: {kind} expected, found '
-                                  f'{tok}')
+                                  f'{_shown(tok)}')
 
     def next_number(self, ok=None, kind: str = '') -> float:
         """The next number; one for which ok(number) is false is reported
@@ -194,7 +200,7 @@ class _Scanner:
         if self.pos < len(self.tokens):
             raise TextGridParseError(
                 f'{len(self.tokens) - self.pos} unread value(s) after the '
-                f'last tier, first {self.tokens[self.pos][1]!r}')
+                f'last tier, first {_shown(self.tokens[self.pos][1])}')
 
 
 def parse_textgrid(document: str | bytes) -> AnnotationDocument:

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -406,6 +407,27 @@ def test_landmarks_computes_no_f0(tmp_path, monkeypatch):
     assert f0s == []
 
 
+def test_warm_match_wav_peaks_below_its_audio_plus_2_mib(tmp_path, capsys):
+    """A 6 s match --wav, its data already parsed, allocates at most its
+    float64 samples and 2 MiB at once: the frame passes work in blocks
+    of a fixed size."""
+    audio = synth.utterances()['concatenated']
+    wav, tg = tmp_path / 'u.wav', tmp_path / 'words.TextGrid'
+    write_wav(wav, audio)
+    tg.write_text(serialize_textgrid(synth.word_doc(audio.duration)),
+                  encoding='utf-8')
+    argv = ('match', '--wav', str(wav), '--textgrid', str(tg),
+            '--out', str(tmp_path / 'm.csv'))
+    assert run(*argv) == 0
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < audio.samples.nbytes + 2 * 2 ** 20
+
+
 def bad_interval_textgrid(tmp_path):
     """A Word-tier TextGrid whose first interval has xmax = oops."""
     path = word_doc_path(tmp_path, ['MAMMA', 'BENE'])
@@ -435,9 +457,9 @@ def test_lexi_bad_textgrid_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize('old, new, message', [
     ('            xmin = 0.5\n', '            xmin = oops\n',
-     'number expected, found oops'),
+     "number expected, found 'oops'"),
     ('text = "MAMMA"', 'text = MAMMA',
-     'quoted string expected, found MAMMA'),
+     "quoted string expected, found 'MAMMA'"),
 ])
 @pytest.mark.parametrize('command', ['lexi', 'match'])
 def test_wrong_kind_textgrid_value_exits_2(tmp_path, capsys, command, old,
@@ -452,6 +474,23 @@ def test_wrong_kind_textgrid_value_exits_2(tmp_path, capsys, command, old,
     assert run(*argv[command], '--textgrid', str(tg),
                '--out', str(tmp_path / 'o')) == 2
     assert_one_line_error(capsys, 'TextGrid', message)
+
+
+@pytest.mark.parametrize('command', ['lexi', 'match'])
+def test_unclosed_quote_in_textgrid_exits_2_on_one_line(tmp_path, capsys,
+                                                       command):
+    """The second label loses its closing quote, so the string runs on
+    over the next interval: one stderr line all the same."""
+    tg = word_doc_path(tmp_path, ['MAMMA', 'BENE', 'PAPÀ', 'MAMMA'])
+    text = tg.read_text('utf-8')
+    tg.write_text(text.replace('"BENE"', '"BENE', 1), encoding='utf-8')
+    csv = tmp_path / 'empty.csv'
+    csv.write_text('time_s,kind,manner,strength_dB\n', encoding='utf-8')
+    argv = {'lexi': ['lexi'], 'match': ['match', '--landmarks', str(csv)]}
+    assert run(*argv[command], '--textgrid', str(tg),
+               '--out', str(tmp_path / 'o')) == 2
+    assert_one_line_error(capsys, str(tg), 'line 26: number expected, '
+                          """found '"\\n        intervals [4]:""")
 
 
 # ------------------------------------------------------------- validate
@@ -1059,15 +1098,15 @@ def test_textgrid_error_names_the_file(tmp_path, capsys):
 
 @pytest.mark.parametrize('old, new, message', [
     ('size = 1\n', 'size = 1e400\n',
-     'line 7: non-negative whole number expected, found 1e400'),
+     "line 7: non-negative whole number expected, found '1e400'"),
     ('size = 1\n', 'size = 1.7\n',
-     'line 7: non-negative whole number expected, found 1.7'),
+     "line 7: non-negative whole number expected, found '1.7'"),
     ('intervals: size = 1\n', 'intervals: size = -1\n',
-     'line 14: non-negative whole number expected, found -1'),
+     "line 14: non-negative whole number expected, found '-1'"),
     ('xmax = 0.5\n', 'xmax = 1e400\n',
-     'line 5: finite xmax above xmin expected, found 1e400'),
+     "line 5: finite xmax above xmin expected, found '1e400'"),
     ('xmax = 0.5\n', 'xmax = 0\n',
-     'line 5: finite xmax above xmin expected, found 0'),
+     "line 5: finite xmax above xmin expected, found '0'"),
 ])
 @pytest.mark.parametrize('command', ['lexi', 'match'])
 def test_textgrid_counts_and_duration_exit_2(tmp_path, capsys, command,

@@ -255,6 +255,35 @@ def test_a_callers_later_write_cannot_reach_the_buffer():
     assert np.all(np.isfinite(standard_tracks(audio).energy))
 
 
+@pytest.mark.parametrize('bad', [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize('at', [0, 8000, -1])
+def test_buffer_refuses_a_non_finite_sample_anywhere(bad, at):
+    samples = np.zeros(16001)
+    samples[at] = bad
+    with pytest.raises(DspError,
+                       match='^audio contains non-finite samples$'):
+        AudioBuffer(samples, 16000)
+
+
+def test_empty_buffer_is_made_and_refused_by_analysis():
+    audio = AudioBuffer(np.zeros(0), 16000)
+    assert audio.duration == 0.0 and audio.samples.shape == (0,)
+    with pytest.raises(DspError, match='^empty audio$'):
+        standard_tracks(audio)
+
+
+def test_buffer_check_allocates_nothing_as_long_as_the_audio():
+    samples = np.zeros(160000)
+    tracemalloc.start()
+    try:
+        AudioBuffer(samples, 16000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the buffer's own copy, and no temporary of one byte per sample
+    assert peak < samples.nbytes + len(samples) // 16
+
+
 def test_read_wav_makes_one_float64_array(tmp_path):
     """read_wav hands the array it made to its buffer, with no copy."""
     path = tmp_path / 'x.wav'

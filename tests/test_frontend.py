@@ -1,17 +1,26 @@
 """The block-batched front end against the per-frame loops it replaced."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lamit import dsp
 from lamit.access import cues_to_bundles
 from lamit.config import AnalysisConfig
-from lamit.dsp import (BLOCK_FRAMES, DB_FLOOR, AudioBuffer, DspError,
-                       band_energies, compute_spectrogram, estimate_f0,
-                       parameter_frames, standard_tracks)
+from lamit.dsp import (DB_FLOOR, AudioBuffer, DspError, band_energies,
+                       compute_spectrogram, estimate_f0, parameter_frames,
+                       standard_tracks)
 from lamit.landmarks import detect_all, detect_landmarks
 
 import synth
 
 BROAD = {'vowel', 'glide', 'cons', 'son', 'cont'}
+
+# frames per block under the default settings, by pass and sample rate:
+# as many 201-, 552-, 513- or 2049-bin complex rows as BLOCK_BYTES holds
+# (pinned by test_block_rows_follow_the_byte_budget)
+ROWS = {'spectra': {16000: 81, 44100: 29}, 'f0': {16000: 31, 44100: 7}}
+SPECTRA_ROWS, F0_ROWS = ROWS['spectra'][16000], ROWS['f0'][16000]
 
 
 def f0_loop(audio, times, cfg=None):
@@ -158,9 +167,11 @@ def test_f0_audio_shorter_than_window():
     assert len(estimate_f0(audio, np.zeros(0))) == 0
 
 
-@pytest.mark.parametrize('n_frames', [1, 7, BLOCK_FRAMES - 1, BLOCK_FRAMES,
-                                      BLOCK_FRAMES + 1, 3 * BLOCK_FRAMES,
-                                      3 * BLOCK_FRAMES + 41])
+# one frame, a block's frames and one either side, and counts around and
+# past 128, a power of two
+@pytest.mark.parametrize('n_frames', [1, 7, SPECTRA_ROWS - 1, SPECTRA_ROWS,
+                                      SPECTRA_ROWS + 1, 127, 128, 129, 384,
+                                      425])
 def test_spectrogram_bit_identical_to_gather(n_frames):
     nwin, step = 400, 80
     rng = np.random.default_rng(n_frames)
@@ -171,6 +182,83 @@ def test_spectrogram_bit_identical_to_gather(n_frames):
     assert spec.n_frames == n_frames
     np.testing.assert_array_equal(spec.frames,
                                   spectrogram_gather(audio, 0.025, 0.005))
+
+
+def spy_rfft(monkeypatch):
+    """The row count of each np.fft.rfft call from now on."""
+    rows, rfft = [], np.fft.rfft
+
+    def spy(a, *args, **kwargs):
+        rows.append(len(a))
+        return rfft(a, *args, **kwargs)
+    monkeypatch.setattr(np.fft, 'rfft', spy)
+    return rows
+
+
+def block_pass(name, sr, n_frames):
+    """The outputs of one pass over n_frames frames of a seeded signal,
+    100 ms bursts of a 150 Hz tone in noise: the spectrogram and the band
+    tracks, or F0 at random times in and past the signal."""
+    rng = np.random.default_rng(n_frames)
+    if name == 'spectra':
+        nwin, step = round(0.025 * sr), round(0.005 * sr)
+        n = nwin + (n_frames - 1) * step + int(rng.integers(0, step))
+    else:
+        n = sr // 2
+    t = np.arange(n) / sr
+    audio = AudioBuffer(np.sin(2 * np.pi * 150.0 * t) * (t % 0.2 < 0.1)
+                        + 0.3 * rng.standard_normal(n), sr)
+    if name == 'spectra':
+        return (compute_spectrogram(audio).frames,
+                standard_tracks(audio).energy)
+    return (estimate_f0(audio, rng.uniform(-0.05, 0.55, n_frames)),)
+
+
+@pytest.mark.parametrize('sr', [16000, 44100])
+@pytest.mark.parametrize('name', ['spectra', 'f0'])
+def test_block_rows_follow_the_byte_budget(monkeypatch, name, sr):
+    """Each pass works in blocks of ROWS frames, and its outputs equal
+    those of a pass one frame at a time, bit for bit."""
+    rows, budget = ROWS[name][sr], dsp.BLOCK_BYTES
+    calls = spy_rfft(monkeypatch)
+    for n_frames in (1, rows - 1, rows, rows + 1, 3 * rows + 41):
+        monkeypatch.setattr(dsp, 'BLOCK_BYTES', budget)
+        calls.clear()
+        blocked = block_pass(name, sr, n_frames)
+        blocks = [rows] * (n_frames // rows) + [n_frames % rows] * (
+            n_frames % rows > 0)
+        assert calls == blocks * len(blocked)
+        monkeypatch.setattr(dsp, 'BLOCK_BYTES', 1)
+        calls.clear()
+        single = block_pass(name, sr, n_frames)
+        assert calls == [1] * n_frames * len(single)
+        for got, want in zip(blocked, single):
+            assert n_frames in got.shape
+            np.testing.assert_array_equal(got, want)
+    f0 = block_pass('f0', sr, 200)[0]
+    assert np.isnan(f0).any() and not np.isnan(f0).all()
+
+
+@pytest.mark.parametrize('sr', [16000, 44100])
+def test_frame_passes_work_in_fixed_memory(sr):
+    """Over 60 s, the band-track and F0 passes allocate, beside their
+    outputs, a few blocks at most, whatever the sample rate."""
+    audio = AudioBuffer(
+        0.1 * np.random.default_rng(sr).standard_normal(60 * sr), sr)
+    tracks = standard_tracks(audio)
+    times = tracks.times
+    estimate_f0(audio, times)          # FFT plans are made once, here
+    # each pass, and the bytes of the arrays it returns
+    for run, kept in ((lambda: standard_tracks(audio),
+                       tracks.energy.nbytes + times.nbytes),
+                      (lambda: estimate_f0(audio, times), times.nbytes)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - kept <= 6 * dsp.BLOCK_BYTES
 
 
 def test_spectrogram_bit_identical_on_fixtures():
@@ -203,8 +291,8 @@ def frame_sets(n, rng):
     yield [n - 1]
     yield [0, n - 1]
     yield list(range(n))
-    yield list(range(max(0, n - BLOCK_FRAMES - 3), n))
-    for size in (1, 5, BLOCK_FRAMES + 1):
+    yield list(range(max(0, n - F0_ROWS - 3), n))
+    for size in (1, 5, F0_ROWS + 1):
         yield rng.integers(0, n, size).tolist()
     yield sorted(rng.choice(n, n // 3, replace=False).tolist())
 
@@ -281,7 +369,7 @@ def test_fused_band_energies_with_other_settings():
         # at 16 kHz the high band is clipped at Nyquist
         assert_fused_tracks_match(random_signal(300 + seed), cfg)
     # one frame, and frames ending on the block boundaries
-    for n_frames in (1, BLOCK_FRAMES, BLOCK_FRAMES + 1):
+    for n_frames in (1, SPECTRA_ROWS, SPECTRA_ROWS + 1):
         n = 400 + 80 * (n_frames - 1)
         audio = AudioBuffer(np.random.default_rng(n).standard_normal(n),
                             16000)

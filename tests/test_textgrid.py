@@ -112,25 +112,43 @@ def test_unread_values_after_last_tier_rejected():
 @pytest.mark.parametrize('old, new, message', [
     # a value of the wrong kind is reported where it stands, not as the
     # fault it would cause once later values had shifted into its place
-    ('xmax = 1\n', 'xmax = oops\n', 'line 5: number expected, found oops'),
+    ('xmax = 1\n', 'xmax = oops\n', "line 5: number expected, found 'oops'"),
     ('            xmin = 0.35\n', '            xmin = oops\n',
-     'line 20: number expected, found oops'),
+     "line 20: number expected, found 'oops'"),
     ('text = "MAMMA"', 'text = MAMMA',
-     'line 18: quoted string expected, found MAMMA'),
+     "line 18: quoted string expected, found 'MAMMA'"),
     ('name = "Word"', 'name = 12',
-     'line 11: quoted string expected, found 12'),
+     "line 11: quoted string expected, found '12'"),
     ('mark = "V"', 'mark = 0.5',
-     'line 35: quoted string expected, found 0.5'),
+     "line 35: quoted string expected, found '0.5'"),
     ('number = 0.3\n', 'number = "0.3"\n',
-     'line 37: number expected, found "0.3"'),
+     'line 37: number expected, found \'"0.3"\''),
     ('xmax = 0.95\n', 'xmax = 0.95s\n',
-     'line 25: number expected, found 0.95s'),
+     "line 25: number expected, found '0.95s'"),
 ])
 def test_value_of_wrong_kind_named(old, new, message):
     text = serialize_textgrid(sample_doc())
     assert old in text
     with pytest.raises(TextGridParseError, match=f'^{message}$'):
         parse_textgrid(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize('label, message', [
+    ('"Word"', r"""line 18: number expected, found '"\n        intervals"""
+               r""" [2]:\n            xmi'..."""),
+    ('"MAMMA"', r"""line 26: number expected, found '"\n    item [2]:\n"""
+                r"""        class = "'"""),
+    ('"BENE"', r"""line 35: number expected, found '"\n        points"""
+               r""" [2]:\n            number'..."""),
+])
+def test_unclosed_quote_is_reported_on_one_line(label, message):
+    """A tier name or label without its closing quote runs on to the next
+    quote; the error quotes what it ran over with repr, cut after 40
+    characters."""
+    text = serialize_textgrid(sample_doc())
+    with pytest.raises(TextGridParseError) as e:
+        parse_textgrid(text.replace(label, label[:-1], 1))
+    assert str(e.value) == message
 
 
 def test_short_format_values():
