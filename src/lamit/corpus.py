@@ -13,14 +13,6 @@ class TranscriptionError(ValueError):
     pass
 
 
-# longest match first so geminate affricates win over their halves
-_MULTI = ('tsts', 'dzdz', 'tʃtʃ', 'dʒdʒ', 'ts', 'dz', 'tʃ', 'dʒ')
-# one alternation tried in that order, then any single character; a
-# pattern, not a compiled object: re compiles it at the first parse
-_UNIT = '(?s)' + '|'.join(_MULTI) + '|.'
-_NO_GEMINATE = 'aeiouɛɔjw'     # a doubled vowel or glide is two phonemes
-
-
 class _TranscribedWord(NamedTuple):
     phonemes: tuple[PhonemeToken, ...]
 
@@ -49,15 +41,31 @@ class TranscribedSentence(NamedTuple):
                      for i, w in enumerate(self.words) if w.doubled)
 
 
+def _alphabet(inv: FeatureInventory):
+    """A pattern matching one transcription symbol of `inv`, and the
+    letters whose doubling is two phonemes: its vowels and glides; any
+    other doubled letter is its geminate.  The pattern tries its
+    multi-character singletons and their geminates, longest first so a
+    geminate affricate wins over its halves, then any one character."""
+    multi = sorted((p.ipa for p in inv.phonemes
+                    if len(p.singleton_base or p.ipa) > 1),
+                   key=len, reverse=True)
+    return (re.compile('|'.join([*map(re.escape, multi), '.']), re.S),
+            {p.ipa for p in inv.phonemes
+             if p.major_class is not MajorClass.CONSONANT})
+
+
 def _tokenize_ipa(word: str, inv: FeatureInventory, offset0: int,
-                  tokens: dict[str, PhonemeToken]):
+                  tokens: dict[str, PhonemeToken], alphabet):
     """IPA symbols -> phoneme list; apostrophes mark stress (last wins).
 
     Stress marks are transparent to symbol grouping, so geminates split
     by a mark ("bik'kjere", "ts'ts") still form one geminate phoneme.
     `tokens` holds the tokens made so far, by symbol (stressed ones with
     a trailing apostrophe); equal symbols get the same token.
+    `alphabet` is `_alphabet(inv)`.
     """
+    unit_pattern, undoubled = alphabet
     letters = word.replace("'", '')
     stress_char = None
     if "'" in word:
@@ -65,9 +73,9 @@ def _tokenize_ipa(word: str, inv: FeatureInventory, offset0: int,
     symbols: list[str] = []
     starts: list[int] = []
     i = 0
-    for unit in re.findall(_UNIT, letters):
+    for unit in unit_pattern.findall(letters):
         if len(unit) == 1 and symbols and symbols[-1] == unit \
-                and unit not in _NO_GEMINATE:
+                and unit not in undoubled:
             symbols[-1] = unit + unit     # doubled letter = geminate
         else:
             symbols.append(unit)
@@ -101,11 +109,11 @@ def parse_transcription(line: str, inv: FeatureInventory,
     Word-initial geminates are syntactic doubling: they stay attached to
     the word (as the geminate phoneme); see `doubling_events`.
     """
-    return _parse_line(line, inv, sentence_id, {})
+    return _parse_line(line, inv, sentence_id, {}, _alphabet(inv))
 
 
 def _parse_line(line: str, inv: FeatureInventory, sentence_id: int,
-                tokens: dict[str, PhonemeToken]) -> TranscribedSentence:
+                tokens: dict, alphabet) -> TranscribedSentence:
     """`parse_transcription`, sharing `tokens` (see `_tokenize_ipa`)."""
     text = line.strip()
     if '\t' in text:
@@ -117,7 +125,7 @@ def _parse_line(line: str, inv: FeatureInventory, sentence_id: int,
     offset = 0
     for raw in text.split(' '):
         if raw:
-            phonemes = _tokenize_ipa(raw, inv, offset, tokens)
+            phonemes = _tokenize_ipa(raw, inv, offset, tokens, alphabet)
             if phonemes:
                 words.append(TranscribedWord(tuple(phonemes)))
         offset += len(raw) + 1
@@ -136,28 +144,14 @@ def detect_syntactic_doubling(sent: TranscribedSentence, lex: Lexicon):
         if widx == 0:
             raise TranscriptionError(
                 'doubling at word 0 has no preceding trigger word')
-        if _citation_entry(sent.words[widx], lex) is None:
+        rest = sent.words[widx].phonemes[1:]
+        if (gem.singleton_base, *(t.phoneme.ipa for t in rest)) \
+                not in lex.by_ipa_sequence:
             raise TranscriptionError(
                 f'doubling target at word {widx} has no singleton-initial '
                 'lexicon entry')
         out.append((widx - 1, widx, gem))
     return out
-
-
-def _citation_ipa(word: TranscribedWord) -> tuple[str, ...]:
-    """IPA symbols of the word with initial doubling stripped."""
-    out = []
-    for i, t in enumerate(word.phonemes):
-        if i == 0 and word.doubled:
-            out.append(t.phoneme.singleton_base)
-        else:
-            out.append(t.phoneme.ipa)
-    return tuple(out)
-
-
-def _citation_entry(word: TranscribedWord, lex: Lexicon):
-    """Lexicon entry whose phonemes match the doubling-stripped word."""
-    return lex.by_ipa_sequence.get(_citation_ipa(word))
 
 
 class FrequencyTable(NamedTuple):
@@ -213,12 +207,13 @@ def parse_corpus(text: str, inv: FeatureInventory) -> list[TranscribedSentence]:
     across its lines."""
     out = []
     tokens: dict[str, PhonemeToken] = {}
+    alphabet = _alphabet(inv)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith('#'):
             continue
         try:
-            out.append(_parse_line(line, inv, 0, tokens))
+            out.append(_parse_line(line, inv, 0, tokens, alphabet))
         except TranscriptionError as e:
             raise TranscriptionError(f'line {lineno}: {e}') from None
     return out

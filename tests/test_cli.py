@@ -1,5 +1,6 @@
 import codecs
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -575,6 +576,98 @@ def test_validate_reports_each_suites_own_failure(tmp_path, capsys):
     assert 'corpus-counting-oracle: PASS' in out
     assert 'frequency-reproduction: FAIL - /' in out
     assert '3/4 suites passed' in out
+
+
+def test_stats_and_validate_read_the_inventory_given(tmp_path, capsys):
+    """Multi-character symbols come from --inventory: each English
+    diphthong is one phoneme, in the parse and in the recount."""
+    inventory = str(data_dir() / 'english_features.tsv')
+    text = tmp_path / 'english.tsv'
+    text.write_text("1.\t'taɪm 'haʊs 'bɔɪ\n2.\t'mʌni 'fɪʃ\n",
+                    encoding='utf-8')
+    out = tmp_path / 'freq.csv'
+    assert run('stats', '--inventory', inventory, '--corpus', str(text),
+               '--out', str(out)) == 0
+    counts = {row[0]: int(row[2]) for row in
+              (ln.split(',') for ln in out.read_text('utf-8').split()[1:])}
+    assert sum(counts.values()) == 15
+    assert counts['aɪ'] == counts['aʊ'] == counts['ɔɪ'] == counts['ɪ'] == 1
+    assert 'a' not in counts and 'ɔ' not in counts and 'ʊ' not in counts
+    capsys.readouterr()
+    assert run('validate', '--inventory', inventory,
+               '--corpus', str(text)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert 'corpus-counting-oracle: PASS - 15 tokens match the ' \
+        'independent recount' in lines
+    # the other suites check the shipped Italian data's numbers
+    assert '1/4 suites passed' in lines
+
+
+def test_validate_recounts_lines_without_a_number(tmp_path, capsys):
+    """A line with no `N.<TAB>` prefix is all transcription, to the
+    parser and to the recount alike."""
+    lines = [ln for ln in (data_dir() / 'lamit_transcriptions.tsv')
+             .read_text('utf-8').splitlines()
+             if ln and not ln.startswith('#')][:3]
+    numbered, bare = tmp_path / 'numbered.tsv', tmp_path / 'bare.tsv'
+    numbered.write_text('\n'.join(lines) + '\n', encoding='utf-8')
+    bare.write_text('\n'.join(ln.partition('\t')[2] for ln in lines) + '\n',
+                    encoding='utf-8')
+    assert '\t' not in bare.read_text('utf-8')
+    reports = []
+    for path in (numbered, bare):
+        assert run('stats', '--corpus', str(path)) == 0
+        capsys.readouterr()
+        # three sentences do not reproduce the published frequencies
+        assert run('validate', '--corpus', str(path)) == 1
+        reports.append([ln for ln in capsys.readouterr().out.splitlines()
+                        if ln.startswith('corpus-counting-oracle')])
+    assert reports[0] == reports[1]
+    assert reports[0][0].startswith('corpus-counting-oracle: PASS - ')
+
+
+@pytest.fixture
+def data_copy(tmp_path, monkeypatch):
+    """A copy of the shipped data that `LAMIT_DATA_DIR` points at."""
+    copy = tmp_path / 'data'
+    shutil.copytree(data_dir(), copy)
+    monkeypatch.setenv('LAMIT_DATA_DIR', str(copy))
+    return copy
+
+
+def reference_with(data, old, new):
+    path = data / 'reference_frequencies.tsv'
+    text = path.read_text('utf-8')
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding='utf-8')
+
+
+@pytest.mark.parametrize('row, fault', [
+    ('x', 'expected 3 cells, got 1'),
+    ('a\tAA', 'expected 3 cells, got 2'),
+    ('a\tAA\t12.99\t1', 'expected 3 cells, got 4'),
+    ('a\tAA\tmany', "could not convert string to float: 'many'"),
+    ('q\tQ\t12.99', "unknown phoneme 'q'"),
+], ids=['one-cell', 'no-percent', 'extra-cell', 'percent', 'phoneme'])
+def test_validate_names_a_malformed_reference_row(data_copy, capsys, row,
+                                                  fault):
+    reference_with(data_copy, 'a\tAA\t12.99\n', row + '\n')
+    assert run('validate') == 1
+    out = capsys.readouterr().out.splitlines()
+    assert 'frequency-reproduction: FAIL - reference_frequencies.tsv ' \
+        f'line 5: {fault}' in out
+    assert '3/4 suites passed' in out
+
+
+def test_validate_counts_the_reference_rows_it_compares(data_copy, capsys):
+    reference_with(data_copy, 'e\tEY\t9.68\ni\tIY\t9.03\n', '')
+    assert run('validate') == 0
+    assert 'frequency-reproduction: PASS - 48 phonemes within 0.15 points' \
+        in capsys.readouterr().out
+    reference_with(data_copy, 'a\tAA\t12.99\n', 'a\tAA\tnan\n')
+    assert run('validate') == 1
+    assert 'frequency-reproduction: FAIL - /a/ deviates nan points' \
+        in capsys.readouterr().out
 
 
 # ------------------------------------------------------------- config

@@ -1,8 +1,10 @@
 import collections
 import random
+import re
 
 import pytest
 
+from lamit import cli, corpus
 from lamit.access import MatchResult, WordMatch
 from lamit.corpus import (TranscribedSentence, TranscribedWord,
                           TranscriptionError, detect_syntactic_doubling,
@@ -109,6 +111,53 @@ def test_parse_affricate_geminate_forms(italian):
         sent = parse_transcription(spelling, italian)
         syms = [t.phoneme.ipa for t in sent.words[0].phonemes]
         assert 'tsts' in syms
+
+
+def test_italian_alphabet_is_derived_from_its_inventory(italian):
+    """The parser and the validate recount read their units from the
+    inventory; on the shipped Italian one each gets back the tables it
+    once spelled out."""
+    units = ('tsts', 'dzdz', 'tʃtʃ', 'dʒdʒ', 'ts', 'dz', 'tʃ', 'dʒ')
+    gem2sing = {'ll': 'l', 'ʎʎ': 'ʎ', 'rr': 'r', 'nn': 'n', 'mm': 'm',
+                'ɲɲ': 'ɲ', 'pp': 'p', 'bb': 'b', 'kk': 'k', 'gg': 'g',
+                'tt': 't', 'dd': 'd', 'ff': 'f', 'vv': 'v', 'ss': 's',
+                'ʃʃ': 'ʃ', 'tʃtʃ': 'tʃ', 'dʒdʒ': 'dʒ', 'tsts': 'ts',
+                'dzdz': 'dz'}
+    vowels_and_glides = set('aeiouɛɔjw')
+    pattern, undoubled = corpus._alphabet(italian)
+    *multi, anything = pattern.pattern.split('|')
+    assert anything == '.' and pattern.flags & re.DOTALL
+    # longest first; the order among units of one length does not matter
+    assert sorted(multi) == sorted(units)
+    assert [len(u) for u in multi] == [len(u) for u in units]
+    assert undoubled == vowels_and_glides
+    recount_units, recount_gem2sing, vocalic = cli._recount_alphabet(italian)
+    assert sorted(recount_units) == sorted(units)
+    assert [len(u) for u in recount_units] == [len(u) for u in units]
+    assert recount_gem2sing == gem2sing
+    assert vocalic == vowels_and_glides
+
+
+def test_a_doubled_letter_is_a_geminate_only_if_not_vocalic(italian,
+                                                            english):
+    with pytest.raises(TranscriptionError, match="unknown symbol 'zz'"):
+        parse_transcription("'azza", italian)
+    sent = parse_transcription("'bɛll 'ɪɪ", english)    # l is a glide
+    assert [[t.phoneme.ipa for t in w.phonemes] for w in sent.words] == \
+        [['b', 'ɛ', 'l', 'l'], ['ɪ', 'ɪ']]
+    with pytest.raises(TranscriptionError, match="unknown symbol 'tt'"):
+        parse_transcription("'bɛtt", english)
+
+
+def test_english_diphthongs_are_one_phoneme(english):
+    sent = parse_transcription("'taɪm 'haʊs 'bɔɪ", english)
+    assert [[t.phoneme.ipa for t in w.phonemes] for w in sent.words] == \
+        [['t', 'aɪ', 'm'], ['h', 'aʊ', 's'], ['b', 'ɔɪ']]
+    assert [[t.stressed for t in w.phonemes] for w in sent.words] == \
+        [[False, True, False], [False, True, False], [False, True]]
+    pattern, _ = corpus._alphabet(english)
+    assert sorted(pattern.pattern.split('|')) == \
+        ['.', 'aɪ', 'aʊ', 'dʒ', 'tʃ', 'ɔɪ']
 
 
 def test_doubling_detection_examples(lamit_corpus, lamit_lexicon):
