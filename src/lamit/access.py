@@ -103,19 +103,47 @@ def _strident_rule(params: ParameterTrack, closure, release, inside: slice,
                            + params.cfg.strident_margin_db else MINUS)
 
 
+def _voiced_counts(params: ParameterTrack,
+                   frames: dict[int, Sequence[int]]) -> dict[int, int]:
+    """How many of each window's given frames are voiced, from one
+    `params.voiced` call, or from none when there is no window."""
+    if not frames:
+        return {}
+    voiced = params.voiced([f for r in frames.values() for f in r])
+    out = {}
+    pos = 0
+    for n, r in frames.items():
+        out[n] = int(np.count_nonzero(voiced[pos:pos + len(r)]))
+        pos += len(r)
+    return out
+
+
 def _voicing_rule(params: ParameterTrack,
                   inside: dict[int, slice]) -> dict[int, dict]:
     """[+slack -stiff] for each window at least half of whose frames are
-    voiced, else [+stiff -slack]; one voicing call for all windows."""
-    voiced = params.voiced([f for frames in inside.values()
-                            for f in range(frames.start, frames.stop)])
-    out = {}
-    pos = 0
+    voiced, else [+stiff -slack].
+
+    A frame's F0 does not depend on the frames that share its call, so
+    the frames are voiced in at most two calls.  The first takes the
+    middle k // 2 + 1 of each window's k frames, whose F0 windows reach
+    least into the neighbouring vowels: a window needs k - k // 2 voiced
+    frames (a mean of at least 0.5), so it is [+slack] when that many of
+    them are voiced, and [+stiff] when none is, its other frames being
+    one too few.  The second call takes the other frames of the windows
+    still open."""
+    middle, need = {}, {}
     for n, frames in inside.items():
         k = frames.stop - frames.start
-        out[n] = _SLACK if np.mean(voiced[pos:pos + k]) >= 0.5 else _STIFF
-        pos += k
-    return out
+        start = frames.start + (k - k // 2 - 1) // 2
+        middle[n] = range(start, start + k // 2 + 1)
+        need[n] = k - k // 2
+    counts = _voiced_counts(params, middle)
+    ends = {n: [*range(frames.start, middle[n].start),
+                *range(middle[n].stop, frames.stop)]
+            for n, frames in inside.items() if 0 < counts[n] < need[n]}
+    for n, count in _voiced_counts(params, ends).items():
+        counts[n] += count
+    return {n: _SLACK if counts[n] >= need[n] else _STIFF for n in inside}
 
 
 def cues_to_bundles(seq: LandmarkSequence,
@@ -131,9 +159,9 @@ def cues_to_bundles(seq: LandmarkSequence,
     The landmarks are paired first: a vowel, glide or unpaired
     consonant landmark is a pair whose two ends are the same landmark.
     The voicing rule reads only the frames between the landmarks of
-    each non-sonorant closure-release pair; they are voiced by one
-    `ParameterTrack.voiced` call.  Each segment is then made once, with
-    its bundle complete."""
+    each non-sonorant closure-release pair; they are voiced by at most
+    two `ParameterTrack.voiced` calls (see `_voicing_rule`).  Each
+    segment is then made once, with its bundle complete."""
     items = seq.items
     pairs = []
     i = 0

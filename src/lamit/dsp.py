@@ -404,7 +404,8 @@ class ParameterTrack(NamedTuple):
     def at(self, t: float) -> int:
         """Index of the frame nearest to t."""
         times = self.tracks.times
-        i = int(np.clip(np.searchsorted(times, t), 0, len(times) - 1))
+        # int min, not np.clip, which costs ~10 us on a numpy scalar
+        i = min(int(np.searchsorted(times, t)), len(times) - 1)
         if i > 0 and abs(times[i - 1] - t) < abs(times[i] - t):
             i -= 1
         return i

@@ -1,8 +1,11 @@
 """The block-batched front end against the per-frame loops it replaced."""
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamit import dsp
 from lamit.access import cues_to_bundles
@@ -165,6 +168,35 @@ def test_f0_audio_shorter_than_window():
     assert np.all(np.isnan(estimate_f0(audio, times)))
     assert_f0_matches_loop(audio, times)
     assert len(estimate_f0(audio, np.zeros(0))) == 0
+
+
+@functools.cache
+def f0_whole_call(sr):
+    """Seeded 150 Hz tone bursts in noise at sr, its frame times (some
+    clipped to the signal) and their F0 from one call."""
+    rng = np.random.default_rng(sr)
+    t = np.arange(sr // 2) / sr
+    audio = AudioBuffer(np.sin(2 * np.pi * 150.0 * t) * (t % 0.2 < 0.1)
+                        + 0.3 * rng.standard_normal(len(t)), sr)
+    times = frame_times(audio)
+    whole = estimate_f0(audio, times)
+    assert np.isnan(whole).any() and not np.isnan(whole).all()
+    return audio, times, whole
+
+
+@pytest.mark.parametrize('sr', [16000, 44100])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_f0_of_any_subset_of_times_equals_the_whole_call(sr, data):
+    """A frame's F0 does not depend on the frames that share its call:
+    on any subset of the times, in any order, estimate_f0 returns what
+    the call on all of them returns for those times, NaN included.  The
+    voicing rule's two calls rest on this."""
+    audio, times, whole = f0_whole_call(sr)
+    order = data.draw(st.permutations(range(len(times))))
+    idx = order[:data.draw(st.integers(0, len(times)))]
+    np.testing.assert_array_equal(estimate_f0(audio, times[idx]),
+                                  whole[idx])
 
 
 # one frame, a block's frames and one either side, and counts around and
@@ -415,6 +447,27 @@ def test_parameter_track_at_is_nearest_frame():
         i = params.at(t)
         assert abs(times[i] - t) == np.min(np.abs(times - t))
     assert params.at(times[7]) == 7
+
+
+def test_parameter_track_at_equals_the_np_clip_formula():
+    """`at` picks the frame np.clip's searchsorted formula picked: on the
+    frame times, halfway between them (ties go to the earlier frame),
+    before the first, past the last, at +-inf and at NaN."""
+    params = parameter_frames(synth.vcv_stop()[0])
+    times = params.tracks.times
+
+    def at_clip(t):
+        i = int(np.clip(np.searchsorted(times, t), 0, len(times) - 1))
+        if i > 0 and abs(times[i - 1] - t) < abs(times[i] - t):
+            i -= 1
+        return i
+    probes = [*times, *(times[:-1] + times[1:]) / 2, *(times + 1e-4),
+              *(times - 1e-4), -1.0, 0.0, times[-1] + 1.0, np.inf, -np.inf,
+              np.nan]
+    for t in probes:
+        assert params.at(t) == at_clip(t), t
+        assert params.at(float(t)) == at_clip(t), t
+    assert params.at(np.nan) == len(times) - 1
 
 
 @pytest.mark.parametrize('name', ['vcv_stop', 'fricative_vcv', 'ama_nasal',
