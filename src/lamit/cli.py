@@ -262,10 +262,10 @@ def cmd_match(args, cfg) -> int:
 # ------------------------------------------------------------- validate
 
 def _recount_alphabet(inv: features.FeatureInventory):
-    """The recount's own reading of `inv`: its multi-character symbols,
+    """The recount's own reading of `inv`: its multi-character singletons,
     longest first, its geminate -> base map and its vowels and glides."""
     base_of = {p.ipa: p.singleton_base for p in inv.geminates()}
-    multi = [ipa for ipa in inv.by_ipa if len(base_of.get(ipa, ipa)) > 1]
+    multi = [ipa for ipa in inv.by_ipa if len(ipa) > 1 and ipa not in base_of]
     vocalic = {p.ipa for p in inv.singletons() if p.major_class in
                (features.MajorClass.VOWEL, features.MajorClass.GLIDE)}
     return sorted(multi, key=len, reverse=True), base_of, vocalic
@@ -287,7 +287,7 @@ def _independent_recount(text: str, inv: features.FeatureInventory):
             while s:
                 u = next((u for u in multi if s.startswith(u)), s[0])
                 s = s[len(u):]
-                if merged[-1:] == [u] and len(u) == 1 and u not in vocalic:
+                if merged[-1:] == [u] and u not in vocalic:
                     merged[-1] = u + u
                 else:
                     merged.append(u)

@@ -43,12 +43,10 @@ class TranscribedSentence(NamedTuple):
 
 def _alphabet(inv: FeatureInventory):
     """A pattern matching one transcription symbol of `inv`, and the
-    letters whose doubling is two phonemes: its vowels and glides; any
-    other doubled letter is its geminate.  The pattern tries its
-    multi-character singletons and their geminates, longest first so a
-    geminate affricate wins over its halves, then any one character."""
-    multi = sorted((p.ipa for p in inv.phonemes
-                    if len(p.singleton_base or p.ipa) > 1),
+    symbols whose doubling is two phonemes: its vowels and glides; any
+    other doubled symbol is its geminate.  The pattern tries its
+    multi-character singletons, longest first, then any one character."""
+    multi = sorted((p.ipa for p in inv.singletons() if len(p.ipa) > 1),
                    key=len, reverse=True)
     return (re.compile('|'.join([*map(re.escape, multi), '.']), re.S),
             {p.ipa for p in inv.phonemes
@@ -74,9 +72,8 @@ def _tokenize_ipa(word: str, inv: FeatureInventory, offset0: int,
     starts: list[int] = []
     i = 0
     for unit in unit_pattern.findall(letters):
-        if len(unit) == 1 and symbols and symbols[-1] == unit \
-                and unit not in undoubled:
-            symbols[-1] = unit + unit     # doubled letter = geminate
+        if symbols and symbols[-1] == unit and unit not in undoubled:
+            symbols[-1] = unit + unit     # doubled consonant = geminate
         else:
             symbols.append(unit)
             starts.append(i)

@@ -40,9 +40,6 @@ class PhonemeId(NamedTuple):
     def geminate(self) -> bool:
         return self.singleton_base is not None
 
-    def __str__(self):
-        return self.ipa
-
 
 class FeatureBundle(dict):
     """Mapping feature name -> FeatureValue; absent names are unspecified."""
@@ -121,15 +118,14 @@ class FeatureInventory(Frozen):
     ipa symbols and ARPAbet labels are unique, each phoneme has a bundle
     naming only `features` and of its `major_class`, singletons' bundles
     are distinct, and a geminate's is its singleton's, the same object."""
-    _fields = ('language_tag', 'phonemes', 'bundles', 'features')
-    language_tag: str
+    _fields = ('phonemes', 'bundles', 'features')
     phonemes: tuple[PhonemeId, ...]
     bundles: Mapping[str, FeatureBundle]   # keyed by ipa
     features: tuple[str, ...]
     by_ipa: Mapping[str, PhonemeId]
     by_arpabet: Mapping[str, PhonemeId]
 
-    def __init__(self, language_tag: str, phonemes, bundles, features):
+    def __init__(self, phonemes, bundles, features):
         phonemes = tuple(phonemes)
         features = tuple(features)
         by_ipa, by_arpabet = {}, {}
@@ -139,7 +135,7 @@ class FeatureInventory(Frozen):
                 if key in table:
                     raise InventoryError(f'duplicate {what} {key!r}')
                 table[key] = p
-        self._bind(language_tag=language_tag, phonemes=phonemes,
+        self._bind(phonemes=phonemes,
                    bundles=MappingProxyType(
                        _checked_bundles(by_ipa, bundles, set(features))),
                    features=features, by_ipa=MappingProxyType(by_ipa),
@@ -233,13 +229,10 @@ def distinguishing_features(inv: FeatureInventory, p1, p2) -> set[str]:
 
 def load_inventory(text: str) -> FeatureInventory:
     """Parse an inventory file (see the data files for the format)."""
-    language = ''
     header = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip('\n')
-        if line.startswith('# language:'):
-            language = line.split(':', 1)[1].strip()
         if not line or line.startswith('#'):
             continue
         cells = line.split('\t')
@@ -312,8 +305,7 @@ def load_inventory(text: str) -> FeatureInventory:
         by_ipa[ipa] = PhonemeId(ipa, arp, by_ipa[base].major_class, base)
         bundles[ipa] = bundles[base]
 
-    return FeatureInventory(language, list(by_ipa.values()), bundles,
-                            features)
+    return FeatureInventory(list(by_ipa.values()), bundles, features)
 
 
 # the data files shipped with the package

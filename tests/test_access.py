@@ -629,7 +629,7 @@ def hand_built_lexicon(stray=()):
                 PhonemeId('t', 'T', MajorClass.CONSONANT),
                 PhonemeId('s', 'S', MajorClass.CONSONANT)]
     inv = FeatureInventory(
-        'xx', phonemes, {k: ReadOnlyBundle(v) for k, v in cells.items()},
+        phonemes, {k: ReadOnlyBundle(v) for k, v in cells.items()},
         ('vowel', 'cons', 'son', 'cont', 'strid', 'high', 'low', 'stiff'))
     words = {'TA': 'T AA1', 'ATTA': 'AA1 TT AA', 'SI': 'S IY1',
              'ITS': 'IY1 T S', 'SASSI': 'S AA1 S S IY', 'TI': 'T IY1',
@@ -729,10 +729,10 @@ def test_a_callers_bundle_cannot_change_the_ranking():
     s = FeatureBundle({'cons': PLUS, 'cont': MINUS, 'strid': PLUS})
     t = FeatureBundle({'cons': PLUS, 'cont': MINUS})
     inv = FeatureInventory(
-        'xx', [PhonemeId('t', 'T', MajorClass.CONSONANT),
-               PhonemeId('a', 'AA', MajorClass.VOWEL),
-               PhonemeId('ss', 'SS', MajorClass.CONSONANT, 's'),
-               PhonemeId('s', 'S', MajorClass.CONSONANT)],
+        [PhonemeId('t', 'T', MajorClass.CONSONANT),
+         PhonemeId('a', 'AA', MajorClass.VOWEL),
+         PhonemeId('ss', 'SS', MajorClass.CONSONANT, 's'),
+         PhonemeId('s', 'S', MajorClass.CONSONANT)],
         {'t': t, 'a': FeatureBundle({'vowel': PLUS}), 'ss': FeatureBundle(s),
          's': s},
         ('vowel', 'cons', 'cont', 'strid'))

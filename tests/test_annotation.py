@@ -116,6 +116,12 @@ def test_landmark_tier_requires_order():
         landmark_tier_from(lms)
 
 
+def test_landmark_tier_refuses_a_negative_time():
+    lms = [Landmark(-0.1, LandmarkKind.VOWEL)]
+    with pytest.raises(AnnotationError, match=r'^bad time -0\.1$'):
+        landmark_tier_from(lms)
+
+
 def test_landmark_tier_from_detector(lamit_lexicon):
     import synth
     from lamit.landmarks import detect_all

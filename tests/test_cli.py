@@ -860,6 +860,25 @@ def test_validate_parses_corpus_once(monkeypatch, capsys):
     assert len(parses) == len(counts) == 1
 
 
+def test_validate_fails_on_a_recount_mismatch(monkeypatch, capsys):
+    from lamit import cli, features
+    recount = cli._independent_recount
+
+    def miscount(text, inv):
+        counts = recount(text, inv)
+        counts['a'] += 1
+        return counts
+
+    monkeypatch.setattr(cli, '_independent_recount', miscount)
+    assert run('validate') == 1
+    lines = capsys.readouterr().out.splitlines()
+    n = recount((data_dir() / 'lamit_transcriptions.tsv').read_text('utf-8'),
+                features.load_italian())['a']
+    assert f"corpus-counting-oracle: FAIL - recount mismatch: " \
+        f"{{'a': ({n}, {n + 1})}}" in lines
+    assert '3/4 suites passed' in lines
+
+
 def test_data_dir_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv('LAMIT_DATA_DIR', str(tmp_path))
     # the default corpus now resolves inside the empty override dir

@@ -115,9 +115,10 @@ def test_parse_affricate_geminate_forms(italian):
 
 def test_italian_alphabet_is_derived_from_its_inventory(italian):
     """The parser and the validate recount read their units from the
-    inventory; on the shipped Italian one each gets back the tables it
+    inventory: its multi-character singletons, whose doubling is their
+    geminate; on the shipped Italian one each gets back the tables it
     once spelled out."""
-    units = ('tsts', 'dzdz', 'tʃtʃ', 'dʒdʒ', 'ts', 'dz', 'tʃ', 'dʒ')
+    units = ('ts', 'dz', 'tʃ', 'dʒ')
     gem2sing = {'ll': 'l', 'ʎʎ': 'ʎ', 'rr': 'r', 'nn': 'n', 'mm': 'm',
                 'ɲɲ': 'ɲ', 'pp': 'p', 'bb': 'b', 'kk': 'k', 'gg': 'g',
                 'tt': 't', 'dd': 'd', 'ff': 'f', 'vv': 'v', 'ss': 's',
@@ -147,6 +148,44 @@ def test_a_doubled_letter_is_a_geminate_only_if_not_vocalic(italian,
         [['b', 'ɛ', 'l', 'l'], ['ɪ', 'ɪ']]
     with pytest.raises(TranscriptionError, match="unknown symbol 'tt'"):
         parse_transcription("'bɛtt", english)
+    with pytest.raises(TranscriptionError,
+                       match="^unknown symbol 'dʒdʒ' at offset 3$"):
+        parse_transcription("'bædʒdʒ", english)
+
+
+@pytest.mark.parametrize('name', ['italian', 'english'])
+def test_a_doubled_consonant_is_its_geminate_or_an_error(name, request):
+    """One rule for every singleton c, one character long or more: a
+    doubled consonant c + c is the inventory's geminate or an unknown
+    symbol; a doubled vowel or glide is two phonemes.  The validate
+    recount counts each line that parses as the parser does."""
+    inv = request.getfixturevalue(name)
+
+    def ipas(line):
+        return [[t.phoneme.ipa for t in w.phonemes]
+                for w in parse_transcription(line, inv).words]
+
+    def recount_agrees(line):
+        table = phoneme_frequencies(corpus.parse_corpus(line, inv), inv)
+        assert {p.ipa: n for p, n in table.counts.items()} == \
+            dict(cli._independent_recount(line, inv)), line
+
+    geminates = {p.ipa for p in inv.geminates()}
+    for c in inv.singletons():
+        cc = c.ipa + c.ipa
+        if c.major_class is not MajorClass.CONSONANT:
+            line = f"{cc} 'b{cc}b"
+            assert ipas(line) == [[c.ipa, c.ipa], ['b', c.ipa, c.ipa, 'b']]
+            recount_agrees(line)
+        elif cc in geminates:
+            line = f"{cc}a 'a{cc}a"
+            assert ipas(line) == [[cc, 'a'], ['a', cc, 'a']]
+            recount_agrees(line)
+        else:
+            with pytest.raises(TranscriptionError,
+                               match=f'^unknown symbol {re.escape(repr(cc))}'
+                                     ' at offset 2$'):
+                parse_transcription(f"'a{cc}a", inv)
 
 
 def test_english_diphthongs_are_one_phoneme(english):
@@ -176,6 +215,14 @@ def test_sentence_initial_doubling_has_no_trigger(italian, lamit_lexicon):
         sent = parse_transcription(line, italian)
         with pytest.raises(TranscriptionError, match='word 0'):
             detect_syntactic_doubling(sent, lamit_lexicon)
+
+
+def test_doubling_target_needs_a_singleton_initial_entry(italian,
+                                                         lamit_lexicon):
+    sent = parse_transcription("'e ppapa'pa", italian)
+    with pytest.raises(TranscriptionError, match='doubling target at word '
+                       '1 has no singleton-initial lexicon entry'):
+        detect_syntactic_doubling(sent, lamit_lexicon)
 
 
 def test_derived_facts_follow_their_source(italian):

@@ -121,6 +121,14 @@ def test_rate_of_rise_window_over_twice_the_track():
         rate_of_rise(np.zeros(50), 0.51, 0.005)
 
 
+def test_rate_of_rise_under_three_frames_is_zero():
+    # a window any longer track would refuse: too short to difference
+    for n in (0, 1, 2):
+        out = rate_of_rise(np.full(n, -35.0), 1.0, 0.005)
+        assert out.shape == (n,) and out.dtype == np.float64
+        assert not out.any()
+
+
 def test_f0_pulse_train():
     audio = synth.buf(synth.pulse_train(0.5, f0=120.0))
     times = np.arange(0.05, 0.45, 0.01)

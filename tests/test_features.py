@@ -117,8 +117,7 @@ def test_inventory_lookup_tables_read_only():
 
 def test_inventory_fields_cannot_be_rebound():
     inv = load_italian()
-    for name in ('language_tag', 'phonemes', 'bundles', 'features',
-                 'by_ipa', 'by_arpabet'):
+    for name in ('phonemes', 'bundles', 'features', 'by_ipa', 'by_arpabet'):
         with pytest.raises(AttributeError):
             setattr(inv, name, None)
 
@@ -126,7 +125,7 @@ def test_inventory_fields_cannot_be_rebound():
 def test_inventory_does_not_share_the_callers_containers(italian):
     phonemes, bundles = list(italian.phonemes), dict(italian.bundles)
     features = list(italian.features)
-    inv = type(italian)('it', phonemes, bundles, features)
+    inv = type(italian)(phonemes, bundles, features)
     phonemes.pop()
     bundles.clear()
     features.append('extra')
@@ -144,7 +143,7 @@ def hand_built(phonemes=None, **bundles):
     phonemes = phonemes or [PhonemeId('a', 'AA', MajorClass.VOWEL),
                             PhonemeId('t', 'T', MajorClass.CONSONANT),
                             PhonemeId('tt', 'TT', MajorClass.CONSONANT, 't')]
-    return FeatureInventory('xx', phonemes,
+    return FeatureInventory(phonemes,
                             {k: v for k, v in cells.items() if v is not None},
                             ('vowel', 'cons'))
 
@@ -230,6 +229,12 @@ def test_distinguishing_features_examples(italian):
     assert {'blade', 'body'} <= distinguishing_features(italian, 'n', 'ɲ')
     assert distinguishing_features(italian, 'ts', 'dz') == {'stiff', 'slack'}
     assert distinguishing_features(italian, 'a', 'a') == set()
+
+
+def test_phoneme_by_arpabet_label(italian):
+    assert italian.phoneme('TT') is italian.by_ipa['tt']
+    assert italian.phoneme('LH') is italian.by_ipa['ʎ']
+    assert distinguishing_features(italian, 'TS', 'DZ') == {'stiff', 'slack'}
 
 
 def test_distinguishing_unknown_phoneme(italian):

@@ -39,13 +39,10 @@ from lamit.textgrid import (AnnotationDocument, Interval, IntervalTier,
 # ------------------------------------------------------------ oracles
 
 def old_load_inventory(text):
-    language = ''
     header = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip('\n')
-        if line.startswith('# language:'):
-            language = line.split(':', 1)[1].strip()
         if not line or line.startswith('#'):
             continue
         cells = line.split('\t')
@@ -124,7 +121,7 @@ def old_load_inventory(text):
                 raise InventoryError(
                     f'non-distinct bundles: {a.arpabet} vs {b.arpabet}')
 
-    return FeatureInventory(language, phonemes, bundles, feats)
+    return FeatureInventory(phonemes, bundles, feats)
 
 
 def old_parse_arpabet(tokens, inv):
