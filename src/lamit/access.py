@@ -71,25 +71,24 @@ _BROAD_FEATURES = {
 }
 _SLACK = {'slack': PLUS, 'stiff': MINUS}
 _STIFF = {'stiff': PLUS, 'slack': MINUS}
+_OPEN = {'low': PLUS, 'high': MINUS}
+_CLOSE = {'high': PLUS, 'low': MINUS}
+_BACK = {'back': PLUS, 'round': PLUS}
 
 
-def _vowel_rules(params: ParameterTrack, i: int, bundle: FeatureBundle):
+def _vowel_rules(params: ParameterTrack, i: int) -> dict:
+    """Vowel height from the F1 band over the low band at frame i, and
+    [+back +round] from the spectral tilt."""
     cfg = params.cfg
     energy = params.tracks.energy
     openness = energy[F1, i] - energy[LOW, i]
-    if openness >= cfg.open_vowel_db:
-        bundle['low'] = PLUS
-        bundle['high'] = MINUS
-    elif openness <= cfg.close_vowel_db:
-        bundle['high'] = PLUS
-        bundle['low'] = MINUS
-    if params.tilt[i] <= cfg.back_tilt_db:
-        bundle['back'] = PLUS
-        bundle['round'] = PLUS
+    height = (_OPEN if openness >= cfg.open_vowel_db else
+              _CLOSE if openness <= cfg.close_vowel_db else {})
+    return {**height, **(_BACK if params.tilt[i] <= cfg.back_tilt_db else {})}
 
 
-def _strident_rule(params: ParameterTrack, closure, release, inside: slice,
-                   bundle: FeatureBundle):
+def _strident_rule(params: ParameterTrack, closure, release,
+                   inside: slice) -> dict:
     """[±strid] where the pair's neighbourhood has frames: whether the
     high band between its landmarks stands above the band around them
     by more than `strident_margin_db`."""
@@ -97,10 +96,11 @@ def _strident_rule(params: ParameterTrack, closure, release, inside: slice,
     neighbours = np.concatenate([
         high[params.window(closure.time - 0.08, closure.time - 0.02)],
         high[params.window(release.time + 0.02, release.time + 0.08)]])
-    if neighbours.size:
-        bundle['strid'] = (PLUS if float(median(high[inside])) >
-                           float(median(neighbours))
-                           + params.cfg.strident_margin_db else MINUS)
+    if not neighbours.size:
+        return {}
+    inner, outer = float(median(high[inside])), float(median(neighbours))
+    return {'strid': PLUS if inner > outer + params.cfg.strident_margin_db
+            else MINUS}
 
 
 def _voiced_counts(params: ParameterTrack,
@@ -160,8 +160,9 @@ def cues_to_bundles(seq: LandmarkSequence,
     consonant landmark is a pair whose two ends are the same landmark.
     The voicing rule reads only the frames between the landmarks of
     each non-sonorant closure-release pair; they are voiced by at most
-    two `ParameterTrack.voiced` calls (see `_voicing_rule`).  Each
-    segment is then made once, with its bundle complete."""
+    two `ParameterTrack.voiced` calls (see `_voicing_rule`).  Each rule
+    returns the features it sets, and each segment is made once, its
+    bundle from one dict of its broad features, rules and voicing."""
     items = seq.items
     pairs = []
     i = 0
@@ -185,15 +186,16 @@ def cues_to_bundles(seq: LandmarkSequence,
         voicing = _voicing_rule(params, inside)
     out = []
     for n, (first, last) in enumerate(pairs):
-        bundle = FeatureBundle(_BROAD_FEATURES[last.manner or last.kind])
+        rules = {}
         if params is not None and last.kind is LandmarkKind.VOWEL:
-            _vowel_rules(params, params.at(last.time), bundle)
-        if last.manner is Manner.CONTINUANT and n in inside:
-            _strident_rule(params, first, last, inside[n], bundle)
-        bundle.update(voicing.get(n, {}))
+            rules = _vowel_rules(params, params.at(last.time))
+        elif last.manner is Manner.CONTINUANT and n in inside:
+            rules = _strident_rule(params, first, last, inside[n])
         after = 0.05 if last.manner is None else 0.08
-        out.append(EstimatedSegment((first.time - 0.05, last.time + after),
-                                    bundle))
+        out.append(EstimatedSegment(
+            (first.time - 0.05, last.time + after),
+            FeatureBundle({**_BROAD_FEATURES[last.manner or last.kind],
+                           **rules, **voicing.get(n, {})})))
     return out
 
 
@@ -343,7 +345,7 @@ def _finite(score: float) -> float:
 
 class WordMatch(NamedTuple):
     interval_index: int     # in the Word tier, which holds the label
-    results: Sequence[MatchResult] = ()
+    results: tuple[MatchResult, ...] = ()
 
     @property
     def no_evidence(self) -> bool:
@@ -384,10 +386,10 @@ def match_in_word_intervals(doc: AnnotationDocument, segments, lex: Lexicon,
     with np.errstate(over='ignore'):    # see _finite
         for (i, _), segs in zip(labelled, per_word):
             if not segs:
-                matches.append(WordMatch(i, []))
+                matches.append(WordMatch(i))
                 continue
             cost = _cost_rows(segs, table.bundles, lex.inventory, w, rows)
-            matches.append(WordMatch(i, _top_k(cost, table, w, k)))
+            matches.append(WordMatch(i, tuple(_top_k(cost, table, w, k))))
     return matches, orphans
 
 

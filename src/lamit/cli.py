@@ -144,7 +144,7 @@ def cmd_stats(args, cfg) -> int:
         print(f'{"phoneme":>8} {"arpabet":>8} {"count":>6} {"percent":>8}')
         for p, n in table.rows():
             print(f'{p.ipa:>8} {p.arpabet:>8} {n:6d} '
-                  f'{table.percentages[p]:8.2f}')
+                  f'{table.percent(p):8.2f}')
         print(f'{"total":>8} {"":>8} {table.total:6d} {100.0:8.2f}')
     return EXIT_OK
 
@@ -356,7 +356,7 @@ def cmd_validate(args, cfg) -> int:
         worst = (0.0, '')
         rows = 0
         for lineno, ln in enumerate(reference_text.splitlines(), 1):
-            if ln.startswith('#') or ln.startswith('phoneme') or not ln:
+            if not ln.strip() or ln.startswith(('#', 'phoneme')):
                 continue
             cells = ln.split('\t')
             try:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import collections
 import re
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .features import Checked, FeatureInventory, MajorClass, PhonemeId
@@ -152,12 +154,15 @@ def detect_syntactic_doubling(sent: TranscribedSentence, lex: Lexicon):
 
 
 class FrequencyTable(NamedTuple):
-    counts: dict[PhonemeId, int]
-    total: int
-    percentages: dict[PhonemeId, float]
+    counts: Mapping[PhonemeId, int]     # read-only
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
     def percent(self, phoneme: PhonemeId) -> float:
-        return self.percentages.get(phoneme, 0.0)
+        n = self.counts.get(phoneme, 0)
+        return 100.0 * n / self.total if n else 0.0
 
     def rows(self) -> list[tuple[PhonemeId, int]]:
         """(phoneme, count) by descending count, ties by ARPAbet."""
@@ -184,18 +189,15 @@ def phoneme_frequencies(sentences, inv: FeatureInventory) -> FrequencyTable:
                 ipas.append(base)
                 phonemes = phonemes[1:]
             ipas += [t.phoneme.ipa for t in phonemes]
-    counts = {inv.by_ipa[ipa]: n
-              for ipa, n in collections.Counter(ipas).items()}
-    total = sum(counts.values())
-    pct = {p: 100.0 * n / total for p, n in counts.items()}
-    return FrequencyTable(counts, total, pct)
+    return FrequencyTable(MappingProxyType(
+        {inv.by_ipa[ipa]: n for ipa, n in collections.Counter(ipas).items()}))
 
 
 def frequency_csv(table: FrequencyTable) -> str:
     """CSV 'phoneme,arpabet,count,percent', descending count."""
     lines = ['phoneme,arpabet,count,percent']
     for p, n in table.rows():
-        lines.append(f'{p.ipa},{p.arpabet},{n},{table.percentages[p]:.2f}')
+        lines.append(f'{p.ipa},{p.arpabet},{n},{table.percent(p):.2f}')
     return '\n'.join(lines) + '\n'
 
 

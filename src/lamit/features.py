@@ -42,18 +42,15 @@ class PhonemeId(NamedTuple):
 
 
 class FeatureBundle(dict):
-    """Mapping feature name -> FeatureValue; absent names are unspecified."""
+    """Mapping feature name -> FeatureValue; absent names are unspecified.
+    Read-only: a geminate shares its singleton's bundle, and a bundle is
+    made once, complete, from a dict of its features."""
 
     def value(self, feature: str) -> FeatureValue:
         return self.get(feature, UNSPECIFIED)
 
-
-class ReadOnlyBundle(FeatureBundle):
-    """An inventory's bundle: geminates share their singleton's, so no
-    caller may change one.  `FeatureBundle(b)` gives a mutable copy."""
-
     def _read_only(self, *args, **kwargs):
-        raise TypeError('inventory feature bundles are read-only')
+        raise TypeError('feature bundles are read-only')
 
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
@@ -159,7 +156,7 @@ class FeatureInventory(Frozen):
 
 
 def _checked_bundles(by_ipa: Mapping[str, PhonemeId], bundles,
-                     features: set[str]) -> dict[str, ReadOnlyBundle]:
+                     features: set[str]) -> dict[str, FeatureBundle]:
     """Each phoneme's bundle, read-only, a geminate's being its
     singleton's object; `InventoryError` where one breaks a rule."""
     out = {}
@@ -167,7 +164,7 @@ def _checked_bundles(by_ipa: Mapping[str, PhonemeId], bundles,
     for ipa, p in by_ipa.items():
         if ipa not in bundles:
             raise InventoryError(f'phoneme {ipa!r} has no bundle')
-        bundle = out[ipa] = ReadOnlyBundle(bundles[ipa])
+        bundle = out[ipa] = FeatureBundle(bundles[ipa])
         stray = [name for name in bundle if name not in features]
         if stray:
             raise InventoryError(f'phoneme {ipa!r}: feature {stray[0]!r} '
@@ -231,9 +228,8 @@ def load_inventory(text: str) -> FeatureInventory:
     """Parse an inventory file (see the data files for the format)."""
     header = None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip('\n')
-        if not line or line.startswith('#'):
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip() or line.startswith('#'):
             continue
         cells = line.split('\t')
         if header is None:

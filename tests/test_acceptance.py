@@ -184,18 +184,18 @@ def test_criterion_6_matcher_oracle(lamit_lexicon, italian):
         orth = rng.choice(sorted(lex.entries))
         segments = []
         for i, b in enumerate(expand_word(lex, orth)):
-            t = 0.05 + 0.1 * i
-            segments.append(EstimatedSegment((t - 0.04, t + 0.04),
-                                             FeatureBundle(b)))
-        for s in segments:
-            for f in list(s.bundle):
+            cells = dict(b)
+            for f in list(cells):
                 roll = rng.random()
                 if f in ('vowel', 'glide', 'cons'):
                     continue
                 if roll < 0.25:
-                    del s.bundle[f]
-                elif roll < 0.35 and s.bundle[f] in (PLUS, MINUS):
-                    s.bundle[f] = MINUS if s.bundle[f] is PLUS else PLUS
+                    del cells[f]
+                elif roll < 0.35 and cells[f] in (PLUS, MINUS):
+                    cells[f] = MINUS if cells[f] is PLUS else PLUS
+            t = 0.05 + 0.1 * i
+            segments.append(EstimatedSegment((t - 0.04, t + 0.04),
+                                             FeatureBundle(cells)))
         if rng.random() < 0.3 and len(segments) > 1:
             segments.pop()
         return segments

@@ -11,7 +11,7 @@ from lamit.config import AnalysisConfig
 from lamit.dsp import parameter_frames
 from lamit.features import (FeatureBundle, FeatureInventory, InventoryError,
                             MINUS, MajorClass, PLUS, PLUSMINUS, PhonemeId,
-                            ReadOnlyBundle, UNSPECIFIED, features_of)
+                            UNSPECIFIED, features_of)
 from lamit.landmarks import detect_all, detect_landmarks
 from lamit.lexicon import (Lexicon, expand_word, load_lexicon,
                            serialize_lexicon)
@@ -196,10 +196,9 @@ def test_overflowing_scores_raise_without_warnings(lamit_lexicon, italian):
 
 def _random_segments(rng, lex, max_len=6):
     orth = rng.choice(sorted(lex.entries))
-    segments = segs_for(lex, orth)[:max_len]
-    inv = lex.inventory
-    for s in segments:
-        b = s.bundle
+    segments = []
+    for s in segs_for(lex, orth)[:max_len]:
+        b = dict(s.bundle)
         for f in list(b):
             roll = rng.random()
             if roll < 0.25 and f not in ('vowel', 'glide', 'cons'):
@@ -207,6 +206,7 @@ def _random_segments(rng, lex, max_len=6):
             elif roll < 0.35 and b[f] in (PLUS, MINUS) \
                     and f not in ('vowel', 'glide', 'cons'):
                 b[f] = MINUS if b[f] is PLUS else PLUS
+        segments.append(s._replace(bundle=FeatureBundle(b)))
     if rng.random() < 0.3 and len(segments) > 1:
         segments = segments[:-1]               # missing final landmark
     return segments
@@ -263,17 +263,20 @@ def test_score_monotone_in_conflicts(lamit_lexicon, italian):
                      for t in lamit_lexicon.entry('MAMMA').phonemes]
     base = score_candidate(segments, entry_bundles, W, italian)
     # flipping one specified feature strictly increases the score
-    segments[1].bundle['low'] = MINUS
+    segments[1] = segments[1]._replace(
+        bundle=FeatureBundle({**segments[1].bundle, 'low': MINUS}))
     one = score_candidate(segments, entry_bundles, W, italian)
     assert one > base
-    segments[1].bundle['back'] = PLUS
+    segments[1] = segments[1]._replace(
+        bundle=FeatureBundle({**segments[1].bundle, 'back': PLUS}))
     two = score_candidate(segments, entry_bundles, W, italian)
     assert two > one
 
 
 def test_ranking_invariant_under_weight_scaling(lamit_lexicon):
     segments = segs_for(lamit_lexicon, 'BENE')
-    segments[0].bundle.pop('slack', None)
+    b = {f: v for f, v in segments[0].bundle.items() if f != 'slack'}
+    segments[0] = segments[0]._replace(bundle=FeatureBundle(b))
     a = cohort_match(segments, lamit_lexicon, W, k=10)
     scaled = DistanceWeights(W.w_free * 3, W.w_bound * 3,
                              W.unspecified_cost * 3)
@@ -461,8 +464,8 @@ def per_word_reference(doc, segments, lex, w, k=10):
         home = next((i for i, iv in labelled
                      if iv.t_start <= s.midpoint <= iv.t_end), None)
         (orphans if home is None else per_word[home]).append(s)
-    matches = [WordMatch(i, cohort_match(per_word[i], lex, w, k)
-                         if per_word[i] else [])
+    matches = [WordMatch(i, tuple(cohort_match(per_word[i], lex, w, k))
+                         if per_word[i] else ())
                for i, _ in labelled]
     return matches, orphans
 
@@ -581,8 +584,9 @@ def test_distance_computed_once_per_distinct_bundle(lamit_lexicon,
 
 def test_no_state_survives_a_call(lamit_lexicon):
     doc, segments = make_word_doc(lamit_lexicon, ['MAMMA', 'CASA', 'BENE'])
-    for s in segments[1::3]:
-        s.bundle.pop('high', None)
+    for n in range(1, len(segments), 3):
+        b = {f: v for f, v in segments[n].bundle.items() if f != 'high'}
+        segments[n] = segments[n]._replace(bundle=FeatureBundle(b))
     first = match_in_word_intervals(doc, segments, lamit_lexicon, W)
     odd = match_in_word_intervals(doc, segments, lamit_lexicon, W_ODD)
     assert first == match_in_word_intervals(doc, segments, lamit_lexicon, W)
@@ -593,8 +597,9 @@ def test_no_state_survives_a_call(lamit_lexicon):
 
 def test_word_match_errors_in_word_order(lamit_lexicon, italian):
     doc, segments = make_word_doc(lamit_lexicon, ['MAMMA', 'BENE', 'CASA'])
-    segments[7].bundle['nasalized'] = PLUS      # in BENE
-    segments[9].bundle['creaky'] = PLUS         # in CASA
+    for n, name in ((7, 'nasalized'), (9, 'creaky')):     # BENE, CASA
+        segments[n] = segments[n]._replace(
+            bundle=FeatureBundle({**segments[n].bundle, name: PLUS}))
     for call in (match_in_word_intervals, per_word_reference):
         with pytest.raises(MatchError, match="'nasalized'"):
             call(doc, segments, lamit_lexicon, W)
@@ -629,7 +634,7 @@ def hand_built_lexicon(stray=()):
                 PhonemeId('t', 'T', MajorClass.CONSONANT),
                 PhonemeId('s', 'S', MajorClass.CONSONANT)]
     inv = FeatureInventory(
-        phonemes, {k: ReadOnlyBundle(v) for k, v in cells.items()},
+        phonemes, {k: FeatureBundle(v) for k, v in cells.items()},
         ('vowel', 'cons', 'son', 'cont', 'strid', 'high', 'low', 'stiff'))
     words = {'TA': 'T AA1', 'ATTA': 'AA1 TT AA', 'SI': 'S IY1',
              'ITS': 'IY1 T S', 'SASSI': 'S AA1 S S IY', 'TI': 'T IY1',
@@ -726,7 +731,7 @@ def test_a_callers_bundle_cannot_change_the_ranking():
     """The geminate 'ss' comes before 's' and is given an equal copy;
     neither the inventory's bundles nor the caller's objects can make
     the matcher differ from `score_candidate` after a first call."""
-    s = FeatureBundle({'cons': PLUS, 'cont': MINUS, 'strid': PLUS})
+    s = {'cons': PLUS, 'cont': MINUS, 'strid': PLUS}
     t = FeatureBundle({'cons': PLUS, 'cont': MINUS})
     inv = FeatureInventory(
         [PhonemeId('t', 'T', MajorClass.CONSONANT),
@@ -821,9 +826,9 @@ def random_query(rng, lex):
         return segments
     segments = _random_segments(rng, lex)
     if kind == 'broad':
-        for s in segments:
-            for f in [f for f in s.bundle if f not in BROAD_FEATURES]:
-                del s.bundle[f]
+        segments = [s._replace(bundle=FeatureBundle(
+            {f: v for f, v in s.bundle.items() if f in BROAD_FEATURES}))
+            for s in segments]
     return segments
 
 

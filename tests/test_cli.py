@@ -676,6 +676,17 @@ def test_validate_counts_the_reference_rows_it_compares(data_copy, capsys):
         in capsys.readouterr().out
 
 
+@pytest.mark.parametrize('blank', ['   ', '\t', ' \t '])
+def test_validate_skips_a_whitespace_only_reference_line(data_copy, capsys,
+                                                         blank):
+    assert run('validate') == 0
+    want = capsys.readouterr().out
+    path = data_copy / 'reference_frequencies.tsv'
+    path.write_text(path.read_text('utf-8') + blank + '\n', encoding='utf-8')
+    assert run('validate') == 0
+    assert capsys.readouterr().out == want
+
+
 # ------------------------------------------------------------- config
 
 def test_show_config(capsys):

@@ -236,7 +236,7 @@ def test_derived_facts_follow_their_source(italian):
     assert sent.doubling_events == ((1, pp), (3, pp))
     assert TranscribedSentence(6, (plain,)).doubling_events == ()
     assert WordMatch(0).no_evidence
-    assert not WordMatch(0, [MatchResult('A', 0.0, 1)]).no_evidence
+    assert not WordMatch(0, (MatchResult('A', 0.0, 1),)).no_evidence
 
 
 def test_word_without_phonemes_is_refused(italian):
@@ -270,7 +270,7 @@ def test_frequencies_single_token(italian):
     a = italian.phoneme('a')
     assert table.counts[a] == 1
     assert table.total == 1
-    assert table.percentages[a] == pytest.approx(100.0)
+    assert table.percent(a) == pytest.approx(100.0)
 
 
 def test_frequencies_empty_corpus(italian):
@@ -278,10 +278,20 @@ def test_frequencies_empty_corpus(italian):
         phoneme_frequencies([], italian)
 
 
+def test_frequencies_of_a_corpus_without_tokens(italian):
+    table = phoneme_frequencies(corpus.parse_corpus("1.\t'", italian),
+                                italian)
+    assert table.total == 0
+    assert [table.percent(p) for p in italian.phonemes] == \
+        [0.0] * len(italian.phonemes)
+    assert frequency_csv(table) == 'phoneme,arpabet,count,percent\n'
+
+
 def test_frequencies_conservation(lamit_corpus, italian):
     table = phoneme_frequencies(lamit_corpus, italian)
     assert sum(table.counts.values()) == table.total
-    assert sum(table.percentages.values()) == pytest.approx(100.0, abs=0.05)
+    assert sum(map(table.percent, table.counts)) == \
+        pytest.approx(100.0, abs=0.05)
 
 
 def test_frequencies_permutation_invariant(lamit_corpus, italian):

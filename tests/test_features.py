@@ -4,7 +4,7 @@ import pytest
 
 from lamit.features import (DATA_DIR, FeatureBundle, FeatureInventory,
                             InventoryError, LookupError_, MINUS, PLUS,
-                            MajorClass, PhonemeId, ReadOnlyBundle,
+                            MajorClass, PhonemeId,
                             classify_major, distinguishing_features,
                             features_of, load_inventory, load_italian)
 
@@ -75,10 +75,9 @@ def test_inventory_bundles_read_only():
         with pytest.raises(TypeError):
             mutate(single)
     assert features_of(inv, 'mm') == features_of(inv, 'm') == before
-    # copies made for estimates stay mutable
-    mutable = FeatureBundle(single)
-    mutable['nasal'] = MINUS
-    assert features_of(inv, 'mm').value('nasal') is PLUS
+    # a copy is a bundle, read-only too
+    with pytest.raises(TypeError):
+        FeatureBundle(single)['nasal'] = MINUS
     for again in (copy.copy(single), copy.deepcopy(single),
                   pickle.loads(pickle.dumps(single))):
         assert type(again) is type(single) and again == single
@@ -134,7 +133,7 @@ def test_inventory_does_not_share_the_callers_containers(italian):
 
 
 def hand_built(phonemes=None, **bundles):
-    """Three phonemes over two features, built from plain mutable
+    """Three phonemes over two features, built from the caller's
     bundles; keywords replace (or, as None, drop) a phoneme's bundle."""
     cells = {'a': FeatureBundle({'vowel': PLUS}),
              't': FeatureBundle({'cons': PLUS}),
@@ -149,11 +148,11 @@ def hand_built(phonemes=None, **bundles):
 
 
 def test_hand_built_bundles_are_frozen_and_shared():
-    t = FeatureBundle({'cons': PLUS})
+    t = {'cons': PLUS}
     inv = hand_built(t=t)
     with pytest.raises(TypeError):
         inv.bundles['a']['cons'] = PLUS
-    assert all(type(b) is ReadOnlyBundle for b in inv.bundles.values())
+    assert all(type(b) is FeatureBundle for b in inv.bundles.values())
     assert inv.bundles['tt'] is inv.bundles['t']
     t['cons'] = MINUS       # the caller's object, not the inventory's
     assert inv.bundles['t'] == {'cons': PLUS}
@@ -250,6 +249,15 @@ def test_load_empty_document():
 def italian_lines() -> list[str]:
     """The lines of the shipped Italian inventory, to edit."""
     return (DATA_DIR / 'italian_features.tsv').read_text('utf-8').splitlines()
+
+
+@pytest.mark.parametrize('blank', ['   ', '\t', ' \t '])
+def test_load_skips_a_whitespace_only_line(italian, blank):
+    """As the lexicon and corpus readers do, after every line."""
+    lines = italian_lines()
+    assert load_inventory('\n'.join(lines + [blank])) == italian
+    assert load_inventory(''.join(f'{ln}\n{blank}\n' for ln in lines)) \
+        == italian
 
 
 def test_load_duplicate_phoneme():

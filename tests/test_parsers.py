@@ -25,9 +25,9 @@ from lamit.config import (AnalysisConfig, ConfigError, check_config,
                           parse_config_values)
 from lamit.corpus import (TranscribedSentence, TranscribedWord,
                           TranscriptionError)
-from lamit.features import (FeatureInventory, FeatureValue, InventoryError,
-                            MajorClass, ParseError, PhonemeId,
-                            ReadOnlyBundle, classify_major)
+from lamit.features import (FeatureBundle, FeatureInventory, FeatureValue,
+                            InventoryError, MajorClass, ParseError,
+                            PhonemeId, classify_major)
 from lamit.landmarks import (LandmarkError, LandmarkKind, LandmarkSequence,
                              Manner, parse_landmarks_csv)
 from lamit.lexicon import LexEntry, Lexicon, LexiconParseError, PhonemeToken
@@ -92,7 +92,7 @@ def old_load_inventory(text):
                 raise ParseError(f'line {lineno}: bad cell {c!r}')
             if c != '.':
                 cells[f] = valmap[c]
-        bundle = ReadOnlyBundle(cells)
+        bundle = FeatureBundle(cells)
         try:
             cls = classify_major(bundle)
         except InventoryError as e:
@@ -271,9 +271,7 @@ def old_phoneme_frequencies(sentences, inv):
                 if i == 0 and word.doubled:
                     p = inv.phoneme(p.singleton_base)
                 counts[p] += 1
-    total = sum(counts.values())
-    pct = {p: 100.0 * n / total for p, n in counts.items()}
-    return corpus.FrequencyTable(dict(counts), total, pct)
+    return corpus.FrequencyTable(dict(counts))
 
 
 # ------------------------------------------------------------ helpers
@@ -313,8 +311,9 @@ def assert_tables_agree(sentences, inv):
     assert got == want
     if got[0] == 'returned':
         assert list(got[1].counts.items()) == list(want[1].counts.items())
-        assert list(got[1].percentages.items()) == \
-            list(want[1].percentages.items())
+        total = sum(want[1].counts.values())
+        assert [got[1].percent(p) for p in got[1].counts] == \
+            [100.0 * n / total for n in want[1].counts.values()]
 
 
 def data_text(name):

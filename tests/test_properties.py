@@ -29,13 +29,13 @@ values = st.sampled_from([PLUS, MINUS, UNSPECIFIED])
 @st.composite
 def bundles(draw):
     major = draw(st.sampled_from(['vowel', 'glide', 'cons']))
-    b = FeatureBundle({major: PLUS})
+    b = {major: PLUS}
     for f in draw(st.lists(st.sampled_from(FEATS), unique=True,
                            max_size=8)):
         v = draw(values)
         if v is not UNSPECIFIED:
             b[f] = v
-    return b
+    return FeatureBundle(b)
 
 
 @given(bundles(), bundles())
@@ -58,9 +58,7 @@ def test_distance_scales_linearly(a, b, c):
 @given(bundles(), bundles(), st.sampled_from(FEATS))
 def test_polarity_conflicts_are_symmetric(a, b, f):
     w = DistanceWeights()
-    a, b = FeatureBundle(a), FeatureBundle(b)
-    a[f] = PLUS
-    b[f] = MINUS
+    a, b = FeatureBundle({**a, f: PLUS}), FeatureBundle({**b, f: MINUS})
     flipped_a = FeatureBundle(dict(a, **{f: MINUS}))
     flipped_b = FeatureBundle(dict(b, **{f: PLUS}))
     assert feature_distance(a, b, w, ITALIAN) == \
