@@ -1,11 +1,13 @@
 """Annotation tiers: automatic LEXI generation, landmark tiers."""
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .features import LookupError_
 from .lexicon import Lexicon
-from .textgrid import Interval, IntervalTier, Point, PointTier, TextGridError
+from .textgrid import (Interval, IntervalTier, Point, PointTier,
+                       TextGridError, _written)
 
 if TYPE_CHECKING:       # a transcription is only read, never built, here
     from .corpus import TranscribedSentence
@@ -23,7 +25,8 @@ def generate_lexi_tier(word_tier: IntervalTier, lex: Lexicon,
     Every labelled word interval becomes one interval per phoneme token,
     labelled with stressed ARPAbet.  Geminates get twice the unit width.
     With a transcription, word-initial syntactic doubling replaces the
-    initial singleton label by its geminate.
+    initial singleton label by its geminate.  A word interval whose
+    intervals would be empty, or read back empty once written, is refused.
     """
     words = word_tier.labelled()
     doubled = {}
@@ -32,41 +35,39 @@ def generate_lexi_tier(word_tier: IntervalTier, lex: Lexicon,
             raise AnnotationError(
                 f'transcription has {len(transcription.words)} words but '
                 f'the Word tier has {len(words)} labelled intervals')
-        doubled = dict(transcription.doubling_events)
+        doubled = {words[w]: gem for w, gem in transcription.doubling_events}
     out = []
-    widx = 0
     for iv in word_tier.items:
-        if not iv.label:
-            out.append(iv)
-            continue
-        try:
-            entry = lex.entry(iv.label)
-        except LookupError_:
-            raise AnnotationError(
-                f'word {iv.label!r} at [{iv.t_start}, {iv.t_end}] '
-                'not in the lexicon') from None
-        labels = entry.labels()
-        weights = [2 if t.phoneme.geminate else 1 for t in entry.phonemes]
-        if widx in doubled:
-            gem = doubled[widx]
-            base = entry.phonemes[0].phoneme
-            if base.geminate or gem.singleton_base != base.ipa:
+        labels, weights = [''], [1]     # an unlabelled interval is copied
+        if iv.label:
+            try:
+                entry = lex.entry(iv.label)
+            except LookupError_:
                 raise AnnotationError(
-                    f'doubling {gem.arpabet} does not match initial '
-                    f'phoneme of {entry.orthography}')
-            labels[0] = gem.arpabet
-            weights[0] = 2
-        span = iv.t_end - iv.t_start
-        total = sum(weights)
-        bounds = [iv.t_start]
-        acc = 0
-        for w in weights[:-1]:
-            acc += w
-            bounds.append(iv.t_start + span * acc / total)
-        bounds.append(iv.t_end)
-        for i, lab in enumerate(labels):
-            out.append(Interval(bounds[i], bounds[i + 1], lab))
-        widx += 1
+                    f'word {iv.label!r} at [{iv.t_start}, {iv.t_end}] '
+                    'not in the lexicon') from None
+            labels = entry.labels()
+            weights = [2 if t.phoneme.geminate else 1 for t in entry.phonemes]
+            if iv in doubled:
+                gem = doubled[iv]
+                base = entry.phonemes[0].phoneme
+                if base.geminate or gem.singleton_base != base.ipa:
+                    raise AnnotationError(
+                        f'doubling {gem.arpabet} does not match initial '
+                        f'phoneme of {entry.orthography}')
+                labels[0] = gem.arpabet
+                weights[0] = 2
+        span, total = iv.t_end - iv.t_start, sum(weights)
+        bounds = [iv.t_start, *(iv.t_start + span * acc / total
+                                for acc in accumulate(weights[:-1])), iv.t_end]
+        try:
+            word = IntervalTier('', map(Interval, bounds, bounds[1:], labels))
+            _written(word)
+        except TextGridError as e:
+            raise TextGridError(f'Word interval {iv.label!r} at '
+                                f'[{iv.t_start}, {iv.t_end}] too short: '
+                                f'{e}') from None
+        out += word.items
     return IntervalTier('LEXI', out)
 
 

@@ -145,7 +145,8 @@ def cmd_stats(args, cfg) -> int:
         for p, n in table.rows():
             print(f'{p.ipa:>8} {p.arpabet:>8} {n:6d} '
                   f'{table.percent(p):8.2f}')
-        print(f'{"total":>8} {"":>8} {table.total:6d} {100.0:8.2f}')
+        print(f'{"total":>8} {"":>8} {table.total:6d} '
+              f'{100.0 if table.total else 0.0:8.2f}')
     return EXIT_OK
 
 
@@ -167,7 +168,7 @@ def _read_sentence(args, inv):
 
 def cmd_lexi(args, cfg) -> int:
     from . import annotation
-    from .textgrid import serialize_textgrid
+    from .textgrid import TextGridError, serialize_textgrid
     if not args.out:
         raise CliError('--out is required for lexi')
     if args.sentence is not None and not args.transcription:
@@ -179,9 +180,11 @@ def cmd_lexi(args, cfg) -> int:
     sent = _read_sentence(args, inv) if args.transcription else None
     try:
         tier = annotation.generate_lexi_tier(doc.tier('Word'), lex, sent)
+        text = serialize_textgrid(doc.with_tier(tier))
     except annotation.AnnotationError as e:
         raise CliError(str(e), EXIT_RESOLUTION) from None
-    text = serialize_textgrid(doc.with_tier(tier))
+    except TextGridError as e:
+        raise CliError(f'TextGrid {args.textgrid}: {e}') from None
     Path(args.out).write_text(text, encoding='utf-8')
     print(f'wrote {args.out} ({len(tier.labelled())} phoneme intervals)')
     return EXIT_OK

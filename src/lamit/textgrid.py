@@ -203,6 +203,15 @@ class _Scanner:
                 f'last tier, first {_shown(self.tokens[self.pos][1])}')
 
 
+# a tier kind as Praat writes it: its class, its tier and item types, the
+# key of its item list and its items' value keys, the label's last
+_Kind = NamedTuple('_Kind', [('praat_class', str), ('tier', type),
+                             ('item', type), ('key', str), ('values', tuple)])
+_KINDS = (_Kind('IntervalTier', IntervalTier, Interval, 'intervals',
+                ('xmin', 'xmax', 'text')),
+          _Kind('TextTier', PointTier, Point, 'points', ('number', 'mark')))
+
+
 def parse_textgrid(document: str | bytes) -> AnnotationDocument:
     """Parse a Praat long-format TextGrid (UTF-8 or UTF-16)."""
     if isinstance(document, bytes):
@@ -211,13 +220,9 @@ def parse_textgrid(document: str | bytes) -> AnnotationDocument:
     if not (head.startswith('File type = "ooTextFile"') or
             head.startswith('"ooTextFile"')):
         raise TextGridParseError('malformed header: not an ooTextFile')
-    if 'TextGrid' not in head[:200]:
-        raise TextGridParseError('malformed header: not a TextGrid')
     sc = _Scanner(document)
-    if sc.next_string() != 'ooTextFile':
-        raise TextGridParseError('malformed header')
-    if sc.next_string() != 'TextGrid':
-        raise TextGridParseError('malformed header')
+    if (sc.next_string(), sc.next_string()) != ('ooTextFile', 'TextGrid'):
+        raise TextGridParseError('malformed header: not a TextGrid')
     xmin = sc.next_number()
     xmax = sc.next_number(lambda x: xmin < x < math.inf,
                           'finite xmax above xmin')
@@ -229,23 +234,12 @@ def parse_textgrid(document: str | bytes) -> AnnotationDocument:
         sc.next_number()    # tier xmin
         sc.next_number()    # tier xmax
         size = sc.next_count()
-        if klass == 'IntervalTier':
-            items = []
-            for _ in range(size):
-                t0 = sc.next_number()
-                t1 = sc.next_number()
-                label = sc.next_string()
-                items.append(Interval(t0, t1, label))
-            tiers.append(IntervalTier(name, items))
-        elif klass == 'TextTier':
-            pts = []
-            for _ in range(size):
-                t = sc.next_number()
-                mark = sc.next_string()
-                pts.append(Point(t, mark))
-            tiers.append(PointTier(name, pts))
-        else:
+        kind = next((k for k in _KINDS if k.praat_class == klass), None)
+        if kind is None:
             raise TextGridParseError(f'unknown tier class {klass!r}')
+        tiers.append(kind.tier(name, [kind.item(
+            *[sc.next_number() for _ in kind.values[1:]], sc.next_string())
+            for _ in range(size)]))
     sc.check_end()
     if xmin != 0:
         raise TextGridError(f'document must start at 0, not {xmin}')
@@ -256,36 +250,37 @@ def _quote(s: str) -> str:
     return '"' + s.replace('"', '""') + '"'
 
 
+def _written(tier: Tier) -> tuple[list[list[str]], Tier]:
+    """Each item's values as the writer writes them, its times to 9
+    decimals, and the tier that the reader builds from them."""
+    rows = [[*map(_fmt, item[:-1]), _quote(item[-1])] for item in tier.items]
+    return rows, type(tier)(tier.name, [
+        type(item)(*map(float, row[:-1]), item[-1])
+        for row, item in zip(rows, tier.items)])
+
+
 def serialize_textgrid(doc: AnnotationDocument) -> str:
+    """The document in Praat's long format, its times to 9 decimals.  A
+    document whose items would read back from them empty, out of order or
+    past its end is refused with the error that the reader would raise."""
+    xmax = _fmt(doc.duration)
+    written = [_written(tier) for tier in doc.tiers]
+    AnnotationDocument(float(xmax), [read for _, read in written])
     out = ['File type = "ooTextFile"',
            'Object class = "TextGrid"',
            '',
            'xmin = 0',
-           f'xmax = {_fmt(doc.duration)}',
+           f'xmax = {xmax}',
            'tiers? <exists>',
            f'size = {len(doc.tiers)}',
            'item []:']
-    for k, tier in enumerate(doc.tiers, 1):
-        out.append(f'    item [{k}]:')
-        if isinstance(tier, IntervalTier):
-            out.append('        class = "IntervalTier"')
-            out.append(f'        name = {_quote(tier.name)}')
-            out.append('        xmin = 0')
-            out.append(f'        xmax = {_fmt(doc.duration)}')
-            out.append(f'        intervals: size = {len(tier.items)}')
-            for i, iv in enumerate(tier.items, 1):
-                out.append(f'        intervals [{i}]:')
-                out.append(f'            xmin = {_fmt(iv.t_start)}')
-                out.append(f'            xmax = {_fmt(iv.t_end)}')
-                out.append(f'            text = {_quote(iv.label)}')
-        else:
-            out.append('        class = "TextTier"')
-            out.append(f'        name = {_quote(tier.name)}')
-            out.append('        xmin = 0')
-            out.append(f'        xmax = {_fmt(doc.duration)}')
-            out.append(f'        points: size = {len(tier.items)}')
-            for i, pt in enumerate(tier.items, 1):
-                out.append(f'        points [{i}]:')
-                out.append(f'            number = {_fmt(pt.time)}')
-                out.append(f'            mark = {_quote(pt.label)}')
+    for k, (tier, (rows, _)) in enumerate(zip(doc.tiers, written), 1):
+        kind = next(x for x in _KINDS if type(tier) is x.tier)
+        out += [f'    item [{k}]:', f'        class = "{kind.praat_class}"',
+                f'        name = {_quote(tier.name)}', '        xmin = 0',
+                f'        xmax = {xmax}',
+                f'        {kind.key}: size = {len(tier.items)}']
+        item = '\n'.join([f'        {kind.key} [%d]:',
+                          *(f'            {key} = %s' for key in kind.values)])
+        out += [item % (i, *row) for i, row in enumerate(rows, 1)]
     return '\n'.join(out) + '\n'

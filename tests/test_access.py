@@ -383,6 +383,30 @@ def test_pair_with_no_frames_between_gets_only_broad_features():
     assert segment.window == (closure - 0.05, release + 0.08)
 
 
+def test_pair_with_no_frames_around_it_gets_no_strident_feature():
+    """On 0.1 s of audio, a continuant pair at 0.03 and 0.07 s has frames
+    between its landmarks but none in the bands 20-80 ms before and
+    after them that the strident rule compares them with: the segment
+    gets no [strid], and the voicing rule still reads its frames."""
+    from lamit.landmarks import (Landmark, LandmarkKind, LandmarkSequence,
+                                 Manner)
+    params = parameter_frames(synth.steady_vowel(0.1))
+    closure, release = 0.03, 0.07
+    inside = params.window(closure, release)
+    assert inside.start < inside.stop
+    for t0, t1 in ((closure - 0.08, closure - 0.02),
+                   (release + 0.02, release + 0.08)):
+        window = params.window(t0, t1)
+        assert window.start == window.stop
+    seq = LandmarkSequence([
+        Landmark(closure, LandmarkKind.CLOSURE, Manner.CONTINUANT),
+        Landmark(release, LandmarkKind.RELEASE, Manner.CONTINUANT)])
+    [segment] = cues_to_bundles(seq, params)
+    assert segment.bundle.value('strid') is UNSPECIFIED
+    assert list(segment.bundle)[:3] == ['cons', 'son', 'cont']
+    assert {'slack', 'stiff'} <= set(segment.bundle)
+
+
 # -------------------------------------------------- word-interval match
 
 def make_word_doc(lex, words, word_dur=1.0):

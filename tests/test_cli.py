@@ -1,4 +1,5 @@
 import codecs
+import math
 import os
 import shutil
 import struct
@@ -61,6 +62,20 @@ def test_stats_table_rows_follow_csv_order(tmp_path, capsys):
     assert [ln.split() for ln in table[1:-1]] == csv_rows
     counts = [int(r[2]) for r in csv_rows]
     assert len(set(counts)) < len(counts)       # the corpus has ties
+
+
+def test_stats_total_row_of_a_corpus_without_tokens(tmp_path, capsys):
+    """The total row reads 100.00 over the shipped corpus, and 0.00 over
+    a corpus without tokens, whose CSV is only its header."""
+    assert run('stats', '--out', str(tmp_path / 'freq.csv')) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[::2] == \
+        ['total', '100.00']
+    src, out = tmp_path / 'zero.tsv', tmp_path / 'zero.csv'
+    src.write_text("1.\t'\n", encoding='utf-8')
+    assert run('stats', '--corpus', str(src), '--out', str(out)) == 0
+    assert out.read_text('utf-8') == 'phoneme,arpabet,count,percent\n'
+    assert capsys.readouterr().out.splitlines()[-1].split() == \
+        ['total', '0', '0.00']
 
 
 def test_stats_missing_file_exits_2(capsys):
@@ -453,6 +468,28 @@ def test_match_bad_textgrid_exits_2(tmp_path, capsys):
     assert run('match', '--landmarks', str(csv), '--textgrid', str(tg),
                '--out', str(tmp_path / 'm.csv')) == 2
     assert_one_line_error(capsys, 'TextGrid')
+
+
+@pytest.mark.parametrize('end, label', [
+    (1.000000002, 'MAMMA'),     # its phonemes are 0.4 and 0.8 ns long
+    (math.nextafter(1.0, 2.0), ''),
+    (math.nextafter(1.0, 2.0), 'MAMMA'),
+], ids=['2 ns word', 'one-ulp pause', 'one-ulp word'])
+def test_lexi_refuses_a_word_interval_it_cannot_write(tmp_path, capsys,
+                                                      end, label):
+    """A Word interval whose LEXI intervals would be empty, or read back
+    empty at the writer's 9 decimals, is an input fault: exit 2, one line
+    that names the TextGrid and the interval, and no output file."""
+    path = word_doc_path(tmp_path, ['BENE', label, 'BENE'], dur=1.0)
+    text = path.read_text('utf-8')
+    assert text.count(' = 2\n') == 2
+    path.write_text(text.replace(' = 2\n', f' = {end!r}\n'), 'utf-8')
+    out = tmp_path / 'o.TextGrid'
+    assert run('lexi', '--textgrid', str(path), '--out', str(out)) == 2
+    assert_one_line_error(capsys, f'error: TextGrid {path}: Word interval '
+                          f'{label!r} at [1.0, {end!r}] too short: empty '
+                          'interval [1.0, 1.0]')
+    assert not out.exists()
 
 
 def test_lexi_bad_textgrid_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,9 @@ from lamit.textgrid import (AnnotationDocument, Interval, IntervalTier,
                             Point, PointTier, TextGridError,
                             TextGridParseError, parse_textgrid,
                             serialize_textgrid)
+
+
+WIDE_TEXT = ['', 'V', '"', '""', 'a "b" c', '\n', 'x\ny', 'PAPÀ', 'ʎʎ 音']
 
 
 def sample_doc():
@@ -167,6 +171,37 @@ def test_malformed_header():
         parse_textgrid('not a textgrid at all')
 
 
+@pytest.mark.parametrize('klass', ['TextGridX', 'Pitch 1'])
+def test_object_class_other_than_textgrid(klass):
+    text = serialize_textgrid(sample_doc()).replace(
+        'Object class = "TextGrid"', f'Object class = "{klass}"')
+    with pytest.raises(TextGridParseError,
+                       match='^malformed header: not a TextGrid$'):
+        parse_textgrid(text)
+
+
+@pytest.mark.parametrize('doc, message', [
+    # a 0.4 ns interval and a one-ulp one: both [1.0, 1.0] as written
+    (AnnotationDocument(2.0, [IntervalTier('Word', [
+        Interval(1.0, 1.0000000004, 'M')])]),
+     r'^empty interval \[1\.0, 1\.0\]$'),
+    (AnnotationDocument(2.0, [IntervalTier('Word', [
+        Interval(1.0, math.nextafter(1.0, 2.0))])]),
+     r'^empty interval \[1\.0, 1\.0\]$'),
+    (AnnotationDocument(2.0, [PointTier('Landmark', [
+        Point(1.0, 'V'), Point(1.0000000001, 'V')])]),
+     r"^tier 'Landmark': points not strictly increasing$"),
+    # within 1e-12 of the end, and past it once both are rounded
+    (AnnotationDocument(1.0000000004999, [PointTier('Landmark', [
+        Point(1.0000000005001, 'V')])]),
+     r"^tier 'Landmark' extends past document end \(1\.000000001 > 1\.0\)$"),
+], ids=['0.4 ns interval', 'one-ulp interval', 'equal points',
+        'past the end'])
+def test_writer_refuses_what_would_not_read_back(doc, message):
+    with pytest.raises(TextGridError, match=message):
+        serialize_textgrid(doc)
+
+
 def test_overlapping_intervals_rejected():
     with pytest.raises(TextGridError, match='overlap'):
         IntervalTier('Word', [Interval(0, 0.6, 'a'), Interval(0.5, 1, 'b')])
@@ -206,7 +241,18 @@ def test_document_xmax_shorter_than_content():
 
 
 def test_random_roundtrips():
-    rng = random.Random(9)
+    # the plain pools, then quotes, a newline and non-ASCII text in labels
+    # and tier names of both kinds; names and point labels are drawn from
+    # their own generator, so the plain pools build the documents that
+    # they built before
+    for interval_labels, point_labels, names in (
+            (['', 'AA1', 'x y'], ['V'], ['']),
+            (WIDE_TEXT, WIDE_TEXT, WIDE_TEXT)):
+        _random_roundtrips(interval_labels, point_labels, names)
+
+
+def _random_roundtrips(interval_labels, point_labels, names):
+    rng, text_rng = random.Random(9), random.Random(10)
     for _ in range(25):
         tiers = []
         for k in range(rng.randint(1, 4)):
@@ -216,13 +262,16 @@ def test_random_roundtrips():
                 for _ in range(rng.randint(0, 6)):
                     end = round(t + rng.randint(1, 400) / 16000, 9)
                     items.append(Interval(t, end,
-                                          rng.choice(['', 'AA1', 'x y'])))
+                                          rng.choice(interval_labels)))
                     t = end
-                tiers.append(IntervalTier(f'I{k}', items))
+                tiers.append(IntervalTier(f'{text_rng.choice(names)}I{k}',
+                                          items))
             else:
                 times = sorted(rng.sample(range(1, 2000), rng.randint(0, 5)))
                 tiers.append(PointTier(
-                    f'P{k}', [Point(x / 1000, 'V') for x in times]))
+                    f'{text_rng.choice(names)}P{k}',
+                    [Point(x / 1000, text_rng.choice(point_labels))
+                     for x in times]))
         doc = AnnotationDocument(2.0, tiers)
         text = serialize_textgrid(doc)
         again = parse_textgrid(text)
