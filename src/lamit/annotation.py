@@ -25,8 +25,10 @@ def generate_lexi_tier(word_tier: IntervalTier, lex: Lexicon,
     Every labelled word interval becomes one interval per phoneme token,
     labelled with stressed ARPAbet.  Geminates get twice the unit width.
     With a transcription, word-initial syntactic doubling replaces the
-    initial singleton label by its geminate.  A word interval whose
-    intervals would be empty, or read back empty once written, is refused.
+    initial singleton label by its geminate; a doubling must also pass
+    `corpus.detect_syntactic_doubling`, so a sentence cannot start with
+    one.  A word interval whose intervals would be empty, or read back
+    empty once written, is refused.
     """
     words = word_tier.labelled()
     doubled = {}
@@ -68,6 +70,12 @@ def generate_lexi_tier(word_tier: IntervalTier, lex: Lexicon,
                                 f'[{iv.t_start}, {iv.t_end}] too short: '
                                 f'{e}') from None
         out += word.items
+    if transcription is not None:
+        from .corpus import TranscriptionError, detect_syntactic_doubling
+        try:
+            detect_syntactic_doubling(transcription, lex)
+        except TranscriptionError as e:
+            raise AnnotationError(str(e)) from None
     return IntervalTier('LEXI', out)
 
 

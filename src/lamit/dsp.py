@@ -253,6 +253,13 @@ def band_energies(spec: Spectrogram,
     return BandEnergyTracks(tuple(bands), energy, spec.times, spec.frame_step)
 
 
+def _frames(seconds: float, step: float, n: int) -> int:
+    """A duration as a whole number of frames, at least one.  A caller
+    passes an n past which any span acts as n + 1 frames do, so a longer
+    duration, inf included, counts as n + 1."""
+    return max(1, int(round(min(seconds / step, n + 1))))
+
+
 def rate_of_rise(track: np.ndarray, window: float,
                  frame_step: float) -> np.ndarray:
     """Centered difference of the smoothed track, in dB/s.
@@ -264,7 +271,7 @@ def rate_of_rise(track: np.ndarray, window: float,
     """
     track = np.asarray(track, dtype=np.float64)
     # a window of 2 * len(track) + 3 steps acts below as any longer one
-    n = int(round(min(window / frame_step, 2 * len(track) + 3)))
+    n = _frames(window, frame_step, 2 * len(track) + 2)
     if n < 2:
         raise DspError(f'window {window}s shorter than two frame steps')
     if n % 2 == 0:

@@ -9,7 +9,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import AnalysisConfig
-from .dsp import HIGH, LOW, MID, AudioBuffer, BandEnergyTracks, median, \
+from .dsp import HIGH, LOW, MID, AudioBuffer, BandEnergyTracks, _frames, \
     rate_of_rise, standard_tracks
 from .features import Checked, Frozen
 
@@ -78,11 +78,16 @@ def _relative(tracks: BandEnergyTracks, cfg: AnalysisConfig) -> np.ndarray:
     return np.maximum(e - float(e.max()), -cfg.gate_db)
 
 
-def _frames(seconds: float, step: float, n: int) -> int:
-    """A duration as a whole number of frames, at least one.  On a
-    track of n frames every caller treats n + 1 frames as it treats any
-    longer span, so a longer duration, inf included, counts as n + 1."""
-    return max(1, int(round(min(seconds / step, n + 1))))
+def _prepare(tracks: BandEnergyTracks, n_bands: int
+             ) -> tuple[AnalysisConfig, np.ndarray]:
+    """Each detector's inputs, `tracks.cfg` and `_relative(tracks,
+    tracks.cfg)`, once the tracks hold the first n_bands of the standard
+    band stack."""
+    if tracks.energy.shape[0] < n_bands:
+        raise LandmarkError(
+            f'expected the standard band stack (low, f1, mid, high); '
+            f'got {tracks.energy.shape[0]} bands')
+    return tracks.cfg, _relative(tracks, tracks.cfg)
 
 
 def _gate(tracks: BandEnergyTracks, cfg: AnalysisConfig, rel: np.ndarray):
@@ -186,9 +191,7 @@ def _landmarks(kind: LandmarkKind, times: np.ndarray,
 def detect_vowel_landmarks(tracks: BandEnergyTracks) -> list[Landmark]:
     """Local maxima of the low-band energy with sufficient prominence,
     inside the utterance gate; thresholds from `tracks.cfg`."""
-    cfg = tracks.cfg
-    _require_bands(tracks, 1)
-    rel = _relative(tracks, cfg)
+    cfg, rel = _prepare(tracks, 1)
     span = _gate(tracks, cfg, rel)
     if span is None:
         return []
@@ -205,11 +208,9 @@ def detect_glide_landmarks(tracks: BandEnergyTracks,
                            vowels: list[Landmark]) -> list[Landmark]:
     """Smooth low-band dips near vowel landmarks; thresholds from
     `tracks.cfg`."""
-    cfg = tracks.cfg
-    _require_bands(tracks, 1)
+    cfg, rel = _prepare(tracks, 1)
     if not vowels:
         return []
-    rel = _relative(tracks, cfg)
     low = rel[LOW]
     ror = rate_of_rise(low, cfg.ror_window, tracks.frame_step)
     dips, props = _find_peaks(-low, cfg.glide_dip_db)
@@ -232,9 +233,7 @@ def detect_glide_landmarks(tracks: BandEnergyTracks,
 def detect_consonant_landmarks(tracks: BandEnergyTracks) -> list[Landmark]:
     """Abrupt multi-band discontinuities, split into closures/releases;
     thresholds from `tracks.cfg`."""
-    cfg = tracks.cfg
-    _require_bands(tracks, 4)
-    rel = _relative(tracks, cfg)
+    cfg, rel = _prepare(tracks, 4)
     span = _gate(tracks, cfg, rel)
     if span is None:
         return []
@@ -277,25 +276,23 @@ def _frication(rel: np.ndarray, starts: np.ndarray, n: int,
     """Sustained frication in each window [s, s + n), clipped to the
     track: high band dominant and energetic.  An empty window has none.
 
-    Whole windows read their medians from one sliding-window median per
-    band; the few clipped at the track edges are computed one by one.
+    Both tracks are padded with n NaN frames at each end, so that every
+    window, whole, clipped or empty, is one row of a sliding view.  Its
+    median is over its k in-track frames, which sort before the NaN; an
+    empty window's (k = 0) is NaN, which fails both tests.
     """
     total = rel.shape[1]
-    dominance = rel[HIGH] - rel[LOW]
-    med_dominance = np.full(len(starts), -np.inf)
-    med_high = np.full(len(starts), -np.inf)
-    whole = (starts >= 0) & (starts + n <= total)
-    if whole.any():
-        s = starts[whole]
-        med_dominance[whole] = median(sliding_window_view(dominance, n)[s])
-        med_high[whole] = median(sliding_window_view(rel[HIGH], n)[s])
-    for i in np.flatnonzero(~whole).tolist():
-        lo, hi = max(0, int(starts[i])), min(total, int(starts[i]) + n)
-        if hi > lo:
-            med_dominance[i] = median(dominance[lo:hi])
-            med_high[i] = median(rel[HIGH, lo:hi])
-    return ((med_dominance >= cfg.noise_dominance_db)
-            & (med_high > -(cfg.gate_db - 10.0)))
+    starts = np.clip(starts, -n, total)
+    k = np.minimum(starts + n, total) - np.maximum(starts, 0)
+    padded = np.full((2, total + 2 * n), np.nan)
+    padded[0, n:-n] = rel[HIGH] - rel[LOW]
+    padded[1, n:-n] = rel[HIGH]
+    windows = np.sort(sliding_window_view(padded, n, axis=1)[:, starts + n])
+    rows = np.arange(len(starts))
+    dominance, high = (windows[:, rows, (k - 1) // 2]
+                       + windows[:, rows, k // 2]) / 2
+    return ((dominance >= cfg.noise_dominance_db)
+            & (high > -(cfg.gate_db - 10.0)))
 
 
 def _classify_manner(rel: np.ndarray, ks: np.ndarray, step: float,
@@ -315,13 +312,6 @@ def _classify_manner(rel: np.ndarray, ks: np.ndarray, step: float,
     return [Manner.SONORANT if s else
             Manner.CONTINUANT if f else Manner.NONCONTINUANT
             for s, f in zip(sonorant.tolist(), fricated.tolist())]
-
-
-def _require_bands(tracks: BandEnergyTracks, n: int):
-    if tracks.energy.shape[0] < n:
-        raise LandmarkError(
-            f'expected the standard band stack (low, f1, mid, high); '
-            f'got {tracks.energy.shape[0]} bands')
 
 
 _PRIORITY = {LandmarkKind.CLOSURE: 2, LandmarkKind.RELEASE: 2,

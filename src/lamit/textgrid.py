@@ -100,6 +100,9 @@ class AnnotationDocument(Frozen):
 
     def __init__(self, duration: float, tiers=()):
         tiers: tuple[Tier, ...] = tuple(tiers)
+        if not 0 < duration < math.inf:
+            raise TextGridError(f'document end {duration!r} is not finite '
+                                f'and above 0')
         for tier in tiers:
             if tier.t_end > duration + 1e-12:
                 raise TextGridError(

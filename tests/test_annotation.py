@@ -85,6 +85,22 @@ def test_doubling_must_match_the_initial_phoneme(lamit_lexicon, italian):
                            lamit_lexicon, sent)
 
 
+@pytest.mark.parametrize('line, words, message', [
+    ("bb'asso 'bɛne", ['BASSO', 'BENE'],
+     'doubling at word 0 has no preceding trigger word'),
+    # BENE starts with b, but the doubled word is transcribed bɛna
+    ("'e bb'ɛna", ['E', 'BENE'],
+     'doubling target at word 1 has no singleton-initial lexicon entry'),
+], ids=['sentence-initial', 'no singleton-initial entry'])
+def test_doubling_follows_the_library_rule(lamit_lexicon, italian, line,
+                                           words, message):
+    """Each doubling passes `detect_syntactic_doubling` too, after the
+    tier's own check of the Word label."""
+    sent = parse_transcription(line, italian, 1)
+    with pytest.raises(AnnotationError, match=f'^{message}$'):
+        generate_lexi_tier(word_tier(words), lamit_lexicon, sent)
+
+
 # ---------------------------------------------------------- landmark tier
 
 def test_landmark_tier_labels():

@@ -147,6 +147,21 @@ def test_lexi_bad_transcription_exits_1(tmp_path, capsys):
     assert not (tmp_path / 'o.TextGrid').exists()
 
 
+def test_lexi_refuses_a_sentence_initial_doubling(tmp_path, capsys):
+    """The library's doubling rule: a doubling needs a trigger word
+    before it.  A resolution error: exit 3, one line, no output file."""
+    tg = word_doc_path(tmp_path, ['BASSO', 'BENE'])
+    trans = tmp_path / 'trans.tsv'
+    trans.write_text("1.\tbb'asso 'bɛne\n", encoding='utf-8')
+    out = tmp_path / 'o.TextGrid'
+    code = run('lexi', '--textgrid', str(tg), '--transcription', str(trans),
+               '--out', str(out))
+    assert code == 3
+    assert_one_line_error(capsys, 'doubling at word 0 has no preceding '
+                          'trigger word')
+    assert not out.exists()
+
+
 def test_lexi_checks_out_before_reading(tmp_path, capsys):
     assert run('lexi', '--textgrid', str(tmp_path / 'none.TextGrid')) == 2
     assert_one_line_error(capsys, '--out is required for lexi')
@@ -489,6 +504,21 @@ def test_lexi_refuses_a_word_interval_it_cannot_write(tmp_path, capsys,
     assert_one_line_error(capsys, f'error: TextGrid {path}: Word interval '
                           f'{label!r} at [1.0, {end!r}] too short: empty '
                           'interval [1.0, 1.0]')
+    assert not out.exists()
+
+
+def test_lexi_refuses_a_document_end_it_would_write_as_0(tmp_path, capsys):
+    """xmax = 1e-10 reads, but is 0 at the writer's 9 decimals, which the
+    reader refuses: exit 2, one line, no output file."""
+    text = serialize_textgrid(AnnotationDocument(1, [IntervalTier('Word')]))
+    assert text.count('xmax = 1\n') == 2
+    path = tmp_path / 'words.TextGrid'
+    path.write_text(text.replace('xmax = 1\n', 'xmax = 1e-10\n'), 'utf-8')
+    assert parse_textgrid(path.read_bytes()).duration == 1e-10
+    out = tmp_path / 'o.TextGrid'
+    assert run('lexi', '--textgrid', str(path), '--out', str(out)) == 2
+    assert_one_line_error(capsys, f'error: TextGrid {path}: document end '
+                          '0.0 is not finite and above 0')
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -127,6 +129,49 @@ def test_rate_of_rise_under_three_frames_is_zero():
         out = rate_of_rise(np.full(n, -35.0), 1.0, 0.005)
         assert out.shape == (n,) and out.dtype == np.float64
         assert not out.any()
+
+
+def rate_of_rise_reference(track, window, frame_step):
+    """The rate of rise with its window rule inline, as before it moved
+    to `dsp._frames`."""
+    track = np.asarray(track, dtype=np.float64)
+    n = int(round(min(window / frame_step, 2 * len(track) + 3)))
+    if n < 2:
+        raise DspError(f'window {window}s shorter than two frame steps')
+    if n % 2 == 0:
+        n += 1
+    if len(track) < 3:
+        return np.zeros_like(track)
+    if n // 2 > len(track):
+        raise DspError(f'rate-of-rise window {window:g}s longer than twice '
+                       f'the track ({len(track)} frames)')
+    pad = np.pad(track, n // 2, mode='edge')
+    smooth = np.convolve(pad, np.ones(n) / n, mode='valid')
+    out = np.zeros_like(track)
+    out[1:-1] = (smooth[2:] - smooth[:-2]) / (2.0 * frame_step)
+    return out
+
+
+def test_rate_of_rise_window_rule_equals_the_inline_rule():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        size = int(rng.choice([0, 1, 2, 3, 4, int(rng.integers(5, 40))]))
+        track = rng.uniform(-90.0, 0.0, size)
+        # steps of a power of two make k + .5 steps an exact tie
+        step = float(rng.choice([0.005, 0.01, 2.0 ** -7, 0.25]))
+        k = float(rng.integers(0, 2 * size + 6))
+        window = float(rng.choice([
+            (k + 0.5) * step, k * step, rng.uniform(0.0, 2.0) * step,
+            (2 * size + rng.uniform(0.0, 6.0)) * step, math.inf,
+            rng.uniform(0.0, 2 * size + 6) * step]))
+        try:
+            want = rate_of_rise_reference(track, window, step)
+        except DspError as e:
+            with pytest.raises(DspError, match=f'^{re.escape(str(e))}$'):
+                rate_of_rise(track, window, step)
+        else:
+            assert rate_of_rise(track, window, step).tobytes() == \
+                want.tobytes()
 
 
 def test_f0_pulse_train():

@@ -33,8 +33,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # library names that only users read; README.md names each
-README_API = ('dsp.write_wav', 'features.load_english',
-              'corpus.detect_syntactic_doubling')
+README_API = ('dsp.write_wav', 'features.load_english')
 
 # the stdlib bases that are not builtins; a subclass's override of one
 # of their attributes is read by their own code (`_replace` calls `_make`)

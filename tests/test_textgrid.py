@@ -195,8 +195,11 @@ def test_object_class_other_than_textgrid(klass):
     (AnnotationDocument(1.0000000004999, [PointTier('Landmark', [
         Point(1.0000000005001, 'V')])]),
      r"^tier 'Landmark' extends past document end \(1\.000000001 > 1\.0\)$"),
+    # an end that reads, but is 0 at 9 decimals
+    (AnnotationDocument(1e-10, [IntervalTier('Word')]),
+     r'^document end 0\.0 is not finite and above 0$'),
 ], ids=['0.4 ns interval', 'one-ulp interval', 'equal points',
-        'past the end'])
+        'past the end', 'end written as 0'])
 def test_writer_refuses_what_would_not_read_back(doc, message):
     with pytest.raises(TextGridError, match=message):
         serialize_textgrid(doc)
@@ -231,6 +234,23 @@ def test_items_must_fit_duration():
     tier = IntervalTier('Word', [Interval(0, 2.0, 'a')])
     with pytest.raises(TextGridError, match='past'):
         AnnotationDocument(1.0, [tier])
+
+
+@pytest.mark.parametrize('duration', [0.0, -1.0, math.nan, math.inf])
+def test_document_end_is_finite_and_above_0(duration):
+    """The reader's own `0 < xmax < inf` rule, held by the record."""
+    with pytest.raises(TextGridError, match=r'^document end .* is not '
+                       r'finite and above 0$'):
+        AnnotationDocument(duration)
+
+
+def test_document_must_start_at_0():
+    text = serialize_textgrid(sample_doc())
+    assert text.startswith('File type = "ooTextFile"\nObject class = '
+                           '"TextGrid"\n\nxmin = 0\n')
+    with pytest.raises(TextGridError,
+                       match=r'^document must start at 0, not 0\.5$'):
+        parse_textgrid(text.replace('xmin = 0\n', 'xmin = 0.5\n', 1))
 
 
 def test_document_xmax_shorter_than_content():
